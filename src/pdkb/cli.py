@@ -2,8 +2,9 @@
 
 Subcommands: compile, solve, validate, query, closure. Machine-readable
 output goes to files or stdout; human summaries go to stderr. Exit codes:
-0 success, 1 false query, 2 input diagnostics, 3 unsolvable, 4 external
-planner failure, 5 weakly-valid-only plan, 6 invalid plan.
+0 success, 1 false query, 2 input diagnostics, 3 unsolvable or a resource
+cap hit, 4 external planner failure, 5 weakly-valid-only plan, 6 invalid
+plan.
 """
 
 import json
@@ -320,6 +321,9 @@ def cmd_validate(input_path, plan_path, config_path, depth_override, root,
         result = validator_mod.assess_plan(problem, plan=plan)
     except validator_mod.UnknownAction as exc:
         sys.exit(_diagnose(str(exc)))
+    except planner_mod.ResourceLimit as exc:
+        _info('error: validation limit hit: %s' % exc)
+        sys.exit(EXIT_UNSOLVABLE)
     payload = {
         'version': 1,
         'problem': problem.problem_name,

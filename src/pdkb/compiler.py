@@ -119,7 +119,7 @@ def _split_condition(problem, pos, neg, fluents):
     for rml in neg:
         # negated AK atoms never exist as fluents; requiring their absence
         # is trivially true, so they are dropped
-        if rml.negated and not rml.modalities and problem.is_ak(rml.atom):
+        if rml.negated and not is_regular(problem.is_ak, rml):
             continue
         cond_neg.add(rml)
     return CompiledCondition(cond_pos, cond_neg)
@@ -134,7 +134,7 @@ def encode_base(problem, ground_actions):
     for rml in closure(PEKB(problem.initial)):
         if rml in fluent_set:
             init.add(rml)
-        elif rml.negated and not rml.modalities and problem.is_ak(rml.atom):
+        elif rml.negated and not is_regular(problem.is_ak, rml):
             continue
         else:
             raise NonRootRML('initial RML %s is outside the fluent space'
@@ -179,14 +179,16 @@ class AncillaryConfig:
         self.truncated = set()
 
 
-def _is_regular(config, rml):
-    return bool(rml.modalities) or not config.is_ak(rml.atom)
+def is_regular(is_ak, rml):
+    """Whether the belief rules apply to rml: it has a modality or its atom
+    is not always known."""
+    return bool(rml.modalities) or not is_ak(rml.atom)
 
 
 def _closure_rule(config, adds):
     out = set()
     for cond, l in adds:
-        if not _is_regular(config, l):
+        if not is_regular(config.is_ak, l):
             continue
         for weaker in upward_closure(l):
             out.add((cond, weaker))
@@ -196,7 +198,7 @@ def _closure_rule(config, adds):
 def _negation_rule(config, adds):
     out = set()
     for cond, l in adds:
-        if not _is_regular(config, l):
+        if not is_regular(config.is_ak, l):
             continue
         out.add((cond, negate(l)))
     return out
@@ -205,7 +207,7 @@ def _negation_rule(config, adds):
 def _contrapositive_rule(config, dels):
     out = set()
     for cond, l in dels:
-        if not _is_regular(config, l):
+        if not is_regular(config.is_ak, l):
             continue
         for weaker in upward_closure(negate(l)):
             out.add((cond, negate(weaker)))
@@ -215,74 +217,77 @@ def _contrapositive_rule(config, dels):
 def _uncertain_rule(config, adds):
     out = set()
     for cond, l in adds:
-        if not _is_regular(config, l):
+        if not is_regular(config.is_ak, l):
             continue
         neg = frozenset(negate(c) for c in cond.pos) | cond.neg
         out.add((CompiledCondition((), neg), negate(l)))
     return out
 
 
-def _awareness_condition(config, agent, cond, mu):
-    pos = set()
-    neg = set()
-    for c in cond.pos:
-        if _is_regular(config, c):
-            nested = wrap(BELIEF, agent, c)
-            if nested.depth > config.depth:
-                return None
-            pos.add(nested)
-        else:
-            pos.add(c)
-    for c in cond.neg:
-        if _is_regular(config, c):
-            nested = negate(wrap(BELIEF, agent, c))
-            if nested.depth > config.depth:
-                return None
-            pos.add(nested)
-        else:
-            neg.add(c)
+def _believed_condition(agent, pos, neg, mu, depth, is_ak):
+    """An effect's condition and awareness condition mu as the agent
+    believes them, or None when a wrapped literal exceeds the depth bound.
+    AK atoms pass through unwrapped."""
+    out_pos = set()
+    out_neg = set()
     if mu != ALWAYS:
-        if _is_regular(config, mu):
-            nested = wrap(BELIEF, agent, mu)
-            if nested.depth > config.depth:
+        pos = itertools.chain(pos, (mu,))
+    for c in pos:
+        if is_regular(is_ak, c):
+            c = wrap(BELIEF, agent, c)
+            if c.depth > depth:
                 return None
-            pos.add(nested)
+        out_pos.add(c)
+    for c in neg:
+        if not is_regular(is_ak, c):
+            out_neg.add(c)
+            continue
+        c = negate(wrap(BELIEF, agent, c))
+        if c.depth > depth:
+            return None
+        out_pos.add(c)
+    return out_pos, out_neg
+
+
+def aware_copies(awareness, pos, neg, effect, delete, depth, is_ak):
+    """Conditioned mutual awareness of one conditional effect.
+
+    Yields (agent, condition, literal) for each aware agent: the agent's
+    copy is an add of literal under condition, a (pos, neg) pair, or lies
+    past the depth bound when condition is None. An aware agent comes to
+    believe an added literal and to consider a deleted one's negation
+    possible.
+    """
+    if not is_regular(is_ak, effect):
+        return
+    for agent, mu in awareness.items():
+        # introspection exception: agents do not observe changes to
+        # beliefs about their own beliefs
+        if delete and effect.modalities and effect.modalities[0][1] == agent:
+            continue
+        nested = wrap(BELIEF, agent, effect)
+        if delete:
+            nested = negate(nested)
+        # the literal is checked first: most copies are cut here, before
+        # their condition is built
+        if nested.depth > depth:
+            yield agent, None, nested
         else:
-            pos.add(mu)
-    return CompiledCondition(pos, neg)
+            yield (agent, _believed_condition(agent, pos, neg, mu, depth,
+                                              is_ak), nested)
 
 
 def _awareness_rules(config, adds, dels):
     out = set()
-    for agent, mu in sorted(config.awareness.items()):
-        for cond, l in adds:
-            if not _is_regular(config, l):
-                continue
-            nested = wrap(BELIEF, agent, l)
-            if nested.depth > config.depth:
-                config.truncated.add((agent, cond, l, 'add'))
-                continue
-            new_cond = _awareness_condition(config, agent, cond, mu)
-            if new_cond is None:
-                config.truncated.add((agent, cond, l, 'add'))
-                continue
-            out.add((new_cond, nested))
-        for cond, l in dels:
-            if not _is_regular(config, l):
-                continue
-            # introspection exception: agents do not observe changes to
-            # beliefs about their own beliefs
-            if l.modalities and l.modalities[0][1] == agent:
-                continue
-            nested = negate(wrap(BELIEF, agent, l))
-            if nested.depth > config.depth:
-                config.truncated.add((agent, cond, l, 'del'))
-                continue
-            new_cond = _awareness_condition(config, agent, cond, mu)
-            if new_cond is None:
-                config.truncated.add((agent, cond, l, 'del'))
-                continue
-            out.add((new_cond, nested))
+    for effects, kind in ((adds, 'add'), (dels, 'del')):
+        for cond, l in effects:
+            for agent, believed, nested in aware_copies(
+                    config.awareness, cond.pos, cond.neg, l, kind == 'del',
+                    config.depth, config.is_ak):
+                if believed is None:
+                    config.truncated.add((agent, cond, l, kind))
+                else:
+                    out.add((CompiledCondition(*believed), nested))
     return out
 
 

@@ -10,7 +10,7 @@ a negated AK atom in a condition means the atom must be absent, and a
 negated AK effect is a delete.
 """
 
-from .pekb import PEKB, ConditionalEffect
+from .pekb import ConditionalEffect
 from .rml import Proposition, RML
 
 GENERATION = 'valid_generation'
@@ -23,10 +23,6 @@ AGENT_VAR = '$agent$'
 
 
 class UnknownSymbol(Exception):
-    pass
-
-
-class TypeMismatch(Exception):
     pass
 
 
@@ -348,7 +344,3 @@ def validate_model(problem):
         diagnostics.append(Diagnostic(
             'error', 'problem', 'assessment task without a (:plan ...)'))
     return diagnostics
-
-
-def goal_pekb(problem):
-    return PEKB(problem.goal_pos)

@@ -46,15 +46,21 @@ def applicable(state, op):
     return op.precondition.satisfied(state)
 
 
-def apply(state, op, outcome_index=0):
-    """Successor state; conditions evaluated against the pre-state, and an
-    add wins over a simultaneous delete of the same fluent."""
-    if not applicable(state, op):
-        raise PreconditionViolated('%s not applicable' % op.label)
+def step(state, op, outcome_index=0):
+    """Successor state, without checking the precondition; conditions are
+    evaluated against the pre-state, and an add wins over a simultaneous
+    delete of the same fluent."""
     adds, dels = op.outcomes[outcome_index]
     fired_dels = {l for cond, l in dels if cond.satisfied(state)}
     fired_adds = {l for cond, l in adds if cond.satisfied(state)}
     return frozenset((state - fired_dels) | fired_adds)
+
+
+def apply(state, op, outcome_index=0):
+    """Successor state of an applicable operator."""
+    if not applicable(state, op):
+        raise PreconditionViolated('%s not applicable' % op.label)
+    return step(state, op, outcome_index)
 
 
 def goal_satisfied(cp, state):
@@ -89,7 +95,7 @@ def solve_bfs(cp, max_states=DEFAULT_STATE_CAP, stats=None):
         for idx, op in enumerate(cp.operators):
             if not applicable(state, op):
                 continue
-            succ = apply(state, op)
+            succ = step(state, op)
             if succ in seen:
                 continue
             seen[succ] = (state, idx)
@@ -128,7 +134,7 @@ def _reachable_graph(cp, max_states):
         for idx, op in enumerate(cp.operators):
             if not applicable(state, op):
                 continue
-            succs = tuple(apply(state, op, i)
+            succs = tuple(step(state, op, i)
                           for i in range(len(op.outcomes)))
             outgoing.append((idx, succs))
             for succ in succs:
@@ -243,10 +249,10 @@ def parse_plan_file(text, operators):
 def validate_plan(cp, plan):
     """Replay a classical plan; raises PlanInvalid on any violation."""
     state = cp.init
-    for step, op in enumerate(plan):
+    for step_no, op in enumerate(plan):
         if not applicable(state, op):
             raise PlanInvalid('step %d: %s not applicable'
-                              % (step, op.label))
+                              % (step_no, op.label))
         state = apply(state, op)
     if not goal_satisfied(cp, state):
         raise PlanInvalid('goal not satisfied after %d steps' % len(plan))

@@ -123,11 +123,6 @@ def negate(rml):
     return RML(flipped, not rml.negated, rml.atom)
 
 
-def terminal_literal(rml):
-    """The depth-0 literal at the end of the chain."""
-    return RML((), rml.negated, rml.atom)
-
-
 def upward_closure(rml):
     """All RMLs entailed by rml: weaken any subset of B modalities to P.
 

@@ -1,19 +1,20 @@
 """Semantic plan and policy validation by direct PEKB progression.
 
-Plans and policies run on full PEKB states via ``progress``; the same
-awareness expansion the compiler performs on fluent effects is applied
-here at the RML level. The cross-check harness replays random action
-outcomes through both the semantic and the compiled pipeline and reports
-any divergence.
+Plans and policies run on full PEKB states via ``progress``, after each
+outcome is expanded with the compiler's awareness rule (``aware_copies``)
+at the RML level. The cross-check harness replays random action outcomes
+through both the semantic pipeline and the planner's compiled ``step``, and
+reports any divergence.
 """
 
 import random
 
-from .compiler import compile_problem, fluent_space
-from .model import ALWAYS, ground
+from .compiler import aware_copies, compile_problem
+from .model import ground
 from .pekb import (PEKB, ConditionalEffect, InconsistentResult, closure,
-                   entails, is_consistent, progress)
-from .rml import BELIEF, format_rml, negate, wrap
+                   is_consistent, progress)
+from .planner import ResourceLimit, step
+from .rml import format_rml
 
 STRONG_VALID = 'StrongValid'
 WEAK_VALID = 'WeakValid'
@@ -21,10 +22,6 @@ INVALID = 'Invalid'
 
 DEFAULT_MAX_BRANCHES = 10_000
 DEFAULT_MAX_DEPTH = 50
-
-
-class ResourceLimit(Exception):
-    pass
 
 
 class UnknownAction(Exception):
@@ -67,73 +64,24 @@ class VerificationResult:
 # awareness expansion at the RML level
 
 
-def _regular(is_ak, rml):
-    return bool(rml.modalities) or not is_ak(rml.atom)
-
-
-def _aware_condition(agent, ce, mu, depth, is_ak):
-    """The spawned effect's condition, or None when it would exceed the
-    depth bound."""
-    pos = set()
-    neg = set()
-    for c in ce.condition_pos:
-        if _regular(is_ak, c):
-            nested = wrap(BELIEF, agent, c)
-            if nested.depth > depth:
-                return None
-            pos.add(nested)
-        else:
-            pos.add(c)
-    for c in ce.condition_neg:
-        if _regular(is_ak, c):
-            nested = negate(wrap(BELIEF, agent, c))
-            if nested.depth > depth:
-                return None
-            pos.add(nested)
-        else:
-            neg.add(c)
-    if mu != ALWAYS:
-        if _regular(is_ak, mu):
-            nested = wrap(BELIEF, agent, mu)
-            if nested.depth > depth:
-                return None
-            pos.add(nested)
-        else:
-            pos.add(mu)
-    return pos, neg
-
-
 def expand_outcome(outcome, awareness, depth, is_ak):
     """One outcome's conditional effects plus all awareness-derived ones.
 
-    Every aware agent adopts a nested-belief copy of each add; for each
-    base delete the agent comes to consider the dropped literal's negation
-    possible (skipped when the literal already speaks about that agent's
-    own beliefs). Spawned effects are adds and spawn recursively until the
-    depth bound cuts them off.
+    Each aware agent's copy of an effect (``aware_copies``) is an add that
+    spawns copies in turn, until the depth bound cuts them off.
     """
     seen = set(outcome)
     frontier = list(outcome)
     while frontier:
         fresh = []
         for ce in frontier:
-            if not _regular(is_ak, ce.effect):
-                continue
-            for agent, mu in sorted(awareness.items()):
-                if ce.delete:
-                    mods = ce.effect.modalities
-                    if mods and mods[0][1] == agent:
-                        continue
-                    nested = negate(wrap(BELIEF, agent, ce.effect))
-                else:
-                    nested = wrap(BELIEF, agent, ce.effect)
-                if nested.depth > depth:
+            for _, believed, nested in aware_copies(
+                    awareness, ce.condition_pos, ce.condition_neg,
+                    ce.effect, ce.delete, depth, is_ak):
+                if believed is None:
                     continue
-                cond = _aware_condition(agent, ce, mu, depth, is_ak)
-                if cond is None:
-                    continue
-                cand = ConditionalEffect(cond[0], nested,
-                                         condition_neg=cond[1])
+                cand = ConditionalEffect(believed[0], nested,
+                                         condition_neg=believed[1])
                 if cand not in seen:
                     seen.add(cand)
                     fresh.append(cand)
@@ -353,13 +301,6 @@ def _compiled_state(pekb_state, fluent_set):
     return frozenset(r for r in closure(pekb_state).rmls if r in fluent_set)
 
 
-def _apply_outcome(state, op, outcome_index):
-    adds, dels = op.outcomes[outcome_index]
-    fired_dels = {l for cond, l in dels if cond.satisfied(state)}
-    fired_adds = {l for cond, l in adds if cond.satisfied(state)}
-    return frozenset((state - fired_dels) | fired_adds)
-
-
 def _random_state(rng, pool, max_size=4):
     while True:
         size = rng.randint(0, max_size)
@@ -391,8 +332,8 @@ def crosscheck_progression(problem, n_cases, seed, max_state_size=4):
             sem = progress(state, action.outcomes[o_idx])
         except InconsistentResult:
             return None
-        compiled_succ = _apply_outcome(_compiled_state(state, fluent_set),
-                                       cp.operators[a_idx], o_idx)
+        compiled_succ = step(_compiled_state(state, fluent_set),
+                             cp.operators[a_idx], o_idx)
         return _compiled_state(sem, fluent_set), compiled_succ
 
     for case in range(n_cases):

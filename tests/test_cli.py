@@ -1,0 +1,38 @@
+"""Exit codes of the pdkb command line."""
+
+import json
+import os
+
+from click.testing import CliRunner
+
+from pdkb.cli import EXIT_UNSOLVABLE, main
+
+HERE = os.path.dirname(__file__)
+BENCH = os.path.join(HERE, '..', 'benchmarks')
+
+
+def test_validate_past_the_trajectory_cap_exits_unsolvable(tmp_path):
+    # 14 coin flips give 2 ** 14 trajectories, past the cap of 10,000
+    with open(os.path.join(BENCH, 'misc', 'coin.pdkbddl'),
+              encoding='utf-8') as handle:
+        text = handle.read()
+    text = text.replace('valid_generation', 'valid_assessment')
+    text = text.replace('(:goal (heads))',
+                        '(:goal (heads))\n    (:plan %s)' % ('(flip) ' * 14))
+    problem = tmp_path / 'coin-14.pdkbddl'
+    problem.write_text(text, encoding='utf-8')
+    result = CliRunner().invoke(main, ['validate', str(problem)])
+    assert result.exit_code == EXIT_UNSOLVABLE
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip().splitlines()[-1].startswith('error: ')
+
+
+def test_solve_past_the_state_cap_exits_unsolvable(tmp_path):
+    problem = os.path.join(BENCH, 'grapevine', 'prob-4ag-2g-1d.pdkbddl')
+    result = CliRunner().invoke(main, ['solve', problem, '--max-states', '5',
+                                       '--out', str(tmp_path)])
+    assert result.exit_code == EXIT_UNSOLVABLE
+    assert isinstance(result.exception, SystemExit)
+    with open(tmp_path / 'solve-report.json', encoding='utf-8') as handle:
+        report = json.load(handle)
+    assert 'state cap' in report['error']

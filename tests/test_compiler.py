@@ -175,3 +175,18 @@ def test_negated_ak_goal_condition_is_dropped_not_encoded():
             for c, _ in adds | dels:
                 for f in c.pos | c.neg:
                     assert f in set(cp.fluents)
+
+
+@pytest.mark.parametrize('parts, effects, spawned, pruned, truncated', [
+    (('envelope', 'envelope.pdkbddl'), 192, 188, 0, 144),
+    (('grapevine', 'prob-4ag-2g-1d.pdkbddl'), 2393, 1932, 0, 6912),
+    (('grapevine', 'prob-4ag-2g-2d.pdkbddl'), 23129, 22668, 0, 62208),
+])
+def test_compile_counters_are_pinned(parts, effects, spawned, pruned,
+                                     truncated):
+    _, cp = compiled(*parts)
+    assert sum(len(adds) + len(dels) for op in cp.operators
+               for adds, dels in op.outcomes) == effects
+    assert cp.report['spawned_ancillary_effects'] == spawned
+    assert cp.report['pruned_effects'] == pruned
+    assert cp.report['truncated_effects'] == truncated

@@ -4,13 +4,16 @@ import os
 
 import pytest
 
-from pdkb.pekb import PEKB, closure
+from pdkb.compiler import (AncillaryConfig, CompiledCondition,
+                           CompiledOperator, apply_ancillary)
+from pdkb.model import ALWAYS
+from pdkb.pekb import PEKB, ConditionalEffect, closure
 from pdkb.parser import desugar, parse_file
 from pdkb.rml import parse_rml
 from pdkb.validator import (INVALID, STRONG_VALID, WEAK_VALID, UnknownAction,
-                            assess_plan, crosscheck_progression, plan_policy,
-                            resolve_plan, state_key, successors,
-                            verify_policy)
+                            assess_plan, crosscheck_progression,
+                            expand_outcome, plan_policy, resolve_plan,
+                            state_key, successors, verify_policy)
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -166,3 +169,103 @@ def test_crosscheck_finds_no_divergence_on_grapevine():
     report = crosscheck_progression(prob, 200, seed=7)
     assert report['divergences'] == []
     assert report['cases'] == 200
+
+
+# ---------------------------------------------------------------------------
+# awareness expansion: the validator and the compiler apply one rule
+
+
+def rmls(*texts):
+    return [parse_rml(t) for t in texts]
+
+
+def not_ak(atom):
+    return False
+
+
+def is_k(atom):
+    return atom.predicate.startswith('k')
+
+
+def awareness_copies(base, awareness, depth, is_ak=not_ak):
+    """The awareness copies of one base effect, from the validator and
+    from the compiler, as (condition, literal) pairs.
+
+    The compiler's adds also hold closure-rule weakenings and copies of
+    other ancillary effects, so its side keeps only the literals the
+    validator spawned; it also returns the compiler's truncation record.
+    """
+    spawned = expand_outcome([base], awareness, depth, is_ak) - {base}
+    semantic = {(CompiledCondition(ce.condition_pos, ce.condition_neg),
+                 ce.effect) for ce in spawned}
+    pair = (CompiledCondition(base.condition_pos, base.condition_neg),
+            base.effect)
+    outcome = ((frozenset(), frozenset([pair])) if base.delete
+               else (frozenset([pair]), frozenset()))
+    op = CompiledOperator('op', (), CompiledCondition(), (outcome,))
+    config = AncillaryConfig(depth, is_ak, awareness=awareness)
+    adds, _ = apply_ancillary(op, config).outcomes[0]
+    literals = {l for _, l in semantic}
+    compiled = {(c, l) for c, l in adds if l in literals}
+    return semantic, compiled, config.truncated
+
+
+def test_awareness_of_a_conditional_add():
+    base = ConditionalEffect(rmls('s1'), parse_rml('s2'),
+                             condition_neg=rmls('t1'))
+    semantic, compiled, _ = awareness_copies(base, {'1': ALWAYS}, 1)
+    expected = {(CompiledCondition(rmls('B_1 s1', 'P_1 !t1')),
+                 parse_rml('B_1 s2'))}
+    assert semantic == expected
+    assert compiled == expected
+
+
+def test_awareness_of_a_delete_is_the_doubting_possibility():
+    base = ConditionalEffect((), parse_rml('s1'), delete=True)
+    semantic, compiled, _ = awareness_copies(base, {'2': ALWAYS}, 1)
+    expected = {(CompiledCondition(), parse_rml('P_2 !s1'))}
+    assert semantic == expected
+    assert compiled == expected
+
+
+def test_awareness_skips_deletes_of_the_agents_own_beliefs():
+    base = ConditionalEffect((), parse_rml('B_2 s1'), delete=True)
+    semantic, compiled, _ = awareness_copies(
+        base, {'1': ALWAYS, '2': ALWAYS}, 2)
+    expected = {(CompiledCondition(), parse_rml('P_1 P_2 !s1'))}
+    assert semantic == expected
+    assert compiled == expected
+
+
+def test_awareness_condition_mu_is_believed_by_the_agent():
+    base = ConditionalEffect((), parse_rml('s1'))
+    semantic, compiled, _ = awareness_copies(
+        base, {'1': parse_rml('t1')}, 1)
+    expected = {(CompiledCondition(rmls('B_1 t1')), parse_rml('B_1 s1'))}
+    assert semantic == expected
+    assert compiled == expected
+
+
+def test_awareness_passes_ak_conditions_through():
+    base = ConditionalEffect(rmls('k1'), parse_rml('s1'),
+                             condition_neg=rmls('k2'))
+    semantic, compiled, _ = awareness_copies(base, {'1': ALWAYS}, 1,
+                                             is_ak=is_k)
+    expected = {(CompiledCondition(rmls('k1'), rmls('k2')),
+                 parse_rml('B_1 s1'))}
+    assert semantic == expected
+    assert compiled == expected
+
+
+def test_awareness_spawns_recursively_up_to_the_depth_bound():
+    base = ConditionalEffect(rmls('t1'), parse_rml('s1'))
+    semantic, compiled, truncated = awareness_copies(
+        base, {'1': ALWAYS, '2': ALWAYS}, 2)
+    expected = {(CompiledCondition(rmls(prefix + 't1')),
+                 parse_rml(prefix + 's1'))
+                for prefix in ('B_1 ', 'B_2 ', 'B_2 B_1 ', 'B_1 B_2 ')}
+    assert semantic == expected
+    assert compiled == expected
+    # the depth-3 copies are cut, and the compiler records each cut
+    assert ('1', CompiledCondition(rmls('B_2 B_1 t1')),
+            parse_rml('B_2 B_1 s1'), 'add') in truncated
