@@ -215,6 +215,7 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
               'flavor': cp.flavor, 'fluents': len(cp.fluents),
               'operators': len(cp.operators)}
     template = config.get('planner_cmd')
+    stats = {}
     try:
         if template:
             report['solver'] = 'external'
@@ -226,13 +227,12 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
         elif cp.flavor == FOND:
             report['solver'] = 'and-or'
             policy = planner_mod.solve_andor(cp, max_states=cap,
-                                             acyclic_only=acyclic_only)
+                                             acyclic_only=acyclic_only,
+                                             stats=stats)
             plan = None
         else:
             report['solver'] = 'bfs'
-            stats = {}
             plan = planner_mod.solve_bfs(cp, max_states=cap, stats=stats)
-            report['states_expanded'] = stats.get('expanded', 0)
             policy = None
     except (planner_mod.PlannerFailure, planner_mod.PlanParseError,
             planner_mod.PlanInvalid) as exc:
@@ -242,12 +242,15 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
         _info('external planner failed: %s' % exc)
         sys.exit(EXIT_PLANNER_FAILURE)
     except planner_mod.ResourceLimit as exc:
+        report.update(_search_counts(exc.stats))
         report['error'] = str(exc)
         report['wall_time'] = time.time() - started
         _write_json(os.path.join(out_dir, 'solve-report.json'), report)
         _info('search limit hit: %s' % exc)
         sys.exit(EXIT_UNSOLVABLE)
     report['wall_time'] = time.time() - started
+    if report['solver'] != 'external':
+        report.update(_search_counts(stats))
 
     if plan is None and policy is None:
         report['result'] = 'Unsolvable'
@@ -288,6 +291,11 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
     _info('%s policy over %d states -> %s'
           % (policy.classification, len(policy.mapping), out_dir))
     sys.exit(EXIT_OK)
+
+
+def _search_counts(stats):
+    return {'states_expanded': stats.get('expanded', 0),
+            'states_generated': stats.get('states', 0)}
 
 
 def _float(value):

@@ -2,15 +2,23 @@
 
 Blind breadth-first search for the classical flavor, AND-OR search with
 strong / strong-cyclic acceptance for the nondeterministic flavor, and a
-subprocess adapter for external planners. No speed claims: correctness and
-determinism only.
+subprocess adapter for external planners.
+
+Both searches run on packed states: a state is a Python int whose bit i
+is ``cp.fluents[i]``. Each search packs the operators once (``Packing``):
+precondition masks, and per outcome the unconditional add/delete masks
+plus one entry per distinct effect condition, so a condition is tested
+once per state however many effects it guards. ``successor`` is the one
+step rule. RML frozensets remain at the edges: parsing, emission,
+validation, the frozenset ``step``/``apply`` (which pack, step and
+decode) and the states of a returned ``Policy.mapping``.
 """
 
 import os
 import re
 import subprocess
 import tempfile
-from collections import deque
+from collections import deque, namedtuple
 
 from .compiler import emit_domain, emit_problem
 
@@ -42,18 +50,103 @@ class PlanInvalid(Exception):
     pass
 
 
+# ---------------------------------------------------------------------------
+# packed states
+
+
+PackedOperator = namedtuple('PackedOperator', 'pre_pos pre_neg outcomes')
+
+
+class Packing:
+    """A bit numbering of fluents, and operators packed against it.
+
+    Bit i is ``fluents[i]``; a literal that the given states or an add
+    effect hold but the table lacks (hand-built problems) takes the next
+    free bit. A negative literal outside the numbering can never be true,
+    so it adds no bit.
+
+    ``operators`` holds one ``PackedOperator`` per operator, each outcome
+    an ``(adds, dels, groups)`` tuple: the unconditional add and delete
+    masks, then one ``(cond_pos, cond_neg, adds, dels)`` entry per
+    distinct condition.
+    """
+
+    __slots__ = ('fluents', 'index', 'operators')
+
+    def __init__(self, fluents, operators, states=()):
+        self.index = index = {}
+        for f in fluents:
+            index.setdefault(f, len(index))
+        for state in states:
+            for f in state:
+                index.setdefault(f, len(index))
+        for op in operators:
+            for adds, _ in op.outcomes:
+                for _, f in adds:
+                    index.setdefault(f, len(index))
+        self.fluents = list(index)
+        self.operators = [self._operator(op) for op in operators]
+
+    def _bit(self, f):
+        i = self.index.get(f)
+        if i is None:
+            i = self.index[f] = len(self.fluents)
+            self.fluents.append(f)
+        return 1 << i
+
+    def condition(self, cond):
+        """(pos, neg) masks of a CompiledCondition."""
+        index = self.index
+        return (sum(self._bit(f) for f in cond.pos),
+                sum(1 << index[f] for f in cond.neg if f in index))
+
+    def _operator(self, op):
+        outcomes = []
+        for adds, dels in op.outcomes:
+            groups = {}
+            for effects, kind in ((adds, 0), (dels, 1)):
+                for cond, f in effects:
+                    if kind and f not in self.index:
+                        continue
+                    masks = groups.setdefault(self.condition(cond), [0, 0])
+                    masks[kind] |= self._bit(f)
+            add, dele = groups.pop((0, 0), (0, 0))
+            outcomes.append((add, dele, tuple(
+                (pos, neg, a, d) for (pos, neg), (a, d) in groups.items())))
+        return PackedOperator(*self.condition(op.precondition),
+                              tuple(outcomes))
+
+    def encode(self, state):
+        return sum(self._bit(f) for f in state)
+
+    def decode(self, packed):
+        fluents = self.fluents
+        return frozenset(fluents[i] for i, c in enumerate(reversed(
+            bin(packed))) if c == '1')
+
+
+def successor(state, outcome):
+    """Packed successor, without checking the precondition: conditions are
+    evaluated against the pre-state, and an add wins over a simultaneous
+    delete of the same fluent."""
+    adds, dels, groups = outcome
+    for pos, neg, a, d in groups:
+        if state & pos == pos and not state & neg:
+            adds |= a
+            dels |= d
+    return (state & ~dels) | adds
+
+
 def applicable(state, op):
     return op.precondition.satisfied(state)
 
 
 def step(state, op, outcome_index=0):
-    """Successor state, without checking the precondition; conditions are
-    evaluated against the pre-state, and an add wins over a simultaneous
-    delete of the same fluent."""
-    adds, dels = op.outcomes[outcome_index]
-    fired_dels = {l for cond, l in dels if cond.satisfied(state)}
-    fired_adds = {l for cond, l in adds if cond.satisfied(state)}
-    return frozenset((state - fired_dels) | fired_adds)
+    """Successor of a frozenset state, without checking the precondition,
+    by the packed rule."""
+    packing = Packing((), (op,), (state,))
+    outcome = packing.operators[0].outcomes[outcome_index]
+    return packing.decode(successor(packing.encode(state), outcome))
 
 
 def apply(state, op, outcome_index=0):
@@ -77,29 +170,38 @@ class Policy:
         self.classification = classification
 
 
+def _pack_problem(cp):
+    """The packing of a problem, its packed initial state and goal masks."""
+    packing = Packing(cp.fluents, cp.operators, (cp.init,))
+    return packing, packing.encode(cp.init), packing.condition(cp.goal)
+
+
 def solve_bfs(cp, max_states=DEFAULT_STATE_CAP, stats=None):
     """Shortest plan (operator list) or None when the reachable space is
-    exhausted without reaching the goal."""
+    exhausted without reaching the goal. ``stats`` receives the expanded
+    and the generated (``states``) counts."""
     if stats is None:
         stats = {}
-    init = cp.init
-    if goal_satisfied(cp, init):
+    packing, init, (goal_pos, goal_neg) = _pack_problem(cp)
+    if init & goal_pos == goal_pos and not init & goal_neg:
         stats['expanded'] = 0
+        stats['states'] = 1
         return []
+    ops = packing.operators
     seen = {init: None}
     frontier = deque([init])
     expanded = 0
     while frontier:
         state = frontier.popleft()
         expanded += 1
-        for idx, op in enumerate(cp.operators):
-            if not applicable(state, op):
+        for idx, (pre_pos, pre_neg, outcomes) in enumerate(ops):
+            if state & pre_pos != pre_pos or state & pre_neg:
                 continue
-            succ = step(state, op)
+            succ = successor(state, outcomes[0])
             if succ in seen:
                 continue
             seen[succ] = (state, idx)
-            if goal_satisfied(cp, succ):
+            if succ & goal_pos == goal_pos and not succ & goal_neg:
                 stats['expanded'] = expanded
                 stats['states'] = len(seen)
                 plan = []
@@ -111,48 +213,64 @@ def solve_bfs(cp, max_states=DEFAULT_STATE_CAP, stats=None):
                 plan.reverse()
                 return plan
             if len(seen) > max_states:
+                stats['expanded'] = expanded
+                stats['states'] = len(seen)
                 raise ResourceLimit('state cap %d exceeded' % max_states,
-                                    {'expanded': expanded,
-                                     'states': len(seen)})
+                                    stats)
             frontier.append(succ)
     stats['expanded'] = expanded
     stats['states'] = len(seen)
     return None
 
 
-def _reachable_graph(cp, max_states):
-    """Forward-reachable states and their (op index, successor tuple)
-    edges."""
-    init = cp.init
-    edges = {}
-    frontier = deque([init])
-    edges[init] = None
+def _reachable_graph(ops, init, max_states, stats):
+    """Forward-reachable packed states and their (op index, successor
+    tuple) edges."""
+    edges = {init: None}
     order = [init]
+    frontier = deque([init])
+    expanded = 0
     while frontier:
         state = frontier.popleft()
+        expanded += 1
         outgoing = []
-        for idx, op in enumerate(cp.operators):
-            if not applicable(state, op):
+        for idx, (pre_pos, pre_neg, outcomes) in enumerate(ops):
+            if state & pre_pos != pre_pos or state & pre_neg:
                 continue
-            succs = tuple(step(state, op, i)
-                          for i in range(len(op.outcomes)))
+            succs = tuple(successor(state, o) for o in outcomes)
             outgoing.append((idx, succs))
             for succ in succs:
                 if succ not in edges:
                     if len(edges) > max_states:
+                        stats['expanded'] = expanded
+                        stats['states'] = len(edges)
                         raise ResourceLimit(
-                            'state cap %d exceeded' % max_states)
+                            'state cap %d exceeded' % max_states, stats)
                     edges[succ] = None
                     order.append(succ)
                     frontier.append(succ)
         edges[state] = outgoing
+    stats['expanded'] = expanded
+    stats['states'] = len(edges)
     return order, edges
 
 
-def solve_andor(cp, max_states=DEFAULT_STATE_CAP, acyclic_only=False):
-    """Strong or strong-cyclic policy over the reachable space, or None."""
-    order, edges = _reachable_graph(cp, max_states)
-    goals = {s for s in order if goal_satisfied(cp, s)}
+def solve_andor(cp, max_states=DEFAULT_STATE_CAP, acyclic_only=False,
+                stats=None):
+    """Strong or strong-cyclic policy over the reachable space, or None.
+    ``stats`` receives the expanded and the reachable (``states``)
+    counts."""
+    if stats is None:
+        stats = {}
+    packing, init, (goal_pos, goal_neg) = _pack_problem(cp)
+    order, edges = _reachable_graph(packing.operators, init, max_states,
+                                    stats)
+    goals = {s for s in order if s & goal_pos == goal_pos
+             and not s & goal_neg}
+
+    def policy(chosen, classification):
+        return Policy({packing.decode(s): cp.operators[i]
+                       for s, i in chosen}, classification)
 
     # strong (acyclic) backward fixpoint
     solved = set(goals)
@@ -169,9 +287,8 @@ def solve_andor(cp, max_states=DEFAULT_STATE_CAP, acyclic_only=False):
                     choice[state] = idx
                     changed = True
                     break
-    if cp.init in solved:
-        return Policy({s: cp.operators[i] for s, i in choice.items()},
-                      STRONG)
+    if init in solved:
+        return policy(choice.items(), STRONG)
     if acyclic_only:
         return None
 
@@ -206,13 +323,11 @@ def solve_andor(cp, max_states=DEFAULT_STATE_CAP, acyclic_only=False):
                 pairs[state] = keep
                 dropped = True
         if not dropped:
-            if cp.init not in win and cp.init not in goals:
+            if init not in win and init not in goals:
                 return None
-            mapping = {}
-            for state in order:
-                if state in pairs and pairs[state] and state in win:
-                    mapping[state] = cp.operators[min(pairs[state])]
-            return Policy(mapping, STRONG_CYCLIC)
+            return policy(((s, min(pairs[s])) for s in order
+                           if s in pairs and pairs[s] and s in win),
+                          STRONG_CYCLIC)
 
 
 _PLAN_LINE = re.compile(r'^\(\s*([^\s()]+)((?:\s+[^\s()]+)*)\s*\)$')

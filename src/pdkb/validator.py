@@ -3,8 +3,8 @@
 Plans and policies run on full PEKB states via ``progress``, after each
 outcome is expanded with the compiler's awareness rule (``aware_copies``)
 at the RML level. The cross-check harness replays random action outcomes
-through both the semantic pipeline and the planner's compiled ``step``, and
-reports any divergence.
+through both the semantic pipeline and the planner's packed ``successor``,
+and reports any divergence.
 """
 
 import random
@@ -13,7 +13,7 @@ from .compiler import aware_copies, compile_problem
 from .model import ground
 from .pekb import (PEKB, ConditionalEffect, InconsistentResult, closure,
                    is_consistent, progress)
-from .planner import ResourceLimit, step
+from .planner import Packing, ResourceLimit, successor
 from .rml import format_rml
 
 STRONG_VALID = 'StrongValid'
@@ -154,36 +154,37 @@ def assess_plan(problem, plan=None, ground_actions=None,
     init = closure(PEKB(problem.initial))
     successes = []
     failures = []
-    count = [0]
-
-    def walk(state, step, states, taken):
-        count[0] += 1
-        if count[0] > max_branches:
+    count = 0
+    # depth-first, outcomes in order: the first success and the first
+    # failure are those of a recursive walk, without its stack limit
+    stack = [(init, [init], [])]
+    while stack:
+        state, states, taken = stack.pop()
+        count += 1
+        if count > max_branches:
             raise ResourceLimit('trajectory cap %d exceeded' % max_branches)
+        step = len(taken)
         if step == len(actions):
-            traj = Trajectory(states, taken)
             if goal_holds(problem, state):
-                successes.append(traj)
+                successes.append(Trajectory(states, taken))
             else:
                 failures.append(Trajectory(states, taken,
                                            'goal not satisfied'))
-            return
+            continue
         action = actions[step]
         if not precondition_holds(state, action):
             failures.append(Trajectory(states, taken,
                                        'step %d: %s not applicable'
                                        % (step, action.label)))
-            return
+            continue
         try:
             nexts = successors(state, action, problem.depth, problem.is_ak)
         except InconsistentResult as exc:
             failures.append(Trajectory(states, taken,
                                        'step %d: %s' % (step, exc)))
-            return
-        for nxt in nexts:
-            walk(nxt, step + 1, states + [nxt], taken + [action])
-
-    walk(init, 0, [init], [])
+            continue
+        for nxt in reversed(nexts):
+            stack.append((nxt, states + [nxt], taken + [action]))
     total = len(successes) + len(failures)
     if not failures and successes:
         return VerificationResult(STRONG_VALID, successes[0], total)
@@ -319,6 +320,7 @@ def crosscheck_progression(problem, n_cases, seed, max_state_size=4):
     """
     ground_actions = ground(problem)
     cp = compile_problem(problem, ground_actions, with_awareness=False)
+    packing = Packing(cp.fluents, cp.operators)
     fluent_set = frozenset(cp.fluents)
     pool = sorted(fluent_set)
     rng = random.Random(seed)
@@ -332,9 +334,10 @@ def crosscheck_progression(problem, n_cases, seed, max_state_size=4):
             sem = progress(state, action.outcomes[o_idx])
         except InconsistentResult:
             return None
-        compiled_succ = step(_compiled_state(state, fluent_set),
-                             cp.operators[a_idx], o_idx)
-        return _compiled_state(sem, fluent_set), compiled_succ
+        packed = packing.encode(_compiled_state(state, fluent_set))
+        outcome = packing.operators[a_idx].outcomes[o_idx]
+        return (_compiled_state(sem, fluent_set),
+                packing.decode(successor(packed, outcome)))
 
     for case in range(n_cases):
         state = _random_state(rng, pool, max_state_size)

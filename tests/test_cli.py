@@ -3,9 +3,10 @@
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
-from pdkb.cli import EXIT_UNSOLVABLE, main
+from pdkb.cli import EXIT_OK, EXIT_UNSOLVABLE, main
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -36,3 +37,22 @@ def test_solve_past_the_state_cap_exits_unsolvable(tmp_path):
     with open(tmp_path / 'solve-report.json', encoding='utf-8') as handle:
         report = json.load(handle)
     assert 'state cap' in report['error']
+
+
+def test_validate_a_plan_longer_than_the_recursion_limit(long_coin_plan):
+    result = CliRunner().invoke(main, ['validate', long_coin_plan])
+    assert result.exit_code == EXIT_OK
+
+
+@pytest.mark.parametrize('parts,solver', [
+    (('grapevine', 'prob-4ag-2g-1d.pdkbddl'), 'bfs'),
+    (('misc', 'ask.pdkbddl'), 'and-or'),
+])
+def test_solve_reports_the_search_counts(tmp_path, parts, solver):
+    result = CliRunner().invoke(main, ['solve', os.path.join(BENCH, *parts),
+                                       '--out', str(tmp_path)])
+    assert result.exit_code == EXIT_OK
+    with open(tmp_path / 'solve-report.json', encoding='utf-8') as handle:
+        report = json.load(handle)
+    assert report['solver'] == solver
+    assert 0 < report['states_expanded'] <= report['states_generated']

@@ -1,6 +1,7 @@
 """Internal search, policy search, and the external planner adapter."""
 
 import os
+import random
 import stat
 
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from pdkb.compiler import compile_problem
 from pdkb.model import ground
 from pdkb.parser import desugar, parse_file
-from pdkb.planner import (PlanInvalid, PlanParseError, PlannerFailure,
-                          PreconditionViolated, ResourceLimit, apply,
-                          applicable, parse_plan_file, solve_andor,
-                          solve_bfs, solve_external, validate_plan)
+from pdkb.planner import (Packing, PlanInvalid, PlanParseError,
+                          PlannerFailure, PreconditionViolated,
+                          ResourceLimit, apply, applicable, parse_plan_file,
+                          solve_andor, solve_bfs, solve_external, step,
+                          successor, validate_plan)
+from pdkb.rml import format_rml
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -203,3 +206,113 @@ def test_plan_validation_names_the_failing_step():
         validate_plan(cp, [check, apply_op])
     with pytest.raises(PlanInvalid, match='goal'):
         validate_plan(cp, [apply_op])
+
+
+# ---------------------------------------------------------------------------
+# packed search behaviour
+
+
+@pytest.mark.parametrize('goals,counts,plan', [
+    ('2g', (42, 357), ['(initialize)', '(move c l2 l1)', '(share a a l1)',
+                       '(share b b l1)']),
+    ('4g', (986, 6108), ['(initialize)', '(move a l1 l2)', '(move b l1 l2)',
+                         '(move d l3 l2)', '(share a a l2)',
+                         '(share b b l2)']),
+    ('8g', (33831, 168221), ['(initialize)', '(move a l1 l2)',
+                             '(move b l1 l2)', '(move d l3 l2)',
+                             '(share a a l2)', '(share b b l2)',
+                             '(share c c l2)', '(share d d l2)']),
+])
+def test_bfs_plans_and_counts_on_grapevine(goals, counts, plan):
+    _, cp = compiled('grapevine', 'prob-4ag-%s-1d.pdkbddl' % goals)
+    stats = {}
+    found = solve_bfs(cp, stats=stats)
+    assert (stats['expanded'], stats['states']) == counts
+    assert [op.label for op in found] == plan
+
+
+def test_bfs_counts_the_initial_state_when_it_is_a_goal(envelope):
+    _, cp = envelope
+    from pdkb.compiler import CompiledProblem
+    solved = CompiledProblem(cp.fluents, cp.init, type(cp.goal)((), ()),
+                             cp.operators, cp.flavor, cp.report)
+    stats = {}
+    assert solve_bfs(solved, stats=stats) == []
+    assert stats == {'expanded': 0, 'states': 1}
+
+
+def reference_step(state, op, outcome_index=0):
+    """Frozenset successor: every effect's condition tested on its own."""
+    adds, dels = op.outcomes[outcome_index]
+    fired_dels = {l for cond, l in dels if cond.satisfied(state)}
+    fired_adds = {l for cond, l in adds if cond.satisfied(state)}
+    return frozenset((state - fired_dels) | fired_adds)
+
+
+@pytest.fixture(scope='module')
+def grapevine_2g_2d():
+    # compiled with awareness: 897 distinct effect conditions
+    return compiled('grapevine', 'prob-4ag-2g-2d.pdkbddl')
+
+
+@pytest.fixture(scope='module')
+def coin():
+    return compiled('misc', 'coin.pdkbddl')
+
+
+@pytest.fixture(scope='module')
+def ask():
+    return compiled('misc', 'ask.pdkbddl')
+
+
+@pytest.mark.parametrize('name', ['grapevine_2g_2d', 'coin', 'ask'])
+def test_packed_step_matches_the_frozenset_rule_on_a_random_walk(name,
+                                                                 request):
+    _, cp = request.getfixturevalue(name)
+    packing = Packing(cp.fluents, cp.operators, (cp.init,))
+    rng = random.Random(7)
+    state = cp.init
+    for _ in range(200):
+        usable = [i for i, op in enumerate(cp.operators)
+                  if applicable(state, op)]
+        if not usable:
+            state = cp.init
+            continue
+        for idx in usable:
+            op = cp.operators[idx]
+            packed = packing.operators[idx]
+            for out in range(len(op.outcomes)):
+                expected = reference_step(state, op, out)
+                assert packing.decode(successor(
+                    packing.encode(state), packed.outcomes[out])) == expected
+        op = cp.operators[rng.choice(usable)]
+        out = rng.randrange(len(op.outcomes))
+        assert step(state, op, out) == apply(state, op, out) \
+            == reference_step(state, op, out)
+        state = apply(state, op, out)
+
+
+def _mapping(policy):
+    return {frozenset(map(format_rml, state)): op.label
+            for state, op in policy.mapping.items()}
+
+
+def test_andor_policies_on_coin_and_ask(coin, ask):
+    assert _mapping(solve_andor(coin[1])) == {
+        frozenset(): '(flip)', frozenset(['!heads']): '(flip)'}
+    expected = {
+        frozenset(['B_a raining', 'P_a raining']): '(report-yes)',
+        frozenset(['B_a !raining', 'P_a !raining']): '(report-no)',
+        frozenset(['P_a !raining', 'P_a raining']): '(ask)'}
+    assert _mapping(solve_andor(ask[1])) == expected
+    assert _mapping(solve_andor(ask[1], acyclic_only=True)) == expected
+
+
+def test_andor_reports_its_graph_size(ask):
+    _, cp = ask
+    stats = {}
+    solve_andor(cp, stats=stats)
+    assert stats['expanded'] == stats['states'] > 1
+    with pytest.raises(ResourceLimit) as info:
+        solve_andor(cp, max_states=1)
+    assert info.value.stats['states'] == 2

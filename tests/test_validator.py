@@ -44,6 +44,14 @@ def test_envelope_plan_is_strong_valid(envelope):
     assert len(result.witness.actions) == 2
 
 
+def test_plan_longer_than_the_recursion_limit_is_assessed(long_coin_plan):
+    prob = desugar(parse_file(long_coin_plan))
+    result = assess_plan(prob)
+    assert result.verdict == STRONG_VALID
+    assert result.trajectories == 1
+    assert len(result.witness.actions) == 1200
+
+
 def test_reversed_envelope_plan_is_invalid():
     prob = load('envelope', 'envelope-reversed.pdkbddl')
     result = assess_plan(prob)
