@@ -3,8 +3,8 @@
 Subcommands: compile, solve, validate, query, closure. Machine-readable
 output goes to files or stdout; human summaries go to stderr. Exit codes:
 0 success, 1 false query, 2 input diagnostics, 3 unsolvable or a resource
-cap hit, 4 external planner failure, 5 weakly-valid-only plan, 6 invalid
-plan.
+cap hit, 4 external planner failure, 5 weakly-valid-only plan or
+policy, 6 invalid plan or policy.
 """
 
 import json
@@ -272,14 +272,16 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
         _write_json(os.path.join(out_dir, 'solve-report.json'), report)
         _info('plan of length %d (%s) -> %s'
               % (len(plan), verdict.verdict, out_dir))
-        if verdict.verdict != validator_mod.STRONG_VALID:
-            sys.exit(EXIT_INVALID if verdict.verdict ==
-                     validator_mod.INVALID else EXIT_WEAK_ONLY)
-        sys.exit(EXIT_OK)
+        sys.exit(_verdict_exit(verdict.verdict))
 
+    semantic = {validator_mod.state_key(PEKB(state)): (op.name,) + op.args
+                for state, op in policy.mapping.items()}
+    verdict = validator_mod.verify_policy(problem, semantic,
+                                          ground_actions=actions)
     report['result'] = 'policy'
     report['policy_classification'] = policy.classification
     report['policy_size'] = len(policy.mapping)
+    report['verdict'] = verdict.verdict
     payload = {'classification': policy.classification, 'states': []}
     for state in sorted(policy.mapping, key=sorted):
         payload['states'].append({
@@ -288,9 +290,17 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
         })
     _write_json(os.path.join(out_dir, 'policy.json'), payload)
     _write_json(os.path.join(out_dir, 'solve-report.json'), report)
-    _info('%s policy over %d states -> %s'
-          % (policy.classification, len(policy.mapping), out_dir))
-    sys.exit(EXIT_OK)
+    _info('%s policy over %d states (%s) -> %s'
+          % (policy.classification, len(policy.mapping), verdict.verdict,
+             out_dir))
+    sys.exit(_verdict_exit(verdict.verdict))
+
+
+def _verdict_exit(verdict):
+    """Exit code of a semantic verdict on a plan or a policy."""
+    return {validator_mod.STRONG_VALID: EXIT_OK,
+            validator_mod.WEAK_VALID: EXIT_WEAK_ONLY}.get(verdict,
+                                                          EXIT_INVALID)
 
 
 def _search_counts(stats):
@@ -346,11 +356,7 @@ def cmd_validate(input_path, plan_path, config_path, depth_override, root,
     else:
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
     _info('verdict: %s' % result.verdict)
-    if result.verdict == validator_mod.STRONG_VALID:
-        sys.exit(EXIT_OK)
-    if result.verdict == validator_mod.WEAK_VALID:
-        sys.exit(EXIT_WEAK_ONLY)
-    sys.exit(EXIT_INVALID)
+    sys.exit(_verdict_exit(result.verdict))
 
 
 @main.command('query')

@@ -4,6 +4,16 @@ Blind breadth-first search for the classical flavor, AND-OR search with
 strong / strong-cyclic acceptance for the nondeterministic flavor, and a
 subprocess adapter for external planners.
 
+The AND-OR search builds the reachable graph once, then regresses
+breadth-first from the goal states over predecessor lists: a state joins
+the solved set through the first action whose successors are all solved
+(strong) or all inside the current region (strong-cyclic), once one of
+them is solved, and keeps that action. The queue order makes distance
+layers, so every chosen action has a successor one layer closer to the
+goal and the policy reaches it. A strong-cyclic search repeats the
+regression, shrinking the region to the goals and the states it solved,
+until the region stops changing.
+
 Both searches run on packed states: a state is a Python int whose bit i
 is ``cp.fluents[i]``. Each search packs the operators once (``Packing``):
 precondition masks, and per outcome the unconditional add/delete masks
@@ -156,10 +166,6 @@ def apply(state, op, outcome_index=0):
     return step(state, op, outcome_index)
 
 
-def goal_satisfied(cp, state):
-    return cp.goal.satisfied(state)
-
-
 class Policy:
     """State-to-operator mapping with its acceptance classification."""
 
@@ -229,7 +235,7 @@ def _reachable_graph(ops, init, max_states, stats):
     edges = {init: None}
     order = [init]
     frontier = deque([init])
-    expanded = 0
+    expanded = n_edges = 0
     while frontier:
         state = frontier.popleft()
         expanded += 1
@@ -250,8 +256,10 @@ def _reachable_graph(ops, init, max_states, stats):
                     order.append(succ)
                     frontier.append(succ)
         edges[state] = outgoing
+        n_edges += len(outgoing)
     stats['expanded'] = expanded
     stats['states'] = len(edges)
+    stats['edges'] = n_edges
     return order, edges
 
 
@@ -259,75 +267,57 @@ def solve_andor(cp, max_states=DEFAULT_STATE_CAP, acyclic_only=False,
                 stats=None):
     """Strong or strong-cyclic policy over the reachable space, or None.
     ``stats`` receives the expanded and the reachable (``states``)
-    counts."""
+    counts, the state-action pairs (``edges``) and the number of
+    strong-cyclic regressions (``rounds``, 0 for a strong policy)."""
     if stats is None:
         stats = {}
     packing, init, (goal_pos, goal_neg) = _pack_problem(cp)
     order, edges = _reachable_graph(packing.operators, init, max_states,
                                     stats)
-    goals = {s for s in order if s & goal_pos == goal_pos
-             and not s & goal_neg}
-
-    def policy(chosen, classification):
-        return Policy({packing.decode(s): cp.operators[i]
-                       for s, i in chosen}, classification)
-
-    # strong (acyclic) backward fixpoint
-    solved = set(goals)
-    choice = {}
-    changed = True
-    while changed:
-        changed = False
-        for state in order:
-            if state in solved:
-                continue
+    goals = dict.fromkeys(s for s in order if s & goal_pos == goal_pos
+                          and not s & goal_neg)
+    preds = {}
+    for state in order:
+        if state not in goals:
             for idx, succs in edges[state]:
-                if all(s in solved for s in succs):
+                for t in dict.fromkeys(succs):
+                    preds.setdefault(t, []).append((state, idx, succs))
+
+    def regress(inside, strong):
+        """Breadth-first from the goals: a state inside ``inside`` joins
+        through its first action whose successors are all solved
+        (strong) or all inside, once one of them is solved; that
+        successor lies one layer closer to the goal."""
+        solved = set(goals)
+        choice = {}
+        queue = deque(goals)
+        while queue:
+            for state, idx, succs in preds.get(queue.popleft(), ()):
+                if state not in solved and state in inside and all(
+                        s in (solved if strong else inside) for s in succs):
                     solved.add(state)
                     choice[state] = idx
-                    changed = True
-                    break
-    if init in solved:
-        return policy(choice.items(), STRONG)
+                    queue.append(state)
+        return choice
+
+    def policy(choice, classification):
+        return Policy({packing.decode(s): cp.operators[i]
+                       for s, i in choice.items()}, classification)
+
+    stats['rounds'] = 0
+    choice = regress(edges, True)
+    if init in choice or init in goals:
+        return policy(choice, STRONG)
     if acyclic_only:
         return None
-
-    # strong cyclic: start from every applicable pair and prune pairs that
-    # may step outside the winning region
-    pairs = {s: {idx for idx, _ in edges[s]} for s in order
-             if s not in goals}
+    region = edges
     while True:
-        # winning region: goal-reaching via remaining pairs
-        win = set(goals)
-        grew = True
-        while grew:
-            grew = False
-            for state in order:
-                if state in win or state not in pairs:
-                    continue
-                for idx, succs in edges[state]:
-                    if idx in pairs[state] and any(s in win for s in succs):
-                        win.add(state)
-                        grew = True
-                        break
-        dropped = False
-        for state in order:
-            if state not in pairs:
-                continue
-            keep = set()
-            for idx, succs in edges[state]:
-                if idx in pairs[state] and all(s in win or s in goals
-                                               for s in succs):
-                    keep.add(idx)
-            if keep != pairs[state]:
-                pairs[state] = keep
-                dropped = True
-        if not dropped:
-            if init not in win and init not in goals:
-                return None
-            return policy(((s, min(pairs[s])) for s in order
-                           if s in pairs and pairs[s] and s in win),
-                          STRONG_CYCLIC)
+        choice = regress(region, False)
+        stats['rounds'] += 1
+        if len(choice) + len(goals) == len(region):
+            break
+        region = goals.keys() | choice.keys()
+    return policy(choice, STRONG_CYCLIC) if init in choice else None
 
 
 _PLAN_LINE = re.compile(r'^\(\s*([^\s()]+)((?:\s+[^\s()]+)*)\s*\)$')
@@ -369,7 +359,7 @@ def validate_plan(cp, plan):
             raise PlanInvalid('step %d: %s not applicable'
                               % (step_no, op.label))
         state = apply(state, op)
-    if not goal_satisfied(cp, state):
+    if not cp.goal.satisfied(state):
         raise PlanInvalid('goal not satisfied after %d steps' % len(plan))
     return state
 

@@ -343,7 +343,8 @@ def test_criterion_9_every_solver_path_validates(grapevine_runs, tmp_path):
         result = assess_plan(prob, plan=as_steps(plan))
         assert result.verdict == STRONG_VALID
         # policy search
-        for parts in [('misc', 'coin.pdkbddl'), ('misc', 'ask.pdkbddl')]:
+        for parts in [('misc', 'coin.pdkbddl'), ('misc', 'ask.pdkbddl'),
+                      ('misc', 'lossy-3ag-2l.pdkbddl')]:
             prob = load(*parts)
             cp = compile_problem(prob, ground(prob))
             policy = solve_andor(cp)

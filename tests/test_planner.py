@@ -8,7 +8,7 @@ import pytest
 
 from pdkb.compiler import compile_problem
 from pdkb.model import ground
-from pdkb.parser import desugar, parse_file
+from pdkb.parser import desugar, parse_file, parse_text
 from pdkb.planner import (Packing, PlanInvalid, PlanParseError,
                           PlannerFailure, PreconditionViolated,
                           ResourceLimit, apply, applicable, parse_plan_file,
@@ -308,11 +308,57 @@ def test_andor_policies_on_coin_and_ask(coin, ask):
     assert _mapping(solve_andor(ask[1], acyclic_only=True)) == expected
 
 
-def test_andor_reports_its_graph_size(ask):
+_TRAP = """
+(define (domain trap)
+    (:agents a)
+    (:types )
+    (:predicates (heads) (ok))
+
+    ; may break the coin for good
+    (:action gamble
+        :derive-condition   never
+        :precondition       (and (ok))
+        :effect             (oneof (and (heads)) (and (!ok)))
+    )
+
+    (:action flip
+        :derive-condition   never
+        :precondition       (and (ok))
+        :effect             (oneof (and (heads)) (and (!heads)))
+    )
+)
+
+(define (problem trap-prob)
+    (:domain trap)
+    (:depth 1)
+    (:task valid_generation)
+    (:init-type complete)
+    (:init (ok))
+    (:goal (heads))
+)
+"""
+
+
+def test_strong_cyclic_search_drops_actions_that_may_dead_end():
+    # the first regression takes gamble, whose lost outcome is a dead end;
+    # the second, inside the shrunk region, must take flip
+    prob = desugar(parse_text(_TRAP))
+    stats = {}
+    policy = solve_andor(compile_problem(prob, ground(prob)), stats=stats)
+    assert _mapping(policy) == {frozenset(['ok']): '(flip)',
+                                frozenset(['ok', '!heads']): '(flip)'}
+    assert policy.classification == 'StrongCyclic' and stats['rounds'] == 2
+
+
+def test_andor_reports_its_graph_size(coin, ask):
+    stats = {}
+    solve_andor(coin[1], stats=stats)
+    assert stats == {'expanded': 3, 'states': 3, 'edges': 3, 'rounds': 1}
     _, cp = ask
     stats = {}
     solve_andor(cp, stats=stats)
     assert stats['expanded'] == stats['states'] > 1
+    assert stats['edges'] == 9 and stats['rounds'] == 0
     with pytest.raises(ResourceLimit) as info:
         solve_andor(cp, max_states=1)
     assert info.value.stats['states'] == 2
