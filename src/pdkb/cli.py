@@ -260,8 +260,10 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
 
     if plan is not None:
         steps = [(op.name,) + op.args for op in plan]
+        started = time.time()
         verdict = validator_mod.assess_plan(problem, plan=steps,
                                             ground_actions=actions)
+        report['verify_time'] = time.time() - started
         report['result'] = 'plan'
         report['plan_length'] = len(plan)
         report['verdict'] = verdict.verdict
@@ -274,10 +276,10 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
               % (len(plan), verdict.verdict, out_dir))
         sys.exit(_verdict_exit(verdict.verdict))
 
-    semantic = {validator_mod.state_key(PEKB(state)): (op.name,) + op.args
-                for state, op in policy.mapping.items()}
-    verdict = validator_mod.verify_policy(problem, semantic,
+    started = time.time()
+    verdict = validator_mod.verify_policy(problem, policy.mapping,
                                           ground_actions=actions)
+    report['verify_time'] = time.time() - started
     report['result'] = 'policy'
     report['policy_classification'] = policy.classification
     report['policy_size'] = len(policy.mapping)

@@ -50,17 +50,17 @@ class PEKB:
 
 
 def closure(p):
-    """Upward-closed version of p."""
+    """Upward-closed version of p; p's own frozenset if already closed."""
     if isinstance(p, PEKB):
         if p.closed:
             return p
         rmls = p.rmls
     else:
-        rmls = p
-    out = set()
+        rmls = frozenset(p)
+    out = set(rmls)
     for rml in rmls:
         out |= upward_closure(rml)
-    return PEKB(out, closed=True)
+    return PEKB(rmls if len(out) == len(rmls) else out, closed=True)
 
 
 def negkb(p):

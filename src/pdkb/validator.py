@@ -2,9 +2,10 @@
 
 Plans and policies run on full PEKB states via ``progress``, after each
 outcome is expanded with the compiler's awareness rule (``aware_copies``)
-at the RML level. The cross-check harness replays random action outcomes
-through both the semantic pipeline and the planner's packed ``successor``,
-and reports any divergence.
+at the RML level; a policy is keyed by a state's RML set, as a planner's
+``Policy.mapping`` is. The cross-check harness replays random action
+outcomes through both the semantic pipeline and the planner's packed
+``successor``, and reports any divergence.
 """
 
 import random
@@ -199,8 +200,8 @@ def assess_plan(problem, plan=None, ground_actions=None,
 
 
 def state_key(state):
-    """Canonical text form of a closed PEKB state (policy lookup key)."""
-    return '\n'.join(format_rml(r) for r in sorted(closure(state).rmls))
+    """Policy lookup key of a PEKB state: its closure's RML set."""
+    return closure(state).rmls
 
 
 def plan_policy(problem, plan=None, ground_actions=None):
@@ -209,7 +210,7 @@ def plan_policy(problem, plan=None, ground_actions=None):
     state = closure(PEKB(problem.initial))
     mapping = {}
     for action in actions:
-        mapping[state_key(state)] = action
+        mapping[state.rmls] = action
         nexts = successors(state, action, problem.depth, problem.is_ak)
         if len(nexts) != 1:
             raise UnknownAction('plan-induced policies need deterministic '
@@ -221,7 +222,8 @@ def plan_policy(problem, plan=None, ground_actions=None):
 def verify_policy(problem, policy, ground_actions=None,
                   max_states=DEFAULT_MAX_BRANCHES,
                   max_depth=DEFAULT_MAX_DEPTH):
-    """Exhaustively execute a policy keyed by state_key.
+    """Exhaustively execute a policy keyed by a state's RML set, whose
+    actions (tuples, GroundActions or CompiledOperators) match by name+args.
 
     Undefined at a goal state ends the trajectory successfully; undefined
     anywhere else fails it. Cycles are accepted under the fairness
@@ -242,8 +244,7 @@ def verify_policy(problem, policy, ground_actions=None,
         state, states, taken = frontier.pop()
         if len(states) > max_depth + 1:
             raise ResourceLimit('policy depth cap %d exceeded' % max_depth)
-        key = state_key(state)
-        chosen = policy.get(key)
+        chosen = policy.get(state.rmls)
         if chosen is None:
             if goal_holds(problem, state):
                 terminal_ok[state] = Trajectory(states, taken)
@@ -251,8 +252,9 @@ def verify_policy(problem, policy, ground_actions=None,
                 fail_witness[state] = Trajectory(
                     states, taken, 'policy undefined off the goal')
             continue
-        if isinstance(chosen, tuple):
-            chosen = index.get(tuple(chosen))
+        if not isinstance(chosen, tuple):
+            chosen = (chosen.name,) + chosen.args
+        chosen = index.get(chosen)
         if chosen is None or not precondition_holds(state, chosen):
             label = chosen.label if chosen is not None else '<unknown>'
             fail_witness[state] = Trajectory(

@@ -352,3 +352,10 @@ def test_criterion_9_every_solver_path_validates(grapevine_runs, tmp_path):
                         for state, op in policy.mapping.items()}
             result = verify_policy(prob, semantic)
             assert result.verdict == STRONG_VALID, parts
+            # compiled states are upward closed, so the planner's own
+            # mapping is keyed exactly as the semantic states are
+            for state in policy.mapping:
+                assert closure(PEKB(state)).rmls == state, parts
+            direct = verify_policy(prob, policy.mapping)
+            assert (direct.verdict, direct.trajectories) \
+                == (result.verdict, result.trajectories), parts

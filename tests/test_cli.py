@@ -61,6 +61,7 @@ def test_solve_reports_the_search_counts(tmp_path, parts, solver):
     assert result.exit_code == EXIT_OK
     assert report['solver'] == solver
     assert 0 < report['states_expanded'] <= report['states_generated']
+    assert report['verify_time'] >= 0
 
 
 def test_solve_verifies_a_strong_cyclic_policy(tmp_path):

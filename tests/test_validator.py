@@ -1,18 +1,21 @@
 """Semantic plan assessment, policy verification, and the cross-check."""
 
 import os
+import random
 
 import pytest
 
 from pdkb.compiler import (AncillaryConfig, CompiledCondition,
-                           CompiledOperator, apply_ancillary)
-from pdkb.model import ALWAYS
+                           CompiledOperator, apply_ancillary, compile_problem)
+from pdkb.model import ALWAYS, ground
 from pdkb.pekb import PEKB, ConditionalEffect, closure
 from pdkb.parser import desugar, parse_file
+from pdkb.planner import apply, applicable
 from pdkb.rml import parse_rml
 from pdkb.validator import (INVALID, STRONG_VALID, WEAK_VALID, UnknownAction,
-                            assess_plan, crosscheck_progression,
-                            expand_outcome, plan_policy, resolve_plan,
+                            _compiled_state, assess_plan,
+                            crosscheck_progression, expand_outcome,
+                            plan_policy, precondition_holds, resolve_plan,
                             state_key, successors, verify_policy)
 
 HERE = os.path.dirname(__file__)
@@ -105,16 +108,48 @@ def test_plan_induced_policy_is_strong_valid(envelope):
     assert verify_policy(envelope, policy).verdict == STRONG_VALID
 
 
-def test_branching_policy_covers_both_outcomes(ask):
+def ask_branches(ask):
+    """The initial state of ask and its yes and no successors."""
     init = closure(PEKB(ask.initial))
     (do_ask,) = resolve_plan(ask, plan=[('ask',)])
     yes_state, no_state = successors(init, do_ask, ask.depth, ask.is_ak)
     if parse_rml('B_a raining') not in yes_state:
         yes_state, no_state = no_state, yes_state
+    return init, yes_state, no_state
+
+
+def test_branching_policy_covers_both_outcomes(ask):
+    init, yes_state, no_state = ask_branches(ask)
     policy = {state_key(init): ('ask',),
               state_key(yes_state): ('report-yes',),
               state_key(no_state): ('report-no',)}
     assert verify_policy(ask, policy).verdict == STRONG_VALID
+
+
+def test_policy_actions_may_be_compiled_operators(ask):
+    init, yes_state, no_state = ask_branches(ask)
+    ops = {op.name: op
+           for op in compile_problem(ask, ground(ask)).operators}
+    policy = {state_key(init): ops['ask'],
+              state_key(yes_state): ops['report-yes'],
+              state_key(no_state): ops['report-no']}
+    assert verify_policy(ask, policy).verdict == STRONG_VALID
+    policy[state_key(yes_state)] = ops['report-no']
+    result = verify_policy(ask, policy)
+    assert result.verdict == INVALID
+    assert 'not applicable' in result.witness.failure
+
+
+def test_a_closed_state_is_its_own_policy_key(ask):
+    closed = closure(PEKB(ask.initial)).rmls
+    assert closure(PEKB(closed)).rmls is closed
+    assert closure(closed).rmls is closed
+    assert state_key(PEKB(closed)) is closed
+    # a set that closure grows gets a new frozenset, over the same RMLs
+    belief = parse_rml('B_a raining')
+    grown = closure(PEKB([belief])).rmls
+    assert grown == {belief, parse_rml('P_a raining')}
+    assert next(r for r in grown if r == belief) is belief
 
 
 def test_partial_policy_is_invalid_with_witness(ask):
@@ -177,6 +212,30 @@ def test_crosscheck_finds_no_divergence_on_grapevine():
     report = crosscheck_progression(prob, 200, seed=7)
     assert report['divergences'] == []
     assert report['cases'] == 200
+
+
+def test_compiled_state_carried_along_a_walk_stays_the_projection():
+    # with awareness on, at depth 1; at depth 2 the two models still part
+    # ways after a few steps, and that case waits until it is settled
+    prob = load('grapevine', 'prob-4ag-2g-1d.pdkbddl')
+    actions = ground(prob)
+    cp = compile_problem(prob, actions)
+    fluent_set = frozenset(cp.fluents)
+    rng = random.Random(1)
+    state = closure(PEKB(prob.initial))
+    compiled = cp.init
+    assert compiled == _compiled_state(state, fluent_set)
+    for _ in range(200):
+        usable = [i for i, action in enumerate(actions)
+                  if precondition_holds(state, action)]
+        assert usable == [i for i, op in enumerate(cp.operators)
+                          if applicable(compiled, op)]
+        idx = rng.choice(usable)
+        nexts = successors(state, actions[idx], prob.depth, prob.is_ak)
+        out = rng.randrange(len(nexts))
+        state = nexts[out]
+        compiled = apply(compiled, cp.operators[idx], out)
+        assert compiled == _compiled_state(state, fluent_set)
 
 
 # ---------------------------------------------------------------------------
