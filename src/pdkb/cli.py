@@ -38,8 +38,26 @@ def _info(message):
     click.echo(message, err=True)
 
 
+FLAVORS = ('classical', 'fond', 'auto')
+
+
+def _flavor(value):
+    if value not in FLAVORS:
+        raise ValueError(value)
+    return value
+
+
+# config keys with typed values: parser and what the value must be
+_CONFIG_TYPES = {'depth': (int, 'an integer'),
+                 'max_states': (int, 'an integer'),
+                 'timeout': (float, 'a number'),
+                 'flavor': (_flavor, 'classical, fond or auto')}
+
+
 def load_config(path):
-    """key=value config lines; '#' starts a comment."""
+    """key=value config lines; '#' starts a comment. A malformed line, a
+    non-numeric depth, max_states or timeout, or an unknown flavor is an
+    input diagnostic."""
     config = {}
     if path is None:
         return config
@@ -49,10 +67,17 @@ def load_config(path):
             if not line:
                 continue
             if '=' not in line:
-                raise click.ClickException(
-                    '%s:%d: expected key=value' % (path, lineno))
-            key, value = line.split('=', 1)
-            config[key.strip()] = value.strip()
+                sys.exit(_diagnose('%s:%d: expected key=value'
+                                   % (path, lineno)))
+            key, value = (part.strip() for part in line.split('=', 1))
+            if key in _CONFIG_TYPES:
+                parse, kind = _CONFIG_TYPES[key]
+                try:
+                    value = parse(value)
+                except ValueError:
+                    sys.exit(_diagnose('%s:%d: %s must be %s, not %r'
+                                       % (path, lineno, key, kind, value)))
+            config[key] = value
     return config
 
 
@@ -119,7 +144,7 @@ def _load_pekb(path):
             try:
                 rmls.append(parse_rml(line))
             except RmlSyntaxError as exc:
-                raise click.ClickException('%s:%d: %s' % (path, lineno, exc))
+                sys.exit(_diagnose('%s:%d: %s' % (path, lineno, exc)))
     return PEKB(rmls)
 
 
@@ -165,8 +190,7 @@ def _with_common(fn):
 
 @main.command('compile')
 @click.argument('input_path', type=click.Path(exists=True))
-@click.option('--flavor', type=click.Choice(['classical', 'fond', 'auto']),
-              default=None)
+@click.option('--flavor', type=click.Choice(FLAVORS), default=None)
 @_with_common
 def cmd_compile(input_path, flavor, config_path, depth_override, root, out):
     """Compile a .pdkbddl problem to classical/FOND PDDL artifacts."""
@@ -185,8 +209,7 @@ def cmd_compile(input_path, flavor, config_path, depth_override, root, out):
 
 @main.command('solve')
 @click.argument('input_path', type=click.Path(exists=True))
-@click.option('--flavor', type=click.Choice(['classical', 'fond', 'auto']),
-              default=None)
+@click.option('--flavor', type=click.Choice(FLAVORS), default=None)
 @click.option('--planner-cmd', default=None,
               help='external planner template with {domain} {problem} '
                    '{plan}')
@@ -366,13 +389,13 @@ def cmd_validate(input_path, plan_path, config_path, depth_override, root,
 @click.argument('query_text')
 def cmd_query(state_path, query_text):
     """Does the belief-base file entail the query (a comma-separated RML
-    conjunction)? Prints true/false; exit 0/1."""
+    conjunction)? Prints true/false; exit 0/1, or 2 on a syntax error."""
     base = _load_pekb(state_path)
     try:
         rmls = [parse_rml(part) for part in query_text.split(',')
                 if part.strip()]
     except RmlSyntaxError as exc:
-        raise click.ClickException(str(exc))
+        sys.exit(_diagnose(str(exc)))
     if not is_consistent(base):
         sys.exit(_diagnose('belief base is inconsistent'))
     verdict = entails(base, rmls)

@@ -12,6 +12,18 @@ The ancillary rules derive extra conditional effects until fixpoint:
   uncertain       an add whose condition is not believed false deletes the
                   negated literal
   awareness       per aware agent, nested-belief copies of adds/deletes
+
+Each ``compile_problem`` call does each piece of work once:
+  - one ``RmlTable`` serves all of the call's operators: it interns every
+    RML, so set and dict hits compare by identity, and memoises
+    ``negate``, ``wrap`` and ``upward_closure``; it is dropped with the
+    call, so nothing is cached across compiles;
+  - the fixpoint is semi-naive: every rule maps one effect to its
+    consequences, so each round feeds the rules only the effects that are
+    new since the last round;
+  - emission sorts effects by fluent rank, the position in
+    ``sorted(fluents)``, computed once per emit, and formats each distinct
+    condition once.
 """
 
 import itertools
@@ -19,8 +31,8 @@ import json
 
 from .model import ALWAYS
 from .pekb import PEKB, closure
-from .rml import (BELIEF, POSSIBLE, RML, RmlSpace, enumerate_rmls,
-                  format_rml, lit, negate, upward_closure, wrap)
+from .rml import (BELIEF, RmlSpace, RmlTable, enumerate_rmls, format_rml,
+                  lit)
 
 CLASSICAL = 'classical'
 FOND = 'fond'
@@ -35,21 +47,19 @@ class NonRootRML(Exception):
 class CompiledCondition:
     """Positive and negative fluent sets guarding an effect."""
 
-    __slots__ = ('pos', 'neg')
+    __slots__ = ('pos', 'neg', '_hash')
 
     def __init__(self, pos=(), neg=()):
         self.pos = frozenset(pos)
         self.neg = frozenset(neg)
-
-    def key(self):
-        return (tuple(sorted(self.pos)), tuple(sorted(self.neg)))
+        self._hash = hash((self.pos, self.neg))
 
     def __eq__(self, other):
         return (isinstance(other, CompiledCondition)
                 and self.pos == other.pos and self.neg == other.neg)
 
     def __hash__(self):
-        return hash((self.pos, self.neg))
+        return self._hash
 
     def __repr__(self):
         return 'Cond<+%s -%s>' % (sorted(map(str, self.pos)),
@@ -108,55 +118,58 @@ def fluent_space(problem):
     return tuple(regular) + tuple(sorted(ak))
 
 
-def _split_condition(problem, pos, neg, fluents):
+def _split_condition(problem, pos, neg, canonical):
     cond_pos = set()
     cond_neg = set()
     for rml in pos:
-        if rml not in fluents:
+        fluent = canonical.get(rml)
+        if fluent is None:
             raise NonRootRML('condition %s is outside the fluent space'
                              % rml)
-        cond_pos.add(rml)
+        cond_pos.add(fluent)
     for rml in neg:
         # negated AK atoms never exist as fluents; requiring their absence
         # is trivially true, so they are dropped
         if rml.negated and not is_regular(problem.is_ak, rml):
             continue
-        cond_neg.add(rml)
+        cond_neg.add(canonical.get(rml, rml))
     return CompiledCondition(cond_pos, cond_neg)
 
 
 def encode_base(problem, ground_actions):
-    """Pre-ancillary compiled problem."""
+    """Pre-ancillary compiled problem. Every fluent it mentions is the
+    object in the returned fluent table."""
     fluents = fluent_space(problem)
-    fluent_set = frozenset(fluents)
+    canonical = {f: f for f in fluents}
 
     init = set()
     for rml in closure(PEKB(problem.initial)):
-        if rml in fluent_set:
-            init.add(rml)
+        fluent = canonical.get(rml)
+        if fluent is not None:
+            init.add(fluent)
         elif rml.negated and not is_regular(problem.is_ak, rml):
             continue
         else:
             raise NonRootRML('initial RML %s is outside the fluent space'
                              % rml)
     goal = _split_condition(problem, problem.goal_pos, problem.goal_neg,
-                            fluent_set)
+                            canonical)
 
     operators = []
     for action in ground_actions:
         pre = _split_condition(problem, action.precondition_pos,
-                               action.precondition_neg, fluent_set)
+                               action.precondition_neg, canonical)
         outcomes = []
         for outcome in action.outcomes:
             adds = set()
             dels = set()
             for ce in outcome:
                 cond = _split_condition(problem, ce.condition_pos,
-                                        ce.condition_neg, fluent_set)
-                effect = ce.effect
-                if effect not in fluent_set:
+                                        ce.condition_neg, canonical)
+                effect = canonical.get(ce.effect)
+                if effect is None:
                     raise NonRootRML('effect %s is outside the fluent space'
-                                     % effect)
+                                     % ce.effect)
                 (dels if ce.delete else adds).add((cond, effect))
             outcomes.append((frozenset(adds), frozenset(dels)))
         operators.append(CompiledOperator(action.name, action.args, pre,
@@ -169,14 +182,17 @@ def encode_base(problem, ground_actions):
 
 
 class AncillaryConfig:
-    __slots__ = ('depth', 'is_ak', 'awareness', 'with_awareness', 'truncated')
+    __slots__ = ('depth', 'is_ak', 'awareness', 'with_awareness', 'truncated',
+                 'table')
 
-    def __init__(self, depth, is_ak, awareness=None, with_awareness=True):
+    def __init__(self, depth, is_ak, awareness=None, with_awareness=True,
+                 table=None):
         self.depth = depth
         self.is_ak = is_ak
         self.awareness = awareness or {}
         self.with_awareness = with_awareness
         self.truncated = set()
+        self.table = RmlTable() if table is None else table
 
 
 def is_regular(is_ak, rml):
@@ -187,16 +203,18 @@ def is_regular(is_ak, rml):
 
 def _closure_rule(config, adds):
     out = set()
+    closure_of = config.table.upward_closure
     for cond, l in adds:
         if not is_regular(config.is_ak, l):
             continue
-        for weaker in upward_closure(l):
+        for weaker in closure_of(l):
             out.add((cond, weaker))
     return out
 
 
 def _negation_rule(config, adds):
     out = set()
+    negate = config.table.negate
     for cond, l in adds:
         if not is_regular(config.is_ak, l):
             continue
@@ -206,16 +224,19 @@ def _negation_rule(config, adds):
 
 def _contrapositive_rule(config, dels):
     out = set()
+    negate = config.table.negate
+    closure_of = config.table.upward_closure
     for cond, l in dels:
         if not is_regular(config.is_ak, l):
             continue
-        for weaker in upward_closure(negate(l)):
+        for weaker in closure_of(negate(l)):
             out.add((cond, negate(weaker)))
     return out
 
 
 def _uncertain_rule(config, adds):
     out = set()
+    negate = config.table.negate
     for cond, l in adds:
         if not is_regular(config.is_ak, l):
             continue
@@ -224,7 +245,7 @@ def _uncertain_rule(config, adds):
     return out
 
 
-def _believed_condition(agent, pos, neg, mu, depth, is_ak):
+def _believed_condition(table, agent, pos, neg, mu, depth, is_ak):
     """An effect's condition and awareness condition mu as the agent
     believes them, or None when a wrapped literal exceeds the depth bound.
     AK atoms pass through unwrapped."""
@@ -234,7 +255,7 @@ def _believed_condition(agent, pos, neg, mu, depth, is_ak):
         pos = itertools.chain(pos, (mu,))
     for c in pos:
         if is_regular(is_ak, c):
-            c = wrap(BELIEF, agent, c)
+            c = table.wrap(BELIEF, agent, c)
             if c.depth > depth:
                 return None
         out_pos.add(c)
@@ -242,21 +263,21 @@ def _believed_condition(agent, pos, neg, mu, depth, is_ak):
         if not is_regular(is_ak, c):
             out_neg.add(c)
             continue
-        c = negate(wrap(BELIEF, agent, c))
+        c = table.negate(table.wrap(BELIEF, agent, c))
         if c.depth > depth:
             return None
         out_pos.add(c)
     return out_pos, out_neg
 
 
-def aware_copies(awareness, pos, neg, effect, delete, depth, is_ak):
+def aware_copies(table, awareness, pos, neg, effect, delete, depth, is_ak):
     """Conditioned mutual awareness of one conditional effect.
 
     Yields (agent, condition, literal) for each aware agent: the agent's
     copy is an add of literal under condition, a (pos, neg) pair, or lies
     past the depth bound when condition is None. An aware agent comes to
     believe an added literal and to consider a deleted one's negation
-    possible.
+    possible. ``table`` is the caller's ``RmlTable``.
     """
     if not is_regular(is_ak, effect):
         return
@@ -265,16 +286,16 @@ def aware_copies(awareness, pos, neg, effect, delete, depth, is_ak):
         # beliefs about their own beliefs
         if delete and effect.modalities and effect.modalities[0][1] == agent:
             continue
-        nested = wrap(BELIEF, agent, effect)
+        nested = table.wrap(BELIEF, agent, effect)
         if delete:
-            nested = negate(nested)
+            nested = table.negate(nested)
         # the literal is checked first: most copies are cut here, before
         # their condition is built
         if nested.depth > depth:
             yield agent, None, nested
         else:
-            yield (agent, _believed_condition(agent, pos, neg, mu, depth,
-                                              is_ak), nested)
+            yield (agent, _believed_condition(table, agent, pos, neg, mu,
+                                              depth, is_ak), nested)
 
 
 def _awareness_rules(config, adds, dels):
@@ -282,8 +303,8 @@ def _awareness_rules(config, adds, dels):
     for effects, kind in ((adds, 'add'), (dels, 'del')):
         for cond, l in effects:
             for agent, believed, nested in aware_copies(
-                    config.awareness, cond.pos, cond.neg, l, kind == 'del',
-                    config.depth, config.is_ak):
+                    config.table, config.awareness, cond.pos, cond.neg, l,
+                    kind == 'del', config.depth, config.is_ak):
                 if believed is None:
                     config.truncated.add((agent, cond, l, kind))
                 else:
@@ -292,52 +313,66 @@ def _awareness_rules(config, adds, dels):
 
 
 def apply_ancillary(op, config):
-    """Expand one operator's outcomes with ancillary effects to fixpoint."""
+    """Expand one operator's outcomes with ancillary effects to fixpoint.
+
+    Semi-naive: every rule maps one effect to its consequences, so each
+    round feeds the rules only the effects that are new since the last
+    round, and each effect meets each rule exactly once.
+    """
     outcomes = []
     for adds, dels in op.outcomes:
         adds = set(adds)
         dels = set(dels)
-        while True:
-            before = (len(adds), len(dels))
-            adds |= _closure_rule(config, adds)
-            dels |= _negation_rule(config, adds)
-            dels |= _contrapositive_rule(config, dels)
-            dels |= _uncertain_rule(config, adds)
+        new_adds = adds
+        new_dels = dels
+        while new_adds or new_dels:
+            derived_adds = _closure_rule(config, new_adds)
+            derived_dels = (_negation_rule(config, new_adds)
+                            | _uncertain_rule(config, new_adds)
+                            | _contrapositive_rule(config, new_dels))
             if config.with_awareness:
-                adds |= _awareness_rules(config, adds, dels)
-            if (len(adds), len(dels)) == before:
-                break
+                derived_adds |= _awareness_rules(config, new_adds, new_dels)
+            new_adds = derived_adds - adds
+            new_dels = derived_dels - dels
+            adds |= new_adds
+            dels |= new_dels
         outcomes.append((frozenset(adds), frozenset(dels)))
     return CompiledOperator(op.name, op.args, op.precondition,
                             tuple(outcomes))
 
 
-def _prune(op, fluent_set, counters):
-    """Drop never-firing effects (overlapping pos/neg, impossible pos)."""
+def _pruned_condition(cond, fluent_set):
+    """cond without its vacuous negative conditions (fluents outside the
+    table), or None when it never holds (overlapping pos/neg, impossible
+    pos)."""
+    if cond.pos & cond.neg or not cond.pos <= fluent_set:
+        return None
+    neg = cond.neg & fluent_set
+    if len(neg) == len(cond.neg):
+        return cond
+    return CompiledCondition(cond.pos, neg)
+
+
+def _prune(op, fluent_set, counters, pruned):
+    """Drop never-firing effects and trim their vacuous negative
+    conditions; ``pruned`` memoises each distinct condition's verdict."""
     outcomes = []
-    for adds, dels in op.outcomes:
-        def keep(pair):
-            cond, _ = pair
-            if cond.pos & cond.neg:
-                return False
-            if any(f not in fluent_set for f in cond.pos):
-                return False
-            return True
-
-        kept_adds = frozenset(p for p in adds if keep(p))
-        kept_dels = frozenset(p for p in dels if keep(p))
-        counters['pruned'] += (len(adds) - len(kept_adds)
-                               + len(dels) - len(kept_dels))
-        # negative conditions on fluents outside the table are vacuous
-        def trim(pair):
-            cond, l = pair
-            neg = frozenset(f for f in cond.neg if f in fluent_set)
-            if neg == cond.neg:
-                return pair
-            return (CompiledCondition(cond.pos, neg), l)
-
-        outcomes.append((frozenset(trim(p) for p in kept_adds),
-                         frozenset(trim(p) for p in kept_dels)))
+    for outcome in op.outcomes:
+        kept = []
+        for effects in outcome:
+            out = set()
+            for cond, l in effects:
+                if cond in pruned:
+                    trimmed = pruned[cond]
+                else:
+                    trimmed = pruned[cond] = _pruned_condition(cond,
+                                                               fluent_set)
+                if trimmed is None:
+                    counters['pruned'] += 1
+                else:
+                    out.add((trimmed, l))
+            kept.append(frozenset(out))
+        outcomes.append(tuple(kept))
     return CompiledOperator(op.name, op.args, op.precondition,
                             tuple(outcomes))
 
@@ -360,18 +395,20 @@ def compile_problem(problem, ground_actions, with_awareness=True,
                     flavor=None, truncated_ground=0):
     fluents, init, goal, base_ops = encode_base(problem, ground_actions)
     fluent_set = frozenset(fluents)
+    table = RmlTable(fluents)
     counters = {'spawned': 0, 'truncated': 0, 'pruned': 0}
+    pruned = {}
     operators = []
     for action, op in zip(ground_actions, base_ops):
         config = AncillaryConfig(problem.depth, problem.is_ak,
                                  awareness=action.awareness,
-                                 with_awareness=with_awareness)
+                                 with_awareness=with_awareness, table=table)
         base_sizes = sum(len(a) + len(d) for a, d in op.outcomes)
         expanded = apply_ancillary(op, config)
         done_sizes = sum(len(a) + len(d) for a, d in expanded.outcomes)
         counters['spawned'] += done_sizes - base_sizes
         counters['truncated'] += len(config.truncated)
-        operators.append(_prune(expanded, fluent_set, counters))
+        operators.append(_prune(expanded, fluent_set, counters, pruned))
 
     if flavor is None:
         flavor = CLASSICAL if all(len(op.outcomes) == 1
@@ -412,35 +449,46 @@ def fluent_symbol(rml):
     return '_'.join(parts)
 
 
-def _emit_condition(cond, names, indent):
-    items = ['(%s)' % names[f] for f in sorted(cond.pos)]
-    items += ['(not (%s))' % names[f] for f in sorted(cond.neg)]
-    if not items:
-        return '(and )'
-    return '(and %s)' % (' '.join(items))
+class _ConditionText(dict):
+    """Each distinct condition's sort key and PDDL text, made once per emit.
+
+    A fluent's rank is its position in ``sorted(fluents)``, so ordering by
+    ranks is ordering by ``RML.sort_key``; ``names`` holds the fluent
+    symbols by rank.
+    """
+
+    def __init__(self, fluents):
+        super().__init__()
+        ordered = sorted(fluents)
+        self.rank = {f: i for i, f in enumerate(ordered)}
+        self.names = [fluent_symbol(f) for f in ordered]
+
+    def __missing__(self, cond):
+        pos = sorted([self.rank[f] for f in cond.pos])
+        neg = sorted([self.rank[f] for f in cond.neg])
+        items = ['(%s)' % self.names[i] for i in pos]
+        items += ['(not (%s))' % self.names[i] for i in neg]
+        out = self[cond] = ((pos, neg), '(and %s)' % ' '.join(items))
+        return out
 
 
-def _emit_effects(adds, dels, names):
+def _emit_effects(adds, dels, conditions):
+    """Deletes then adds, each by literal rank, then condition ranks."""
     lines = []
-    for cond, l in sorted(dels, key=lambda p: (p[1], p[0].key())):
-        body = '(not (%s))' % names[l]
-        if cond.pos or cond.neg:
-            lines.append('      (when %s %s)'
-                         % (_emit_condition(cond, names, 6), body))
-        else:
-            lines.append('      %s' % body)
-    for cond, l in sorted(adds, key=lambda p: (p[1], p[0].key())):
-        body = '(%s)' % names[l]
-        if cond.pos or cond.neg:
-            lines.append('      (when %s %s)'
-                         % (_emit_condition(cond, names, 6), body))
-        else:
-            lines.append('      %s' % body)
+    rank = conditions.rank
+    for effects, literal in ((dels, '(not (%s))'), (adds, '(%s)')):
+        for i, ((pos, neg), text) in sorted(
+                (rank[l], conditions[cond]) for cond, l in effects):
+            body = literal % conditions.names[i]
+            if pos or neg:
+                lines.append('      (when %s %s)' % (text, body))
+            else:
+                lines.append('      %s' % body)
     return lines
 
 
 def emit_domain(cp, domain_name):
-    names = {f: fluent_symbol(f) for f in cp.fluents}
+    conditions = _ConditionText(cp.fluents)
     reqs = ':strips :negative-preconditions :conditional-effects'
     if cp.flavor == FOND:
         reqs += ' :non-deterministic'
@@ -448,24 +496,24 @@ def emit_domain(cp, domain_name):
              '  (:requirements %s)' % reqs,
              '  (:predicates']
     for f in cp.fluents:
-        lines.append('    (%s)' % names[f])
+        lines.append('    (%s)' % fluent_symbol(f))
     lines.append('  )')
     for op in cp.operators:
         opname = op.name if not op.args else \
             '%s__%s' % (op.name, '__'.join(op.args))
         lines.append('  (:action %s' % opname)
         lines.append('    :parameters ()')
-        lines.append('    :precondition %s'
-                     % _emit_condition(op.precondition, names, 4))
+        lines.append('    :precondition %s' % conditions[op.precondition][1])
         if cp.flavor == FOND and len(op.outcomes) > 1:
             branches = []
             for adds, dels in op.outcomes:
-                body = _emit_effects(adds, dels, names)
+                body = _emit_effects(adds, dels, conditions)
                 branches.append('    (and\n%s\n    )' % '\n'.join(body))
             lines.append('    :effect (oneof\n%s\n    )'
                          % '\n'.join(branches))
         else:
-            body = _emit_effects(op.outcomes[0][0], op.outcomes[0][1], names)
+            body = _emit_effects(op.outcomes[0][0], op.outcomes[0][1],
+                                 conditions)
             lines.append('    :effect (and\n%s\n    )' % '\n'.join(body))
         lines.append('  )')
     lines.append(')')

@@ -145,6 +145,48 @@ def downward_closure(rml):
     return {negate(x) for x in upward_closure(negate(rml))}
 
 
+class RmlTable:
+    """Interned RMLs with memoised ``negate``, ``wrap`` and
+    ``upward_closure``.
+
+    The table returns one object per distinct RML, so set and dict hits on
+    its results compare by identity. It caches for as long as its owner
+    keeps it (one compile, one outcome expansion), never across calls.
+    """
+
+    __slots__ = ('_rmls', '_negate', '_wrap', '_upward')
+
+    def __init__(self, rmls=()):
+        self._rmls = {r: r for r in rmls}
+        self._negate = {}
+        self._wrap = {}
+        self._upward = {}
+
+    def intern(self, rml):
+        return self._rmls.setdefault(rml, rml)
+
+    def negate(self, rml):
+        out = self._negate.get(rml)
+        if out is None:
+            out = self._negate[rml] = self.intern(negate(rml))
+        return out
+
+    def wrap(self, mode, agent, rml):
+        key = (mode, agent, rml)
+        out = self._wrap.get(key)
+        if out is None:
+            out = self._wrap[key] = self.intern(wrap(mode, agent, rml))
+        return out
+
+    def upward_closure(self, rml):
+        """The upward closure as a tuple, in no particular order."""
+        out = self._upward.get(rml)
+        if out is None:
+            out = self._upward[rml] = tuple(
+                self.intern(r) for r in upward_closure(rml))
+        return out
+
+
 class RmlSpace:
     """The finite space of canonical RMLs over given propositions, agents,
     and a depth bound."""

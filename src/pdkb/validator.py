@@ -15,7 +15,7 @@ from .model import ground
 from .pekb import (PEKB, ConditionalEffect, InconsistentResult, closure,
                    is_consistent, progress)
 from .planner import Packing, ResourceLimit, successor
-from .rml import format_rml
+from .rml import RmlTable, format_rml
 
 STRONG_VALID = 'StrongValid'
 WEAK_VALID = 'WeakValid'
@@ -71,13 +71,14 @@ def expand_outcome(outcome, awareness, depth, is_ak):
     Each aware agent's copy of an effect (``aware_copies``) is an add that
     spawns copies in turn, until the depth bound cuts them off.
     """
+    table = RmlTable()
     seen = set(outcome)
     frontier = list(outcome)
     while frontier:
         fresh = []
         for ce in frontier:
             for _, believed, nested in aware_copies(
-                    awareness, ce.condition_pos, ce.condition_neg,
+                    table, awareness, ce.condition_pos, ce.condition_neg,
                     ce.effect, ce.delete, depth, is_ak):
                 if believed is None:
                     continue

@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from pdkb import planner as planner_mod
-from pdkb.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSOLVABLE, main
+from pdkb.cli import (EXIT_DIAGNOSTICS, EXIT_FALSE, EXIT_INVALID, EXIT_OK,
+                      EXIT_UNSOLVABLE, main)
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -85,3 +86,70 @@ def test_solve_exits_invalid_on_a_policy_that_never_reaches_the_goal(
     result, report = _solve_report(tmp_path, 'misc', 'ask.pdkbddl')
     assert result.exit_code == EXIT_INVALID
     assert report['verdict'] == 'Invalid'
+
+
+# ---------------------------------------------------------------------------
+# input diagnostics exit 2, never 1 (the "answered false" code)
+
+
+def _belief_base(tmp_path, text):
+    path = tmp_path / 'kb.txt'
+    path.write_text(text, encoding='utf-8')
+    return str(path)
+
+
+def _last_line(result):
+    return result.output.strip().splitlines()[-1]
+
+
+def test_query_answers_false_with_exit_one(tmp_path):
+    kb = _belief_base(tmp_path, 'B_a p\n')
+    result = CliRunner().invoke(main, ['query', kb, 'B_b p'])
+    assert result.exit_code == EXIT_FALSE
+    assert result.output.strip() == 'false'
+
+
+def test_query_syntax_error_is_a_diagnostic(tmp_path):
+    kb = _belief_base(tmp_path, 'B_a p\n')
+    result = CliRunner().invoke(main, ['query', kb, 'B_a (p'])
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert _last_line(result).startswith('error: bad atom')
+
+
+@pytest.mark.parametrize('command', [['query'], ['closure']])
+def test_malformed_belief_base_line_is_a_diagnostic(tmp_path, command):
+    kb = _belief_base(tmp_path, '# comment\nB_a p\nB_a (p\n')
+    args = command + [kb] + (['B_a p'] if command == ['query'] else [])
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert _last_line(result).startswith('error: %s:3: bad atom' % kb)
+
+
+@pytest.mark.parametrize('line, message', [
+    ('oops', 'expected key=value'),
+    ('depth=x', "depth must be an integer, not 'x'"),
+    ('max_states=lots', "max_states must be an integer, not 'lots'"),
+    ('timeout=abc', "timeout must be a number, not 'abc'"),
+    ('flavor=bogus', "flavor must be classical, fond or auto, not 'bogus'"),
+])
+def test_config_file_errors_are_diagnostics(tmp_path, line, message):
+    config = tmp_path / 'solve.cfg'
+    config.write_text('# settings\nflavor=auto\n%s\n' % line,
+                      encoding='utf-8')
+    result = CliRunner().invoke(main, [
+        'solve', os.path.join(BENCH, 'misc', 'coin.pdkbddl'),
+        '--config', str(config), '--out', str(tmp_path / 'out')])
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert isinstance(result.exception, SystemExit)
+    assert _last_line(result) == 'error: %s:3: %s' % (config, message)
+
+
+def test_config_file_numbers_reach_the_solver(tmp_path):
+    config = tmp_path / 'solve.cfg'
+    config.write_text('max_states = 5\ntimeout = 2.5\n', encoding='utf-8')
+    problem = os.path.join(BENCH, 'grapevine', 'prob-4ag-2g-1d.pdkbddl')
+    result = CliRunner().invoke(main, ['solve', problem, '--config',
+                                       str(config), '--out', str(tmp_path)])
+    assert result.exit_code == EXIT_UNSOLVABLE
+    with open(tmp_path / 'solve-report.json', encoding='utf-8') as handle:
+        assert 'state cap' in json.load(handle)['error']

@@ -1,14 +1,17 @@
 """Compiled encoding: ancillary effect cascades, counts, and emission."""
 
+import hashlib
 import os
 
 import pytest
 
 from pdkb.compiler import (AncillaryConfig, CompiledCondition,
-                           CompiledOperator, apply_ancillary,
-                           compile_problem, emit_domain, emit_fluent_map,
-                           emit_problem, emit_report)
-from pdkb.model import ALWAYS, ground
+                           CompiledOperator, _awareness_rules, _closure_rule,
+                           _contrapositive_rule, _negation_rule,
+                           _uncertain_rule, apply_ancillary, compile_problem,
+                           emit_domain, emit_fluent_map, emit_pddl,
+                           emit_problem, emit_report, encode_base)
+from pdkb.model import ALWAYS, GroundingReport, ground
 from pdkb.parser import desugar, parse_file
 from pdkb.rml import Proposition, lit, parse_rml, wrap
 
@@ -190,3 +193,105 @@ def test_compile_counters_are_pinned(parts, effects, spawned, pruned,
     assert cp.report['spawned_ancillary_effects'] == spawned
     assert cp.report['pruned_effects'] == pruned
     assert cp.report['truncated_effects'] == truncated
+
+
+# ---------------------------------------------------------------------------
+# the semi-naive fixpoint against the round-robin one
+
+
+def round_robin_ancillary(op, config):
+    """Every rule reapplied to every effect until nothing changes: the
+    reference for the semi-naive ``apply_ancillary``."""
+    outcomes = []
+    for adds, dels in op.outcomes:
+        adds = set(adds)
+        dels = set(dels)
+        while True:
+            before = (len(adds), len(dels))
+            adds |= _closure_rule(config, adds)
+            dels |= _negation_rule(config, adds)
+            dels |= _contrapositive_rule(config, dels)
+            dels |= _uncertain_rule(config, adds)
+            if config.with_awareness:
+                adds |= _awareness_rules(config, adds, dels)
+            if (len(adds), len(dels)) == before:
+                break
+        outcomes.append((frozenset(adds), frozenset(dels)))
+    return tuple(outcomes)
+
+
+@pytest.mark.parametrize('with_awareness', [True, False])
+@pytest.mark.parametrize('parts', [
+    ('envelope', 'envelope.pdkbddl'),
+    ('grapevine', 'prob-4ag-2g-1d.pdkbddl'),
+    ('misc', 'lossy-3ag-2l.pdkbddl'),
+    ('misc', 'coin.pdkbddl'),
+    ('misc', 'ask.pdkbddl'),
+])
+def test_semi_naive_fixpoint_matches_round_robin(parts, with_awareness):
+    prob = load(*parts)
+    actions = ground(prob)
+    _, _, _, base_ops = encode_base(prob, actions)
+    for action, op in zip(actions, base_ops):
+        configs = [AncillaryConfig(prob.depth, prob.is_ak,
+                                   awareness=action.awareness,
+                                   with_awareness=with_awareness)
+                   for _ in range(2)]
+        expected = round_robin_ancillary(op, configs[0])
+        assert apply_ancillary(op, configs[1]).outcomes == expected, op
+        assert configs[1].truncated == configs[0].truncated, op
+
+
+# ---------------------------------------------------------------------------
+# the artifacts, byte for byte
+
+# sha256 of what ``pdkb compile`` writes. A change that alters the emitted
+# text on purpose updates these and says why in CHANGES.md.
+ARTIFACT_DIGESTS = {
+    ('envelope', 'envelope.pdkbddl'): {
+        'domain.pddl': '9689ab141d179a34e40d5db12068e7e1'
+                       '71f1a92a9a0984966e657909e546b47e',
+        'problem.pddl': '52049191f6cdd4737762872e9b589a93'
+                        'bd5276a9e7617832e80b64c904a93b68',
+        'fluents.map': 'beba22896f8783be4bb3e32e81ff4d87'
+                       '1325b5af619ca994bbfabdc34512437d',
+        'compile-report.json': '62974bb9257418f6ed8b67f9da2df29b'
+                               '3f69e9ad3c6c7886f5b7cf918a6af3aa',
+    },
+    # AK at(...) atoms beside the depth-0 fluents exercise the rank order
+    ('grapevine', 'prob-4ag-2g-1d.pdkbddl'): {
+        'domain.pddl': '006b67205b1c0de797f84a457787eb73'
+                       'af0032585880b8b7ed5c52a347e060a9',
+        'problem.pddl': '17e8a251d61a7eb12682895026679d5b'
+                        'd62f0d3a16b72695006e97bc3f972a40',
+        'fluents.map': '8032d0ca8685f956e891fe78b48a0efc'
+                       '1b1f44b8c62bb9f0e0084fc3258850bf',
+        'compile-report.json': '1472d6c920ea8dd873728d9857fd1083'
+                               '2dbefe62f7f0e7ff05638cd39367ce19',
+    },
+    ('misc', 'coin.pdkbddl'): {
+        'domain.pddl': '5876efdb2a2206c6e06b60d40b1eabf0'
+                       '38f543bce350dd5d5848f86f4e0eb79a',
+        'problem.pddl': '1521b4f0cce05d0701692a5dee26cb76'
+                        'c1a71e19d188fd6ea2b1a89197f87d9d',
+        'fluents.map': '561384c0486bc930a3027fba0de66ce6'
+                       'e39087e0a116056ef2ee162c311b4ab1',
+        'compile-report.json': 'ed0b4382d28fc00d995e0f01ac9b6266'
+                               '0298961a36e9fc7ef1a91b7b5c71c0ef',
+    },
+}
+
+
+@pytest.mark.parametrize('parts', sorted(ARTIFACT_DIGESTS))
+def test_artifact_digests_are_pinned(tmp_path, parts):
+    prob = load(*parts)
+    report = GroundingReport()
+    actions = ground(prob, report)
+    cp = compile_problem(prob, actions,
+                         truncated_ground=report.truncated_effects)
+    paths = emit_pddl(cp, str(tmp_path), prob.domain_name, prob.problem_name)
+    digests = {}
+    for name, path in paths.items():
+        with open(path, 'rb') as handle:
+            digests[name] = hashlib.sha256(handle.read()).hexdigest()
+    assert digests == ARTIFACT_DIGESTS[parts]
