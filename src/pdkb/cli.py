@@ -329,8 +329,13 @@ def _verdict_exit(verdict):
 
 
 def _search_counts(stats):
-    return {'states_expanded': stats.get('expanded', 0),
-            'states_generated': stats.get('states', 0)}
+    """Report fields of a search's ``stats``: the AND-OR search also
+    reports its state-action pairs and strong-cyclic rounds."""
+    counts = {'states_expanded': stats.get('expanded', 0),
+              'states_generated': stats.get('states', 0)}
+    counts.update((key, stats[key]) for key in ('edges', 'rounds')
+                  if key in stats)
+    return counts
 
 
 def _float(value):

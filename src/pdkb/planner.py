@@ -4,15 +4,25 @@ Blind breadth-first search for the classical flavor, AND-OR search with
 strong / strong-cyclic acceptance for the nondeterministic flavor, and a
 subprocess adapter for external planners.
 
-The AND-OR search builds the reachable graph once, then regresses
-breadth-first from the goal states over predecessor lists: a state joins
-the solved set through the first action whose successors are all solved
-(strong) or all inside the current region (strong-cyclic), once one of
-them is solved, and keeps that action. The queue order makes distance
-layers, so every chosen action has a successor one layer closer to the
-goal and the policy reaches it. A strong-cyclic search repeats the
-regression, shrinking the region to the goals and the states it solved,
-until the region stops changing.
+The AND-OR search grows an envelope of explored states one breadth-first
+layer at a time from the initial state, leaving goal states unexpanded,
+and after each layer regresses breadth-first from the goal states over
+predecessor lists: a state joins the solved set through the first action
+whose successors are all solved (strong) or all inside the current
+region (strong-cyclic), once one of them is solved, and keeps that
+action. Unexpanded frontier states are unsolved and outside the region.
+The queue order makes distance layers, so every chosen action has a
+successor one layer closer to the goal and the policy reaches it. A
+strong-cyclic regression repeats, shrinking the region to the goals and
+the states it solved, until the region stops changing. The search stops
+at the first layer that solves the initial state, and fails only once
+the reachable space is exhausted. A strong phase runs first over the
+state-action pairs with no outcome equal to their own state, which an
+acyclic policy never uses, then a strong-cyclic phase over all pairs.
+The policy keeps only the states its actions reach from the initial
+state, as in PRP's partial policies (Muise, McIlraith and Beck, ICAPS
+2012); the growing envelope follows LAO* (Hansen and Zilberstein, AIJ
+2001).
 
 Both searches run on packed states: a state is a Python int whose bit i
 is ``cp.fluents[i]``. Each search packs the operators once (``Packing``):
@@ -229,95 +239,126 @@ def solve_bfs(cp, max_states=DEFAULT_STATE_CAP, stats=None):
     return None
 
 
-def _reachable_graph(ops, init, max_states, stats):
-    """Forward-reachable packed states and their (op index, successor
-    tuple) edges."""
-    edges = {init: None}
-    order = [init]
-    frontier = deque([init])
-    expanded = n_edges = 0
-    while frontier:
-        state = frontier.popleft()
-        expanded += 1
-        outgoing = []
-        for idx, (pre_pos, pre_neg, outcomes) in enumerate(ops):
-            if state & pre_pos != pre_pos or state & pre_neg:
-                continue
-            succs = tuple(successor(state, o) for o in outcomes)
-            outgoing.append((idx, succs))
-            for succ in succs:
-                if succ not in edges:
-                    if len(edges) > max_states:
-                        stats['expanded'] = expanded
-                        stats['states'] = len(edges)
-                        raise ResourceLimit(
-                            'state cap %d exceeded' % max_states, stats)
-                    edges[succ] = None
-                    order.append(succ)
-                    frontier.append(succ)
-        edges[state] = outgoing
-        n_edges += len(outgoing)
-    stats['expanded'] = expanded
-    stats['states'] = len(edges)
-    stats['edges'] = n_edges
-    return order, edges
+def _regress(goals, preds, inside, strong):
+    """Breadth-first from the goals over predecessor lists: a state inside
+    ``inside`` joins through its first action whose successors are all
+    solved (strong) or all inside, once one of them is solved; that
+    successor lies one layer closer to the goal. Returns the solved
+    non-goal states' (op index, successors) choices."""
+    solved = set(goals)
+    choice = {}
+    queue = deque(goals)
+    while queue:
+        for state, idx, succs in preds.get(queue.popleft(), ()):
+            if state not in solved and state in inside and all(
+                    s in (solved if strong else inside) for s in succs):
+                solved.add(state)
+                choice[state] = idx, succs
+                queue.append(state)
+    return choice
+
+
+def _envelope(ops, init, goal, strong, max_states, stats):
+    """Choices that solve ``init``, grown one breadth-first layer of
+    packed states at a time, or None once the reachable space is
+    exhausted. Goal states are not expanded; after each layer the
+    regression runs on the expanded states, and the unexpanded frontier
+    counts as unsolved and outside the region. ``strong`` keeps only the
+    state-action pairs with no outcome equal to their own state and
+    regresses once; otherwise all pairs take part and strong-cyclic
+    regressions shrink the region until it stops changing."""
+    goal_pos, goal_neg = goal
+    if init & goal_pos == goal_pos and not init & goal_neg:
+        stats['states'] += 1
+        return {}
+    goals = {}
+    preds = {}
+    expanded = set()
+    seen = {init}
+    layer = [init]
+    n_edges = 0
+    try:
+        while layer:
+            frontier = []
+            for state in layer:
+                expanded.add(state)
+                for idx, (pre_pos, pre_neg, outcomes) in enumerate(ops):
+                    if state & pre_pos != pre_pos or state & pre_neg:
+                        continue
+                    succs = tuple(successor(state, o) for o in outcomes)
+                    if strong and state in succs:
+                        continue
+                    n_edges += 1
+                    entry = (state, idx, succs)
+                    for succ in dict.fromkeys(succs):
+                        preds.setdefault(succ, []).append(entry)
+                        if succ in seen:
+                            continue
+                        if len(seen) > max_states:
+                            raise ResourceLimit(
+                                'state cap %d exceeded' % max_states, stats)
+                        seen.add(succ)
+                        if succ & goal_pos == goal_pos \
+                                and not succ & goal_neg:
+                            goals[succ] = None
+                        else:
+                            frontier.append(succ)
+            if goals:
+                if strong:
+                    choice = _regress(goals, preds, expanded, True)
+                else:
+                    region = expanded | goals.keys()
+                    stats['rounds'] = 0
+                    while True:
+                        choice = _regress(goals, preds, region, False)
+                        stats['rounds'] += 1
+                        if len(choice) + len(goals) == len(region):
+                            break
+                        region = goals.keys() | choice.keys()
+                if init in choice:
+                    return choice
+            layer = frontier
+        return None
+    finally:
+        stats['expanded'] += len(expanded)
+        stats['states'] += len(seen)
+        stats['edges'] += n_edges
 
 
 def solve_andor(cp, max_states=DEFAULT_STATE_CAP, acyclic_only=False,
                 stats=None):
-    """Strong or strong-cyclic policy over the reachable space, or None.
-    ``stats`` receives the expanded and the reachable (``states``)
-    counts, the state-action pairs (``edges``) and the number of
-    strong-cyclic regressions (``rounds``, 0 for a strong policy)."""
+    """Strong or strong-cyclic policy over the states its actions reach
+    from the initial state, or None once the reachable space holds none.
+
+    A strong phase searches the state-action pairs that have no outcome
+    equal to their own state (an acyclic policy never uses another);
+    unless ``acyclic_only``, a strong-cyclic phase over all pairs
+    follows when it fails. ``stats`` receives the expanded and the
+    discovered (``states``) counts and the state-action pairs
+    (``edges``), each summed over the phases that ran, and ``rounds``,
+    the strong-cyclic regressions of the envelope that decided (0 for a
+    strong policy). ``max_states`` caps the states each phase
+    discovers."""
     if stats is None:
         stats = {}
-    packing, init, (goal_pos, goal_neg) = _pack_problem(cp)
-    order, edges = _reachable_graph(packing.operators, init, max_states,
-                                    stats)
-    goals = dict.fromkeys(s for s in order if s & goal_pos == goal_pos
-                          and not s & goal_neg)
-    preds = {}
-    for state in order:
-        if state not in goals:
-            for idx, succs in edges[state]:
-                for t in dict.fromkeys(succs):
-                    preds.setdefault(t, []).append((state, idx, succs))
-
-    def regress(inside, strong):
-        """Breadth-first from the goals: a state inside ``inside`` joins
-        through its first action whose successors are all solved
-        (strong) or all inside, once one of them is solved; that
-        successor lies one layer closer to the goal."""
-        solved = set(goals)
-        choice = {}
-        queue = deque(goals)
+    stats.update(expanded=0, states=0, edges=0, rounds=0)
+    packing, init, goal = _pack_problem(cp)
+    for strong in (True,) if acyclic_only else (True, False):
+        choice = _envelope(packing.operators, init, goal, strong,
+                           max_states, stats)
+        if choice is None:
+            continue
+        mapping = {}
+        queue = deque([init])
         while queue:
-            for state, idx, succs in preds.get(queue.popleft(), ()):
-                if state not in solved and state in inside and all(
-                        s in (solved if strong else inside) for s in succs):
-                    solved.add(state)
-                    choice[state] = idx
-                    queue.append(state)
-        return choice
-
-    def policy(choice, classification):
+            state = queue.popleft()
+            if state in choice and state not in mapping:
+                idx, succs = mapping[state] = choice[state]
+                queue.extend(succs)
         return Policy({packing.decode(s): cp.operators[i]
-                       for s, i in choice.items()}, classification)
-
-    stats['rounds'] = 0
-    choice = regress(edges, True)
-    if init in choice or init in goals:
-        return policy(choice, STRONG)
-    if acyclic_only:
-        return None
-    region = edges
-    while True:
-        choice = regress(region, False)
-        stats['rounds'] += 1
-        if len(choice) + len(goals) == len(region):
-            break
-        region = goals.keys() | choice.keys()
-    return policy(choice, STRONG_CYCLIC) if init in choice else None
+                       for s, (i, _) in mapping.items()},
+                      STRONG if strong else STRONG_CYCLIC)
+    return None
 
 
 _PLAN_LINE = re.compile(r'^\(\s*([^\s()]+)((?:\s+[^\s()]+)*)\s*\)$')

@@ -65,6 +65,17 @@ def test_solve_reports_the_search_counts(tmp_path, parts, solver):
     assert report['verify_time'] >= 0
 
 
+@pytest.mark.parametrize('parts,edges,rounds', [
+    (('misc', 'ask.pdkbddl'), 3, 0),
+    (('misc', 'lossy-3ag-2l.pdkbddl'), 265, 2),
+])
+def test_solve_reports_and_or_edges_and_rounds(tmp_path, parts, edges,
+                                               rounds):
+    result, report = _solve_report(tmp_path, *parts)
+    assert result.exit_code == EXIT_OK
+    assert (report['edges'], report['rounds']) == (edges, rounds)
+
+
 def test_solve_verifies_a_strong_cyclic_policy(tmp_path):
     result, report = _solve_report(tmp_path, 'misc', 'lossy-3ag-2l.pdkbddl')
     assert result.exit_code == EXIT_OK

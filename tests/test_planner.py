@@ -1,8 +1,10 @@
 """Internal search, policy search, and the external planner adapter."""
 
+import importlib.util
 import os
 import random
 import stat
+from collections import deque
 
 import pytest
 
@@ -15,6 +17,7 @@ from pdkb.planner import (Packing, PlanInvalid, PlanParseError,
                           solve_andor, solve_bfs, solve_external, step,
                           successor, validate_plan)
 from pdkb.rml import format_rml
+from pdkb.validator import STRONG_VALID, verify_policy
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -351,14 +354,144 @@ def test_strong_cyclic_search_drops_actions_that_may_dead_end():
 
 
 def test_andor_reports_its_graph_size(coin, ask):
+    # coin: the strong phase expands 2 and discovers 3 states over 1 pair
+    # (flip at !heads may land on its own state), then the strong-cyclic
+    # phase expands 2 and discovers 3 over 2 pairs
     stats = {}
     solve_andor(coin[1], stats=stats)
-    assert stats == {'expanded': 3, 'states': 3, 'edges': 3, 'rounds': 1}
+    assert stats == {'expanded': 4, 'states': 6, 'edges': 3, 'rounds': 1}
     _, cp = ask
     stats = {}
     solve_andor(cp, stats=stats)
-    assert stats['expanded'] == stats['states'] > 1
-    assert stats['edges'] == 9 and stats['rounds'] == 0
+    assert stats == {'expanded': 3, 'states': 5, 'edges': 3, 'rounds': 0}
     with pytest.raises(ResourceLimit) as info:
         solve_andor(cp, max_states=1)
     assert info.value.stats['states'] == 2
+
+
+# ---------------------------------------------------------------------------
+# the full-graph search, kept as the oracle of the envelope search
+
+
+def _reachable_graph(ops, init):
+    """Forward-reachable packed states, in breadth-first order, and
+    their (op index, successor tuple) edges."""
+    edges = {init: None}
+    frontier = deque([init])
+    while frontier:
+        state = frontier.popleft()
+        outgoing = []
+        for idx, (pre_pos, pre_neg, outcomes) in enumerate(ops):
+            if state & pre_pos != pre_pos or state & pre_neg:
+                continue
+            succs = tuple(successor(state, o) for o in outcomes)
+            outgoing.append((idx, succs))
+            for succ in succs:
+                if succ not in edges:
+                    edges[succ] = None
+                    frontier.append(succ)
+        edges[state] = outgoing
+    return edges
+
+
+def oracle_classification(cp, acyclic_only=False):
+    """Classification by a strong, then a strong-cyclic regression over
+    the whole reachable graph, the region shrinking to the solved states
+    until it stops changing."""
+    packing = Packing(cp.fluents, cp.operators, (cp.init,))
+    init = packing.encode(cp.init)
+    goal_pos, goal_neg = packing.condition(cp.goal)
+    edges = _reachable_graph(packing.operators, init)
+    goals = {s for s in edges
+             if s & goal_pos == goal_pos and not s & goal_neg}
+    preds = {}
+    for state in edges:
+        if state not in goals:
+            for _, succs in edges[state]:
+                for t in set(succs):
+                    preds.setdefault(t, []).append((state, succs))
+
+    def regress(inside, strong):
+        solved = set(goals)
+        queue = deque(goals)
+        while queue:
+            for state, succs in preds.get(queue.popleft(), ()):
+                if state not in solved and state in inside and all(
+                        s in (solved if strong else inside) for s in succs):
+                    solved.add(state)
+                    queue.append(state)
+        return solved
+
+    if init in regress(edges, True):
+        return 'Strong'
+    if acyclic_only:
+        return None
+    region = set(edges)
+    while True:
+        solved = regress(region, False)
+        if solved == region:
+            break
+        region = solved
+    return 'StrongCyclic' if init in solved else None
+
+
+def _oracle_inputs():
+    """(name, text) of the misc FOND problems, the trap and the generated
+    lossy-gossip problems of seeds 1-3."""
+    texts = [('trap', _TRAP)]
+    for name in ('coin', 'ask', 'unsolvable', 'lossy-3ag-2l'):
+        with open(os.path.join(BENCH, 'misc', name + '.pdkbddl'),
+                  encoding='utf-8') as handle:
+            texts.append((name, handle.read()))
+    spec = importlib.util.spec_from_file_location(
+        'lossy_gossip', os.path.join(HERE, '..', 'perfbench',
+                                     'lossy_gossip.py'))
+    lossy_gossip = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lossy_gossip)
+    texts += [('seed%d-%s' % (seed, name), text) for seed in (1, 2, 3)
+              for name, text in lossy_gossip.generate(seed)]
+    return texts
+
+
+_ORACLE_INPUTS = _oracle_inputs()
+
+
+def _reached(cp, mapping):
+    """States reached from init when every mapped state takes its action."""
+    reached = set()
+    stack = [cp.init]
+    while stack:
+        state = stack.pop()
+        if state not in reached:
+            reached.add(state)
+            op = mapping.get(state)
+            if op is not None:
+                stack.extend(apply(state, op, i)
+                             for i in range(len(op.outcomes)))
+    return reached
+
+
+@pytest.mark.parametrize('text', [text for _, text in _ORACLE_INPUTS],
+                         ids=[name for name, _ in _ORACLE_INPUTS])
+def test_envelope_search_classifies_as_the_full_graph_search(text):
+    prob = desugar(parse_text(text))
+    cp = compile_problem(prob, ground(prob))
+    for acyclic_only in (False, True):
+        policy = solve_andor(cp, acyclic_only=acyclic_only)
+        found = policy.classification if policy else None
+        assert found == oracle_classification(cp, acyclic_only)
+        if policy is not None:
+            # closed from init: exactly the reached non-goal states
+            assert set(policy.mapping) == {
+                s for s in _reached(cp, policy.mapping)
+                if not cp.goal.satisfied(s)}
+            assert verify_policy(prob, policy.mapping).verdict \
+                == STRONG_VALID
+
+
+def test_four_agent_lossy_gossip_is_solved_within_20000_states():
+    # the full-graph search hit this cap after 20,001 states
+    prob, cp = compiled('misc', 'lossy-4ag-3l.pdkbddl')
+    policy = solve_andor(cp, max_states=20_000)
+    assert policy.classification == 'StrongCyclic'
+    assert verify_policy(prob, policy.mapping).verdict == STRONG_VALID
