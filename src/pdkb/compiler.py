@@ -10,7 +10,9 @@ The ancillary rules derive extra conditional effects until fixpoint:
   negation        an add deletes the negated literal
   contrapositive  a delete also deletes everything entailing the literal
   uncertain       an add whose condition is not believed false deletes the
-                  negated literal
+                  negated literal; an always-known atom in the condition
+                  is believed false when it is absent, so it stays a
+                  positive condition
   awareness       per aware agent, nested-belief copies of adds/deletes
 
 Each ``compile_problem`` call does each piece of work once:
@@ -21,9 +23,10 @@ Each ``compile_problem`` call does each piece of work once:
   - the fixpoint is semi-naive: every rule maps one effect to its
     consequences, so each round feeds the rules only the effects that are
     new since the last round;
-  - emission sorts effects by fluent rank, the position in
-    ``sorted(fluents)``, computed once per emit, and formats each distinct
-    condition once.
+  - emission sorts by fluent rank, the position in ``sorted(fluents)``,
+    computed once per emit, and writes each outcome's effects grouped by
+    condition: the unconditional ones bare, then one
+    ``(when C (and e1 e2 ...))`` per distinct condition, formatted once.
 """
 
 import itertools
@@ -32,7 +35,7 @@ import json
 from .model import ALWAYS
 from .pekb import PEKB, closure
 from .rml import (BELIEF, RmlSpace, RmlTable, enumerate_rmls, format_rml,
-                  lit)
+                  is_regular, lit)
 
 CLASSICAL = 'classical'
 FOND = 'fond'
@@ -195,12 +198,6 @@ class AncillaryConfig:
         self.table = RmlTable() if table is None else table
 
 
-def is_regular(is_ak, rml):
-    """Whether the belief rules apply to rml: it has a modality or its atom
-    is not always known."""
-    return bool(rml.modalities) or not is_ak(rml.atom)
-
-
 def _closure_rule(config, adds):
     out = set()
     closure_of = config.table.upward_closure
@@ -235,13 +232,24 @@ def _contrapositive_rule(config, dels):
 
 
 def _uncertain_rule(config, adds):
+    """While an add's condition is not believed false, the negation of its
+    literal is deleted: regular positive conditions turn into negative
+    ones, and always-known ones stay positive, since an absent always-known
+    atom is known false."""
     out = set()
     negate = config.table.negate
+    is_ak = config.is_ak
     for cond, l in adds:
-        if not is_regular(config.is_ak, l):
+        if not is_regular(is_ak, l):
             continue
-        neg = frozenset(negate(c) for c in cond.pos) | cond.neg
-        out.add((CompiledCondition((), neg), negate(l)))
+        pos = []
+        neg = set(cond.neg)
+        for c in cond.pos:
+            if is_regular(is_ak, c):
+                neg.add(negate(c))
+            else:
+                pos.append(c)
+        out.add((CompiledCondition(pos, neg), negate(l)))
     return out
 
 
@@ -275,27 +283,29 @@ def aware_copies(table, awareness, pos, neg, effect, delete, depth, is_ak):
 
     Yields (agent, condition, literal) for each aware agent: the agent's
     copy is an add of literal under condition, a (pos, neg) pair, or lies
-    past the depth bound when condition is None. An aware agent comes to
+    past the depth bound when both are None. An aware agent comes to
     believe an added literal and to consider a deleted one's negation
     possible. ``table`` is the caller's ``RmlTable``.
     """
     if not is_regular(is_ak, effect):
         return
+    outer = effect.modalities[0][1] if effect.modalities else None
     for agent, mu in awareness.items():
         # introspection exception: agents do not observe changes to
         # beliefs about their own beliefs
-        if delete and effect.modalities and effect.modalities[0][1] == agent:
+        if delete and outer == agent:
+            continue
+        # wrapping adds a modality unless the agent's own is outermost;
+        # most copies lie past the bound and are cut before anything of
+        # them is built
+        if effect.depth + (outer != agent) > depth:
+            yield agent, None, None
             continue
         nested = table.wrap(BELIEF, agent, effect)
         if delete:
             nested = table.negate(nested)
-        # the literal is checked first: most copies are cut here, before
-        # their condition is built
-        if nested.depth > depth:
-            yield agent, None, nested
-        else:
-            yield (agent, _believed_condition(table, agent, pos, neg, mu,
-                                              depth, is_ak), nested)
+        yield (agent, _believed_condition(table, agent, pos, neg, mu, depth,
+                                          is_ak), nested)
 
 
 def _awareness_rules(config, adds, dels):
@@ -473,17 +483,25 @@ class _ConditionText(dict):
 
 
 def _emit_effects(adds, dels, conditions):
-    """Deletes then adds, each by literal rank, then condition ranks."""
-    lines = []
+    """One outcome's effects grouped by condition, in condition-rank order:
+    the unconditional ones bare, then one ``(when C (and ...))`` per
+    distinct condition. Each group lists deletes then adds, each by
+    literal rank."""
     rank = conditions.rank
-    for effects, literal in ((dels, '(not (%s))'), (adds, '(%s)')):
-        for i, ((pos, neg), text) in sorted(
-                (rank[l], conditions[cond]) for cond, l in effects):
-            body = literal % conditions.names[i]
-            if pos or neg:
-                lines.append('      (when %s %s)' % (text, body))
-            else:
-                lines.append('      %s' % body)
+    names = conditions.names
+    groups = {}
+    for kind, effects in enumerate((dels, adds)):
+        for cond, l in effects:
+            groups.setdefault(cond, []).append((kind, rank[l]))
+    lines = []
+    for ((pos, neg), text), members in sorted(
+            (conditions[cond], members) for cond, members in groups.items()):
+        body = [('(%s)' if kind else '(not (%s))') % names[i]
+                for kind, i in sorted(members)]
+        if pos or neg:
+            lines.append('      (when %s (and %s))' % (text, ' '.join(body)))
+        else:
+            lines.extend('      ' + item for item in body)
     return lines
 
 

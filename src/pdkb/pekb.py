@@ -4,8 +4,8 @@ A PEKB is a finite set of RMLs. Internally we keep PEKBs deductively
 (upward) closed; prime reduction (``prime``) is a presentation operation.
 """
 
-from .rml import (BELIEF, POSSIBLE, RML, downward_closure, negate,
-                  upward_closure)
+from .rml import (BELIEF, POSSIBLE, RML, downward_closure, is_regular,
+                  negate, upward_closure)
 
 
 class InconsistentBase(Exception):
@@ -189,10 +189,13 @@ class ConditionalEffect:
         return (all(r in p for r in self.condition_pos)
                 and not any(r in p for r in self.condition_neg))
 
-    def uncertain(self, p):
-        """True when the condition is not believed false: no negated
-        positive condition and no negative-condition RML is in p."""
-        return (not any(negate(r) in p for r in self.condition_pos)
+    def uncertain(self, p, is_ak):
+        """True when the condition is not believed false: no
+        negative-condition RML and no negation of a positive one is in p.
+        An always-known atom (``is_ak(atom)``) is held only positively, so
+        a positive one must itself be in p."""
+        return (all(negate(r) not in p if is_regular(is_ak, r) else r in p
+                    for r in self.condition_pos)
                 and not any(r in p for r in self.condition_neg))
 
     def key(self):
@@ -214,7 +217,7 @@ class ConditionalEffect:
             sorted(map(str, self.condition_neg)))
 
 
-def progress(p, outcome):
+def progress(p, outcome, is_ak):
     """Progression of one deterministic outcome (a set of conditional
     effects) applied to a closed consistent PEKB state.
 
@@ -222,7 +225,9 @@ def progress(p, outcome):
     the pre-state; the result is (p erase (R u U)) update Q. R and U hold
     the bare fired literals: erase itself discards everything that entails
     them, and nothing weaker, so deleting a belief leaves the matching
-    possibility in place.
+    possibility in place. An add fires uncertainly while its condition is
+    not believed false (``ConditionalEffect.uncertain``): an always-known
+    atom (``is_ak(atom)``) in its positive condition must be in p.
     """
     p = closure(p)
     adds = set()
@@ -235,7 +240,7 @@ def progress(p, outcome):
         else:
             if ce.fires(p):
                 adds |= upward_closure(ce.effect)
-            if ce.uncertain(p):
+            if ce.uncertain(p, is_ak):
                 uncertain.add(negate(ce.effect))
     for rml in adds:
         if negate(rml) in adds:

@@ -123,6 +123,13 @@ def negate(rml):
     return RML(flipped, not rml.negated, rml.atom)
 
 
+def is_regular(is_ak, rml):
+    """Whether the belief rules apply to rml: it has a modality or its atom
+    is not always known (``is_ak(atom)``). An always-known atom is held
+    only positively, so it is believed false exactly when it is absent."""
+    return bool(rml.modalities) or not is_ak(rml.atom)
+
+
 def upward_closure(rml):
     """All RMLs entailed by rml: weaken any subset of B modalities to P.
 

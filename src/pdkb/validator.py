@@ -105,7 +105,7 @@ def successors(state, action, depth, is_ak):
     out = []
     for outcome in action.outcomes:
         expanded = expand_outcome(outcome, action.awareness, depth, is_ak)
-        out.append(progress(state, expanded))
+        out.append(progress(state, expanded, is_ak))
     return out
 
 
@@ -334,7 +334,7 @@ def crosscheck_progression(problem, n_cases, seed, max_state_size=4):
         """(semantic projection, compiled successor) or None if skipped."""
         action = ground_actions[a_idx]
         try:
-            sem = progress(state, action.outcomes[o_idx])
+            sem = progress(state, action.outcomes[o_idx], problem.is_ak)
         except InconsistentResult:
             return None
         packed = packing.encode(_compiled_state(state, fluent_set))

@@ -212,16 +212,20 @@ def test_update_preserves_consistency(base, q):
 # progression
 
 
+def no_ak(atom):
+    return False
+
+
 def test_unconditional_add():
-    out = progress(PEKB(), [ConditionalEffect((), B('1', lit(P)))])
+    out = progress(PEKB(), [ConditionalEffect((), B('1', lit(P)))], no_ak)
     assert entails(out, B('1', lit(P)))
 
 
 def test_conditional_add_fires_only_when_condition_holds():
     eff = ConditionalEffect((B('1', lit(Q)),), B('1', lit(P)))
-    held = progress(PEKB([B('1', lit(Q))]), [eff])
+    held = progress(PEKB([B('1', lit(Q))]), [eff], no_ak)
     assert entails(held, B('1', lit(P)))
-    refuted = progress(PEKB([B('1', lit(Q, True))]), [eff])
+    refuted = progress(PEKB([B('1', lit(Q, True))]), [eff], no_ak)
     assert not entails(refuted, B('1', lit(P)))
     # condition refuted: the old belief survives untouched
     assert entails(refuted, B('1', lit(Q, True)))
@@ -231,19 +235,19 @@ def test_uncertain_firing_erases_the_negation():
     # condition unknown: neither the effect nor its negation afterwards
     eff = ConditionalEffect((B('1', lit(Q)),), B('1', lit(P)))
     base = PEKB([B('1', lit(P, True))])
-    out = progress(base, [eff])
+    out = progress(base, [eff], no_ak)
     assert not entails(out, B('1', lit(P)))
     assert not entails(out, B('1', lit(P, True)))
 
 
 def test_delete_effect_erases():
     eff = ConditionalEffect((), B('1', lit(P)), delete=True)
-    out = progress(PEKB([B('1', lit(P))]), [eff])
+    out = progress(PEKB([B('1', lit(P))]), [eff], no_ak)
     assert not entails(out, B('1', lit(P)))
     # dropping the belief keeps the weaker possibility
     assert entails(out, Pos('1', lit(P)))
     eff2 = ConditionalEffect((), Pos('1', lit(P)), delete=True)
-    out2 = progress(PEKB([B('1', lit(P))]), [eff2])
+    out2 = progress(PEKB([B('1', lit(P))]), [eff2], no_ak)
     # deleting the possibility takes the stronger belief with it
     assert not entails(out2, B('1', lit(P)))
     assert not entails(out2, Pos('1', lit(P)))
@@ -251,22 +255,22 @@ def test_delete_effect_erases():
 
 def test_negative_condition_blocks_firing():
     eff = ConditionalEffect((), B('1', lit(P)), condition_neg=(B('1', lit(Q)),))
-    out = progress(PEKB([B('1', lit(Q))]), [eff])
+    out = progress(PEKB([B('1', lit(Q))]), [eff], no_ak)
     assert not entails(out, B('1', lit(P)))
-    out2 = progress(PEKB(), [eff])
+    out2 = progress(PEKB(), [eff], no_ak)
     assert entails(out2, B('1', lit(P)))
 
 
 def test_contradictory_simultaneous_adds_are_rejected():
     effs = [ConditionalEffect((), lit(P)), ConditionalEffect((), lit(P, True))]
     with pytest.raises(InconsistentResult):
-        progress(PEKB(), effs)
+        progress(PEKB(), effs, no_ak)
 
 
 def test_effects_evaluate_against_the_pre_state():
     # the first effect's add must not enable the second in the same step
     effs = [ConditionalEffect((), B('1', lit(P))),
             ConditionalEffect((B('1', lit(P)),), B('1', lit(Q)))]
-    out = progress(PEKB([B('1', lit(P, True))]), effs)
+    out = progress(PEKB([B('1', lit(P, True))]), effs, no_ak)
     assert entails(out, B('1', lit(P)))
     assert not entails(out, B('1', lit(Q)))

@@ -67,7 +67,7 @@ def test_solve_reports_the_search_counts(tmp_path, parts, solver):
 
 @pytest.mark.parametrize('parts,edges,rounds', [
     (('misc', 'ask.pdkbddl'), 3, 0),
-    (('misc', 'lossy-3ag-2l.pdkbddl'), 265, 2),
+    (('misc', 'lossy-3ag-2l.pdkbddl'), 207, 2),
 ])
 def test_solve_reports_and_or_edges_and_rounds(tmp_path, parts, edges,
                                                rounds):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 
 import pytest
 
@@ -10,7 +11,8 @@ from pdkb.compiler import (AncillaryConfig, CompiledCondition,
                            _contrapositive_rule, _negation_rule,
                            _uncertain_rule, apply_ancillary, compile_problem,
                            emit_domain, emit_fluent_map, emit_pddl,
-                           emit_problem, emit_report, encode_base)
+                           emit_problem, emit_report, encode_base,
+                           fluent_symbol)
 from pdkb.model import ALWAYS, GroundingReport, ground
 from pdkb.parser import desugar, parse_file
 from pdkb.rml import Proposition, lit, parse_rml, wrap
@@ -249,8 +251,8 @@ def test_semi_naive_fixpoint_matches_round_robin(parts, with_awareness):
 # text on purpose updates these and says why in CHANGES.md.
 ARTIFACT_DIGESTS = {
     ('envelope', 'envelope.pdkbddl'): {
-        'domain.pddl': '9689ab141d179a34e40d5db12068e7e1'
-                       '71f1a92a9a0984966e657909e546b47e',
+        'domain.pddl': '46e97a9cbd05639a801d528e92c8ba07'
+                       '7eae34873fc7d821ea93bde6c5ff5965',
         'problem.pddl': '52049191f6cdd4737762872e9b589a93'
                         'bd5276a9e7617832e80b64c904a93b68',
         'fluents.map': 'beba22896f8783be4bb3e32e81ff4d87'
@@ -260,8 +262,8 @@ ARTIFACT_DIGESTS = {
     },
     # AK at(...) atoms beside the depth-0 fluents exercise the rank order
     ('grapevine', 'prob-4ag-2g-1d.pdkbddl'): {
-        'domain.pddl': '006b67205b1c0de797f84a457787eb73'
-                       'af0032585880b8b7ed5c52a347e060a9',
+        'domain.pddl': 'ec97a103343be019ede2b09dcfea1016'
+                       'bace97b19b665b5c4880b7d944fce35c',
         'problem.pddl': '17e8a251d61a7eb12682895026679d5b'
                         'd62f0d3a16b72695006e97bc3f972a40',
         'fluents.map': '8032d0ca8685f956e891fe78b48a0efc'
@@ -295,3 +297,101 @@ def test_artifact_digests_are_pinned(tmp_path, parts):
         with open(path, 'rb') as handle:
             digests[name] = hashlib.sha256(handle.read()).hexdigest()
     assert digests == ARTIFACT_DIGESTS[parts]
+
+
+# ---------------------------------------------------------------------------
+# the emitted domain, read back
+
+
+def read_sexpr(text):
+    """The one top-level form of text as nested lists of atoms."""
+    stack = [[]]
+    for token in re.findall(r'[()]|[^\s()]+', text):
+        if token == '(':
+            stack.append([])
+        elif token == ')':
+            form = stack.pop()
+            stack[-1].append(form)
+        else:
+            stack[-1].append(token)
+    (form,) = stack[0]
+    return form
+
+
+def read_literal(form):
+    """(polarity, symbol) of ``(x)`` or ``(not (x))``."""
+    if form[0] == 'not':
+        ((symbol,),) = form[1:]
+        return False, symbol
+    (symbol,) = form
+    return True, symbol
+
+
+def read_condition(form):
+    assert form[0] == 'and'
+    literals = [read_literal(item) for item in form[1:]]
+    return (frozenset(s for positive, s in literals if positive),
+            frozenset(s for positive, s in literals if not positive))
+
+
+def read_outcome(form):
+    """An outcome's (condition pos, condition neg, is add, literal) set;
+    each distinct condition must head exactly one ``when``, and
+    unconditional effects stand bare."""
+    assert form[0] == 'and'
+    effects = set()
+    conditions = []
+    for item in form[1:]:
+        if item[0] == 'when':
+            condition = read_condition(item[1])
+            assert condition != (frozenset(), frozenset())
+            conditions.append(condition)
+            body = item[2]
+            assert body[0] == 'and' and len(body) > 1
+            literals = body[1:]
+        else:
+            condition = (frozenset(), frozenset())
+            literals = [item]
+        for literal in literals:
+            effects.add(condition + read_literal(literal))
+    assert len(conditions) == len(set(conditions))
+    return effects
+
+
+def read_domain(text):
+    """(action name, precondition, outcome effect sets) per action."""
+    actions = []
+    for form in read_sexpr(text)[4:]:
+        assert form[0] == ':action'
+        fields = dict(zip(form[2::2], form[3::2]))
+        effect = fields[':effect']
+        outcomes = effect[1:] if effect[0] == 'oneof' else [effect]
+        actions.append((form[1], read_condition(fields[':precondition']),
+                        [read_outcome(o) for o in outcomes]))
+    return actions
+
+
+def symbols(fluents):
+    return frozenset(fluent_symbol(f) for f in fluents)
+
+
+@pytest.mark.parametrize('parts', [
+    ('envelope', 'envelope.pdkbddl'),
+    ('grapevine', 'prob-4ag-2g-1d.pdkbddl'),
+    ('grapevine', 'prob-4ag-2g-2d.pdkbddl'),
+    ('misc', 'coin.pdkbddl'),
+])
+def test_emitted_domain_reads_back_as_the_compiled_operators(parts):
+    prob, cp = compiled(*parts)
+    expected = []
+    for op in cp.operators:
+        outcomes = []
+        for adds, dels in op.outcomes:
+            outcomes.append({
+                (symbols(c.pos), symbols(c.neg), is_add, fluent_symbol(l))
+                for effects, is_add in ((adds, True), (dels, False))
+                for c, l in effects})
+        name = '__'.join((op.name,) + op.args)
+        pre = (symbols(op.precondition.pos), symbols(op.precondition.neg))
+        expected.append((name, pre, outcomes))
+    assert read_domain(emit_domain(cp, prob.domain_name)) == expected

@@ -216,12 +216,12 @@ def test_plan_validation_names_the_failing_step():
 
 
 @pytest.mark.parametrize('goals,counts,plan', [
-    ('2g', (42, 357), ['(initialize)', '(move c l2 l1)', '(share a a l1)',
+    ('2g', (30, 195), ['(initialize)', '(move c l2 l1)', '(share a a l1)',
                        '(share b b l1)']),
-    ('4g', (986, 6108), ['(initialize)', '(move a l1 l2)', '(move b l1 l2)',
+    ('4g', (492, 2722), ['(initialize)', '(move a l1 l2)', '(move b l1 l2)',
                          '(move d l3 l2)', '(share a a l2)',
                          '(share b b l2)']),
-    ('8g', (33831, 168221), ['(initialize)', '(move a l1 l2)',
+    ('8g', (14434, 73622), ['(initialize)', '(move a l1 l2)',
                              '(move b l1 l2)', '(move d l3 l2)',
                              '(share a a l2)', '(share b b l2)',
                              '(share c c l2)', '(share d d l2)']),

@@ -8,9 +8,9 @@ import pytest
 from pdkb.compiler import (AncillaryConfig, CompiledCondition,
                            CompiledOperator, apply_ancillary, compile_problem)
 from pdkb.model import ALWAYS, ground
-from pdkb.pekb import PEKB, ConditionalEffect, closure
+from pdkb.pekb import PEKB, ConditionalEffect, closure, progress
 from pdkb.parser import desugar, parse_file
-from pdkb.planner import apply, applicable
+from pdkb.planner import apply, applicable, step
 from pdkb.rml import parse_rml
 from pdkb.validator import (INVALID, STRONG_VALID, WEAK_VALID, UnknownAction,
                             _compiled_state, assess_plan,
@@ -214,14 +214,12 @@ def test_crosscheck_finds_no_divergence_on_grapevine():
     assert report['cases'] == 200
 
 
-def test_compiled_state_carried_along_a_walk_stays_the_projection():
-    # with awareness on, at depth 1; at depth 2 the two models still part
-    # ways after a few steps, and that case waits until it is settled
-    prob = load('grapevine', 'prob-4ag-2g-1d.pdkbddl')
-    actions = ground(prob)
-    cp = compile_problem(prob, actions)
+def walk_compiled_and_semantic(prob, actions, cp, seed):
+    """200 random applicable actions and outcomes, stepped in both models:
+    the carried compiled state must stay the projection of the semantic
+    one, and both must agree on which actions apply."""
     fluent_set = frozenset(cp.fluents)
-    rng = random.Random(1)
+    rng = random.Random(seed)
     state = closure(PEKB(prob.initial))
     compiled = cp.init
     assert compiled == _compiled_state(state, fluent_set)
@@ -236,6 +234,29 @@ def test_compiled_state_carried_along_a_walk_stays_the_projection():
         state = nexts[out]
         compiled = apply(compiled, cp.operators[idx], out)
         assert compiled == _compiled_state(state, fluent_set)
+
+
+def test_compiled_state_carried_along_a_walk_stays_the_projection():
+    # with awareness on, at depth 1
+    prob = load('grapevine', 'prob-4ag-2g-1d.pdkbddl')
+    actions = ground(prob)
+    walk_compiled_and_semantic(prob, actions, compile_problem(prob, actions),
+                               seed=1)
+
+
+@pytest.fixture(scope='module')
+def grapevine_2d():
+    prob = load('grapevine', 'prob-4ag-2g-2d.pdkbddl')
+    actions = ground(prob)
+    return prob, actions, compile_problem(prob, actions)
+
+
+@pytest.mark.parametrize('seed', range(4))
+def test_depth_2_compiled_state_carried_along_a_walk_stays_the_projection(
+        grapevine_2d, seed):
+    # awareness copies nest here: a spurious uncertain delete in either
+    # model would spread into the other agents' beliefs
+    walk_compiled_and_semantic(*grapevine_2d, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -336,3 +357,23 @@ def test_awareness_spawns_recursively_up_to_the_depth_bound():
     # the depth-3 copies are cut, and the compiler records each cut
     assert ('1', CompiledCondition(rmls('B_2 B_1 t1')),
             parse_rml('B_2 B_1 s1'), 'add') in truncated
+
+
+# ---------------------------------------------------------------------------
+# uncertain firing: the validator and the compiler read AK atoms alike
+
+
+@pytest.mark.parametrize('known', [False, True])
+def test_a_false_always_known_condition_blocks_uncertain_firing(known):
+    # the add needs k1 and agent 1's belief in t1; with t1 unknown it fires
+    # uncertainly and erases the belief in !s1, but only while k1 holds:
+    # an absent always-known atom is known false
+    add = ConditionalEffect(rmls('k1', 'B_1 t1'), parse_rml('B_1 s1'))
+    held = ['B_1 !s1', 'k1'] if known else ['B_1 !s1']
+    state = closure(PEKB(rmls(*held)))
+    semantic = progress(state, [add], is_k).rmls
+    base = CompiledOperator('op', (), CompiledCondition(), ((frozenset([
+        (CompiledCondition(add.condition_pos), add.effect)]), frozenset()),))
+    op = apply_ancillary(base, AncillaryConfig(1, is_k, with_awareness=False))
+    assert step(state.rmls, op) == semantic
+    assert (parse_rml('B_1 !s1') in semantic) is not known
