@@ -232,7 +232,7 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
     out_dir = config.get('out') or '%s-out' % os.path.splitext(input_path)[0]
     os.makedirs(out_dir, exist_ok=True)
     cap = int(config.get('max_states') or planner_mod.DEFAULT_STATE_CAP)
-    started = time.time()
+    started = time.perf_counter()
 
     report = {'version': 1, 'problem': problem.problem_name,
               'flavor': cp.flavor, 'fluents': len(cp.fluents),
@@ -260,18 +260,18 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
     except (planner_mod.PlannerFailure, planner_mod.PlanParseError,
             planner_mod.PlanInvalid) as exc:
         report['error'] = str(exc)
-        report['wall_time'] = time.time() - started
+        report['wall_time'] = time.perf_counter() - started
         _write_json(os.path.join(out_dir, 'solve-report.json'), report)
         _info('external planner failed: %s' % exc)
         sys.exit(EXIT_PLANNER_FAILURE)
     except planner_mod.ResourceLimit as exc:
         report.update(_search_counts(exc.stats))
         report['error'] = str(exc)
-        report['wall_time'] = time.time() - started
+        report['wall_time'] = time.perf_counter() - started
         _write_json(os.path.join(out_dir, 'solve-report.json'), report)
         _info('search limit hit: %s' % exc)
         sys.exit(EXIT_UNSOLVABLE)
-    report['wall_time'] = time.time() - started
+    report['wall_time'] = time.perf_counter() - started
     if report['solver'] != 'external':
         report.update(_search_counts(stats))
 
@@ -283,10 +283,10 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
 
     if plan is not None:
         steps = [(op.name,) + op.args for op in plan]
-        started = time.time()
+        started = time.perf_counter()
         verdict = validator_mod.assess_plan(problem, plan=steps,
                                             ground_actions=actions)
-        report['verify_time'] = time.time() - started
+        report['verify_time'] = time.perf_counter() - started
         report['result'] = 'plan'
         report['plan_length'] = len(plan)
         report['verdict'] = verdict.verdict
@@ -299,10 +299,10 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
               % (len(plan), verdict.verdict, out_dir))
         sys.exit(_verdict_exit(verdict.verdict))
 
-    started = time.time()
+    started = time.perf_counter()
     verdict = validator_mod.verify_policy(problem, policy.mapping,
                                           ground_actions=actions)
-    report['verify_time'] = time.time() - started
+    report['verify_time'] = time.perf_counter() - started
     report['result'] = 'policy'
     report['policy_classification'] = policy.classification
     report['policy_size'] = len(policy.mapping)

@@ -28,10 +28,27 @@ Both searches run on packed states: a state is a Python int whose bit i
 is ``cp.fluents[i]``. Each search packs the operators once (``Packing``):
 precondition masks, and per outcome the unconditional add/delete masks
 plus one entry per distinct effect condition, so a condition is tested
-once per state however many effects it guards. ``successor`` is the one
-step rule. RML frozensets remain at the edges: parsing, emission,
-validation, the frozenset ``step``/``apply`` (which pack, step and
-decode) and the states of a returned ``Policy.mapping``.
+once per state however many effects it guards. ``fired`` is the one
+rule for the masks an outcome applies, and ``successor`` the one step.
+
+Each search builds one expansion step (``expander``) that both searches
+call, and memoises it for that search only. Whether an operator applies
+depends only on the state's bits under ``pre_mask``, the union of every
+precondition literal; so the applicable operators are cached per
+``state & pre_mask`` (on the 8-goal depth-1 gossip problem, 38 of 94
+bits, and 3,798 distinct keys over 14,434 expansions). Likewise an
+outcome's fired masks depend only on the state's bits under the union of
+its condition groups' literals, and are cached per outcome under that
+key (3,106 entries over 73,622 successors there). Both keys keep the
+negative literals' bits, so a hit stands for exactly the same tests, and
+the cached masks are applied to the live state. Breadth-first search
+records each state's parent state only, and recovers the operator
+at plan reconstruction by expanding the parent again.
+
+RML frozensets remain at the edges: parsing, emission, the frozenset
+``step``/``apply`` (which pack, step and decode), the state
+``validate_plan`` returns and the states of a returned
+``Policy.mapping``.
 """
 
 import os
@@ -145,16 +162,68 @@ class Packing:
             bin(packed))) if c == '1')
 
 
-def successor(state, outcome):
-    """Packed successor, without checking the precondition: conditions are
-    evaluated against the pre-state, and an add wins over a simultaneous
-    delete of the same fluent."""
+def fired(state, outcome):
+    """The (adds, dels) masks a packed outcome applies at a state: its
+    unconditional masks and those of every condition group that holds
+    there."""
     adds, dels, groups = outcome
     for pos, neg, a, d in groups:
         if state & pos == pos and not state & neg:
             adds |= a
             dels |= d
+    return adds, dels
+
+
+def successor(state, outcome):
+    """Packed successor, without checking the precondition: conditions are
+    evaluated against the pre-state, and an add wins over a simultaneous
+    delete of the same fluent."""
+    adds, dels = fired(state, outcome)
     return (state & ~dels) | adds
+
+
+def expander(ops):
+    """The expansion step of one search over the packed operators
+    ``ops``: a function from a packed state to its ``(op index,
+    successor tuple)`` pairs, one per applicable operator in index order,
+    one successor per outcome. The applicable operators are memoised on
+    ``state & pre_mask`` and each outcome's fired masks on ``state &
+    cond_mask`` (see the module docstring), for the life of the returned
+    function."""
+    pre_mask = 0
+    rows = []
+    for idx, (pre_pos, pre_neg, outcomes) in enumerate(ops):
+        pre_mask |= pre_pos | pre_neg
+        outs = []
+        for outcome in outcomes:
+            cond_mask = 0
+            for pos, neg, _, _ in outcome[2]:
+                cond_mask |= pos | neg
+            outs.append((cond_mask, {}, outcome))
+        rows.append((pre_pos, pre_neg, (idx, tuple(outs))))
+    usable_at = {}
+
+    def expand(state):
+        key = state & pre_mask
+        usable = usable_at.get(key)
+        if usable is None:
+            usable = usable_at[key] = tuple(
+                entry for pos, neg, entry in rows
+                if key & pos == pos and not key & neg)
+        pairs = []
+        for idx, outs in usable:
+            succs = []
+            for cond_mask, memo, outcome in outs:
+                key = state & cond_mask
+                effect = memo.get(key)
+                if effect is None:
+                    adds, dels = fired(key, outcome)
+                    effect = memo[key] = (~dels, adds)
+                succs.append((state & effect[0]) | effect[1])
+            pairs.append((idx, tuple(succs)))
+        return pairs
+
+    return expand
 
 
 def applicable(state, op):
@@ -203,31 +272,22 @@ def solve_bfs(cp, max_states=DEFAULT_STATE_CAP, stats=None):
         stats['expanded'] = 0
         stats['states'] = 1
         return []
-    ops = packing.operators
+    expand = expander(packing.operators)
     seen = {init: None}
     frontier = deque([init])
     expanded = 0
     while frontier:
         state = frontier.popleft()
         expanded += 1
-        for idx, (pre_pos, pre_neg, outcomes) in enumerate(ops):
-            if state & pre_pos != pre_pos or state & pre_neg:
-                continue
-            succ = successor(state, outcomes[0])
+        for _, succs in expand(state):
+            succ = succs[0]
             if succ in seen:
                 continue
-            seen[succ] = (state, idx)
+            seen[succ] = state
             if succ & goal_pos == goal_pos and not succ & goal_neg:
                 stats['expanded'] = expanded
                 stats['states'] = len(seen)
-                plan = []
-                cur = succ
-                while seen[cur] is not None:
-                    prev, op_idx = seen[cur]
-                    plan.append(cp.operators[op_idx])
-                    cur = prev
-                plan.reverse()
-                return plan
+                return _plan(cp.operators, expand, seen, succ)
             if len(seen) > max_states:
                 stats['expanded'] = expanded
                 stats['states'] = len(seen)
@@ -237,6 +297,20 @@ def solve_bfs(cp, max_states=DEFAULT_STATE_CAP, stats=None):
     stats['expanded'] = expanded
     stats['states'] = len(seen)
     return None
+
+
+def _plan(operators, expand, parents, state):
+    """The operators that led breadth-first search to ``state``: at each
+    parent, the first operator whose first outcome yields the child, which
+    is the one that discovered it."""
+    plan = []
+    while parents[state] is not None:
+        parent = parents[state]
+        plan.append(operators[next(idx for idx, succs in expand(parent)
+                                   if succs[0] == state)])
+        state = parent
+    plan.reverse()
+    return plan
 
 
 def _regress(goals, preds, inside, strong):
@@ -258,7 +332,7 @@ def _regress(goals, preds, inside, strong):
     return choice
 
 
-def _envelope(ops, init, goal, strong, max_states, stats):
+def _envelope(expand, init, goal, strong, max_states, stats):
     """Choices that solve ``init``, grown one breadth-first layer of
     packed states at a time, or None once the reachable space is
     exhausted. Goal states are not expanded; after each layer the
@@ -282,10 +356,7 @@ def _envelope(ops, init, goal, strong, max_states, stats):
             frontier = []
             for state in layer:
                 expanded.add(state)
-                for idx, (pre_pos, pre_neg, outcomes) in enumerate(ops):
-                    if state & pre_pos != pre_pos or state & pre_neg:
-                        continue
-                    succs = tuple(successor(state, o) for o in outcomes)
+                for idx, succs in expand(state):
                     if strong and state in succs:
                         continue
                     n_edges += 1
@@ -343,9 +414,9 @@ def solve_andor(cp, max_states=DEFAULT_STATE_CAP, acyclic_only=False,
         stats = {}
     stats.update(expanded=0, states=0, edges=0, rounds=0)
     packing, init, goal = _pack_problem(cp)
+    expand = expander(packing.operators)
     for strong in (True,) if acyclic_only else (True, False):
-        choice = _envelope(packing.operators, init, goal, strong,
-                           max_states, stats)
+        choice = _envelope(expand, init, goal, strong, max_states, stats)
         if choice is None:
             continue
         mapping = {}
@@ -393,16 +464,23 @@ def parse_plan_file(text, operators):
 
 
 def validate_plan(cp, plan):
-    """Replay a classical plan; raises PlanInvalid on any violation."""
-    state = cp.init
+    """Replay a classical plan on packed states, packing its distinct
+    operators once; raises PlanInvalid on any violation and returns the
+    final state."""
+    ops = list(dict.fromkeys(plan))
+    packing = Packing(cp.fluents, ops, (cp.init,))
+    packed = dict(zip(ops, packing.operators))
+    state = packing.encode(cp.init)
     for step_no, op in enumerate(plan):
-        if not applicable(state, op):
+        pre_pos, pre_neg, outcomes = packed[op]
+        if state & pre_pos != pre_pos or state & pre_neg:
             raise PlanInvalid('step %d: %s not applicable'
                               % (step_no, op.label))
-        state = apply(state, op)
-    if not cp.goal.satisfied(state):
+        state = successor(state, outcomes[0])
+    goal_pos, goal_neg = packing.condition(cp.goal)
+    if state & goal_pos != goal_pos or state & goal_neg:
         raise PlanInvalid('goal not satisfied after %d steps' % len(plan))
-    return state
+    return packing.decode(state)
 
 
 def solve_external(cp, command_template, workdir=None, timeout=None,

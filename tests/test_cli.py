@@ -1,7 +1,9 @@
 """Exit codes of the pdkb command line."""
 
+import itertools
 import json
 import os
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -63,6 +65,20 @@ def test_solve_reports_the_search_counts(tmp_path, parts, solver):
     assert report['solver'] == solver
     assert 0 < report['states_expanded'] <= report['states_generated']
     assert report['verify_time'] >= 0
+
+
+@pytest.mark.parametrize('parts', [('grapevine', 'prob-4ag-2g-1d.pdkbddl'),
+                                   ('misc', 'ask.pdkbddl')])
+def test_solve_timings_survive_a_wall_clock_step_back(tmp_path, monkeypatch,
+                                                      parts):
+    # the wall clock runs backwards a second per reading; the durations
+    # come from the monotonic clock
+    clock = itertools.count(1e9, -1.0)
+    monkeypatch.setattr(time, 'time', lambda: next(clock))
+    result, report = _solve_report(tmp_path, *parts)
+    assert result.exit_code == EXIT_OK
+    for field in ('wall_time', 'verify_time'):
+        assert isinstance(report[field], float) and report[field] >= 0
 
 
 @pytest.mark.parametrize('parts,edges,rounds', [

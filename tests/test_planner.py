@@ -1,9 +1,12 @@
 """Internal search, policy search, and the external planner adapter."""
 
 import importlib.util
+import json
 import os
 import random
 import stat
+import subprocess
+import sys
 from collections import deque
 
 import pytest
@@ -13,9 +16,9 @@ from pdkb.model import ground
 from pdkb.parser import desugar, parse_file, parse_text
 from pdkb.planner import (Packing, PlanInvalid, PlanParseError,
                           PlannerFailure, PreconditionViolated,
-                          ResourceLimit, apply, applicable, parse_plan_file,
-                          solve_andor, solve_bfs, solve_external, step,
-                          successor, validate_plan)
+                          ResourceLimit, apply, applicable, expander,
+                          parse_plan_file, solve_andor, solve_bfs,
+                          solve_external, step, successor, validate_plan)
 from pdkb.rml import format_rml
 from pdkb.validator import STRONG_VALID, verify_policy
 
@@ -268,26 +271,55 @@ def ask():
     return compiled('misc', 'ask.pdkbddl')
 
 
-@pytest.mark.parametrize('name', ['grapevine_2g_2d', 'coin', 'ask'])
+@pytest.fixture(scope='module')
+def negation_removal():
+    # the one benchmark problem with a negative precondition
+    return compiled('misc', 'negation-removal.pdkbddl')
+
+
+@pytest.mark.parametrize('name', ['grapevine_2g_2d', 'coin', 'ask',
+                                  'negation_removal'])
 def test_packed_step_matches_the_frozenset_rule_on_a_random_walk(name,
                                                                  request):
     _, cp = request.getfixturevalue(name)
     packing = Packing(cp.fluents, cp.operators, (cp.init,))
+    expand = expander(packing.operators)
+    # fluents in no precondition and no effect condition: flipping them
+    # keeps every memo key of the expansion step and changes the state
+    keyed = 0
+    for pre_pos, pre_neg, outcomes in packing.operators:
+        keyed |= pre_pos | pre_neg
+        for _, _, groups in outcomes:
+            for pos, neg, _, _ in groups:
+                keyed |= pos | neg
+    free = ((1 << len(packing.fluents)) - 1) & ~keyed
+    assert free
+
+    def direct(packed):
+        state = packing.decode(packed)
+        return [(i, tuple(successor(packed, o)
+                          for o in packing.operators[i].outcomes))
+                for i, op in enumerate(cp.operators)
+                if applicable(state, op)]
+
     rng = random.Random(7)
     state = cp.init
     for _ in range(200):
         usable = [i for i, op in enumerate(cp.operators)
                   if applicable(state, op)]
+        packed = packing.encode(state)
+        assert expand(packed) == direct(packed)
+        assert expand(packed ^ free) == direct(packed ^ free)
         if not usable:
             state = cp.init
             continue
         for idx in usable:
             op = cp.operators[idx]
-            packed = packing.operators[idx]
+            packed_op = packing.operators[idx]
             for out in range(len(op.outcomes)):
                 expected = reference_step(state, op, out)
                 assert packing.decode(successor(
-                    packing.encode(state), packed.outcomes[out])) == expected
+                    packed, packed_op.outcomes[out])) == expected
         op = cp.operators[rng.choice(usable)]
         out = rng.randrange(len(op.outcomes))
         assert step(state, op, out) == apply(state, op, out) \
@@ -309,6 +341,49 @@ def test_andor_policies_on_coin_and_ask(coin, ask):
         frozenset(['P_a !raining', 'P_a raining']): '(ask)'}
     assert _mapping(solve_andor(ask[1])) == expected
     assert _mapping(solve_andor(ask[1], acyclic_only=True)) == expected
+
+
+# solved in this order in one process, each must equal a solve in a fresh
+# interpreter: no memo of the expansion step may outlive its search
+_SEARCHES = [(('grapevine', 'prob-4ag-8g-1d.pdkbddl'), 'bfs'),
+             (('grapevine', 'prob-4ag-2g-1d.pdkbddl'), 'bfs'),
+             (('misc', 'lossy-3ag-2l.pdkbddl'), 'and-or'),
+             (('misc', 'coin.pdkbddl'), 'and-or')]
+
+_FRESH_SOLVE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_planner import search_summary
+print(json.dumps(search_summary(*json.loads(sys.argv[2]))))
+"""
+
+
+def search_summary(parts, search):
+    """The plan or policy of a fresh compile, and the search's stats, as
+    JSON values."""
+    _, cp = compiled(*parts)
+    stats = {}
+    if search == 'bfs':
+        return [op.label for op in solve_bfs(cp, stats=stats)], stats
+    policy = solve_andor(cp, stats=stats)
+    return (sorted([sorted(state), label]
+                   for state, label in _mapping(policy).items()),
+            policy.classification, stats)
+
+
+def test_no_memo_outlives_a_search():
+    env = dict(os.environ)
+    env['PYTHONPATH'] = os.pathsep.join(
+        [os.path.join(HERE, '..', 'src')]
+        + ([env['PYTHONPATH']] if env.get('PYTHONPATH') else []))
+    in_turn = [search_summary(parts, search) for parts, search in _SEARCHES]
+    for (parts, search), found in zip(_SEARCHES, in_turn):
+        proc = subprocess.run(
+            [sys.executable, '-c', _FRESH_SOLVE, HERE,
+             json.dumps([parts, search])],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(json.dumps(found)) == json.loads(proc.stdout)
 
 
 _TRAP = """
