@@ -231,7 +231,9 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
     actions, cp = _compile(problem, config.get('flavor'))
     out_dir = config.get('out') or '%s-out' % os.path.splitext(input_path)[0]
     os.makedirs(out_dir, exist_ok=True)
-    cap = int(config.get('max_states') or planner_mod.DEFAULT_STATE_CAP)
+    cap = config.get('max_states')
+    if cap is None:
+        cap = planner_mod.DEFAULT_STATE_CAP
     started = time.perf_counter()
 
     report = {'version': 1, 'problem': problem.problem_name,
@@ -282,13 +284,11 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
         sys.exit(EXIT_UNSOLVABLE)
 
     if plan is not None:
-        steps = [(op.name,) + op.args for op in plan]
-        started = time.perf_counter()
-        verdict = validator_mod.assess_plan(problem, plan=steps,
-                                            ground_actions=actions)
-        report['verify_time'] = time.perf_counter() - started
         report['result'] = 'plan'
         report['plan_length'] = len(plan)
+        steps = [(op.name,) + op.args for op in plan]
+        verdict = _verify(report, out_dir, validator_mod.assess_plan,
+                          problem, plan=steps, ground_actions=actions)
         report['verdict'] = verdict.verdict
         with open(os.path.join(out_dir, 'plan.txt'), 'w',
                   encoding='utf-8') as handle:
@@ -299,13 +299,11 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
               % (len(plan), verdict.verdict, out_dir))
         sys.exit(_verdict_exit(verdict.verdict))
 
-    started = time.perf_counter()
-    verdict = validator_mod.verify_policy(problem, policy.mapping,
-                                          ground_actions=actions)
-    report['verify_time'] = time.perf_counter() - started
     report['result'] = 'policy'
     report['policy_classification'] = policy.classification
     report['policy_size'] = len(policy.mapping)
+    verdict = _verify(report, out_dir, validator_mod.verify_policy, problem,
+                      policy.mapping, ground_actions=actions)
     report['verdict'] = verdict.verdict
     payload = {'classification': policy.classification, 'states': []}
     for state in sorted(policy.mapping, key=sorted):
@@ -319,6 +317,22 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
           % (policy.classification, len(policy.mapping), verdict.verdict,
              out_dir))
     sys.exit(_verdict_exit(verdict.verdict))
+
+
+def _verify(report, out_dir, check, *args, **kwargs):
+    """Run a semantic check and record its time as ``verify_time``; a
+    validator cap writes the report with its error and exits 3."""
+    started = time.perf_counter()
+    try:
+        verdict = check(*args, **kwargs)
+    except planner_mod.ResourceLimit as exc:
+        report['verify_time'] = time.perf_counter() - started
+        report['error'] = str(exc)
+        _write_json(os.path.join(out_dir, 'solve-report.json'), report)
+        _info('validation limit hit: %s' % exc)
+        sys.exit(EXIT_UNSOLVABLE)
+    report['verify_time'] = time.perf_counter() - started
+    return verdict
 
 
 def _verdict_exit(verdict):

@@ -23,10 +23,21 @@ Each ``compile_problem`` call does each piece of work once:
   - the fixpoint is semi-naive: every rule maps one effect to its
     consequences, so each round feeds the rules only the effects that are
     new since the last round;
+  - each distinct (base outcomes, awareness) pair is expanded and pruned
+    once, and operators with that pair share the resulting outcome
+    objects. The key is exact: everything else the expansion reads
+    (depth, ``is_ak``, ``with_awareness``, the ``RmlTable``, the fluent
+    set and the prune memo) is fixed for the call, and the name,
+    arguments and precondition pass through untouched. In the grapevine
+    domain neither the effect nor the awareness condition of ``share ?a
+    ?as ?l`` and ``fib ?a ?as ?l`` mentions the speaker ``?a``, so the
+    operators for one ``(?as, ?l)`` expand once;
   - emission sorts by fluent rank, the position in ``sorted(fluents)``,
     computed once per emit, and writes each outcome's effects grouped by
     condition: the unconditional ones bare, then one
     ``(when C (and e1 e2 ...))`` per distinct condition, formatted once.
+    Each distinct outcome's text is made once per emit.
+Both memos are locals of their call, so nothing is kept across calls.
 """
 
 import itertools
@@ -391,6 +402,11 @@ def _prune(op, fluent_set, counters, pruned):
 # driver
 
 
+def _size(op):
+    """The number of effects over all of op's outcomes."""
+    return sum(len(adds) + len(dels) for adds, dels in op.outcomes)
+
+
 def _unreduced_style_count(problem):
     """Fluent count under unreduced modality sequences with AK atoms
     counted at both polarities (an alternative bookkeeping style kept in
@@ -408,17 +424,28 @@ def compile_problem(problem, ground_actions, with_awareness=True,
     table = RmlTable(fluents)
     counters = {'spawned': 0, 'truncated': 0, 'pruned': 0}
     pruned = {}
+    # (base outcomes, awareness) -> (pruned outcomes, that expansion's
+    # counts): operators that differ only in name, arguments or
+    # precondition share one expansion and its outcome objects
+    expansions = {}
     operators = []
     for action, op in zip(ground_actions, base_ops):
-        config = AncillaryConfig(problem.depth, problem.is_ak,
-                                 awareness=action.awareness,
-                                 with_awareness=with_awareness, table=table)
-        base_sizes = sum(len(a) + len(d) for a, d in op.outcomes)
-        expanded = apply_ancillary(op, config)
-        done_sizes = sum(len(a) + len(d) for a, d in expanded.outcomes)
-        counters['spawned'] += done_sizes - base_sizes
-        counters['truncated'] += len(config.truncated)
-        operators.append(_prune(expanded, fluent_set, counters, pruned))
+        key = (op.outcomes, frozenset(action.awareness.items()))
+        if key not in expansions:
+            config = AncillaryConfig(problem.depth, problem.is_ak,
+                                     awareness=action.awareness,
+                                     with_awareness=with_awareness,
+                                     table=table)
+            expanded = apply_ancillary(op, config)
+            counts = {'spawned': _size(expanded) - _size(op),
+                      'truncated': len(config.truncated), 'pruned': 0}
+            outcomes = _prune(expanded, fluent_set, counts, pruned).outcomes
+            expansions[key] = outcomes, counts
+        outcomes, counts = expansions[key]
+        for name, n in counts.items():
+            counters[name] += n
+        operators.append(CompiledOperator(op.name, op.args, op.precondition,
+                                          outcomes))
 
     if flavor is None:
         flavor = CLASSICAL if all(len(op.outcomes) == 1
@@ -482,11 +509,12 @@ class _ConditionText(dict):
         return out
 
 
-def _emit_effects(adds, dels, conditions):
-    """One outcome's effects grouped by condition, in condition-rank order:
-    the unconditional ones bare, then one ``(when C (and ...))`` per
-    distinct condition. Each group lists deletes then adds, each by
-    literal rank."""
+def _emit_effects(outcome, conditions):
+    """An (adds, dels) outcome's effects as PDDL lines, grouped by
+    condition in condition-rank order: the unconditional ones bare, then one
+    ``(when C (and ...))`` per distinct condition. Each group lists deletes
+    then adds, each by literal rank."""
+    adds, dels = outcome
     rank = conditions.rank
     names = conditions.names
     groups = {}
@@ -502,11 +530,20 @@ def _emit_effects(adds, dels, conditions):
             lines.append('      (when %s (and %s))' % (text, ' '.join(body)))
         else:
             lines.extend('      ' + item for item in body)
-    return lines
+    return '\n'.join(lines)
 
 
 def emit_domain(cp, domain_name):
     conditions = _ConditionText(cp.fluents)
+    # operators that share an expansion share its outcome objects, so each
+    # distinct outcome is formatted once and then found by identity
+    texts = {}
+
+    def effect_text(outcome):
+        if outcome not in texts:
+            texts[outcome] = _emit_effects(outcome, conditions)
+        return texts[outcome]
+
     reqs = ':strips :negative-preconditions :conditional-effects'
     if cp.flavor == FOND:
         reqs += ' :non-deterministic'
@@ -524,15 +561,13 @@ def emit_domain(cp, domain_name):
         lines.append('    :precondition %s' % conditions[op.precondition][1])
         if cp.flavor == FOND and len(op.outcomes) > 1:
             branches = []
-            for adds, dels in op.outcomes:
-                body = _emit_effects(adds, dels, conditions)
-                branches.append('    (and\n%s\n    )' % '\n'.join(body))
+            for outcome in op.outcomes:
+                branches.append('    (and\n%s\n    )' % effect_text(outcome))
             lines.append('    :effect (oneof\n%s\n    )'
                          % '\n'.join(branches))
         else:
-            body = _emit_effects(op.outcomes[0][0], op.outcomes[0][1],
-                                 conditions)
-            lines.append('    :effect (and\n%s\n    )' % '\n'.join(body))
+            lines.append('    :effect (and\n%s\n    )'
+                         % effect_text(op.outcomes[0]))
         lines.append('  )')
     lines.append(')')
     return '\n'.join(lines) + '\n'

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from pdkb import planner as planner_mod
+from pdkb import validator as validator_mod
 from pdkb.cli import (EXIT_DIAGNOSTICS, EXIT_FALSE, EXIT_INVALID, EXIT_OK,
                       EXIT_UNSOLVABLE, main)
 
@@ -53,6 +54,37 @@ def test_solve_past_the_state_cap_exits_unsolvable(tmp_path):
 def test_validate_a_plan_longer_than_the_recursion_limit(long_coin_plan):
     result = CliRunner().invoke(main, ['validate', long_coin_plan])
     assert result.exit_code == EXIT_OK
+
+
+def test_solve_with_max_states_zero_exits_unsolvable(tmp_path):
+    problem = os.path.join(BENCH, 'grapevine', 'prob-4ag-2g-1d.pdkbddl')
+    result = CliRunner().invoke(main, ['solve', problem, '--max-states', '0',
+                                       '--out', str(tmp_path)])
+    assert result.exit_code == EXIT_UNSOLVABLE
+    with open(tmp_path / 'solve-report.json', encoding='utf-8') as handle:
+        assert 'state cap 0' in json.load(handle)['error']
+
+
+@pytest.mark.parametrize('parts,check,message', [
+    (('grapevine', 'prob-4ag-2g-1d.pdkbddl'), 'assess_plan',
+     'trajectory cap 10000 exceeded'),
+    (('misc', 'ask.pdkbddl'), 'verify_policy',
+     'policy state cap 10000 exceeded'),
+    (('misc', 'ask.pdkbddl'), 'verify_policy',
+     'policy depth cap 50 exceeded'),
+])
+def test_solve_exits_unsolvable_on_a_validator_cap(tmp_path, monkeypatch,
+                                                   parts, check, message):
+    def capped(*args, **kwargs):
+        raise planner_mod.ResourceLimit(message)
+
+    monkeypatch.setattr(validator_mod, check, capped)
+    result, report = _solve_report(tmp_path, *parts)
+    assert result.exit_code == EXIT_UNSOLVABLE
+    assert isinstance(result.exception, SystemExit)
+    assert report['error'] == message
+    assert report['verify_time'] >= 0
+    assert 'verdict' not in report
 
 
 @pytest.mark.parametrize('parts,solver', [

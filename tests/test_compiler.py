@@ -8,13 +8,13 @@ import pytest
 
 from pdkb.compiler import (AncillaryConfig, CompiledCondition,
                            CompiledOperator, _awareness_rules, _closure_rule,
-                           _contrapositive_rule, _negation_rule,
+                           _contrapositive_rule, _negation_rule, _prune,
                            _uncertain_rule, apply_ancillary, compile_problem,
                            emit_domain, emit_fluent_map, emit_pddl,
                            emit_problem, emit_report, encode_base,
                            fluent_symbol)
 from pdkb.model import ALWAYS, GroundingReport, ground
-from pdkb.parser import desugar, parse_file
+from pdkb.parser import desugar, parse_file, parse_text
 from pdkb.rml import Proposition, lit, parse_rml, wrap
 
 HERE = os.path.dirname(__file__)
@@ -245,6 +245,90 @@ def test_semi_naive_fixpoint_matches_round_robin(parts, with_awareness):
 
 
 # ---------------------------------------------------------------------------
+# one expansion per distinct (base outcomes, awareness)
+
+
+@pytest.mark.parametrize('with_awareness', [True, False])
+@pytest.mark.parametrize('parts', [
+    ('envelope', 'envelope.pdkbddl'),
+    ('grapevine', 'prob-4ag-2g-1d.pdkbddl'),
+    ('grapevine', 'prob-4ag-2g-2d.pdkbddl'),
+    ('misc', 'lossy-3ag-2l.pdkbddl'),
+    ('misc', 'coin.pdkbddl'),
+    ('misc', 'ask.pdkbddl'),
+])
+def test_shared_expansions_match_per_operator_ones(parts, with_awareness):
+    prob = load(*parts)
+    actions = ground(prob)
+    cp = compile_problem(prob, actions, with_awareness=with_awareness)
+    fluents, _, _, base_ops = encode_base(prob, actions)
+    fluent_set = frozenset(fluents)
+    counts = {'spawned': 0, 'truncated': 0, 'pruned': 0}
+    assert len(cp.operators) == len(base_ops)
+    for action, op, got in zip(actions, base_ops, cp.operators):
+        config = AncillaryConfig(prob.depth, prob.is_ak,
+                                 awareness=action.awareness,
+                                 with_awareness=with_awareness)
+        expanded = apply_ancillary(op, config)
+        counts['spawned'] += (
+            sum(len(a) + len(d) for a, d in expanded.outcomes)
+            - sum(len(a) + len(d) for a, d in op.outcomes))
+        counts['truncated'] += len(config.truncated)
+        expected = _prune(expanded, fluent_set, counts, {})
+        assert (got.name, got.args) == (op.name, op.args)
+        assert got.precondition == op.precondition
+        assert got.outcomes == expected.outcomes, op
+    assert cp.report['spawned_ancillary_effects'] == counts['spawned']
+    assert cp.report['pruned_effects'] == counts['pruned']
+    assert cp.report['truncated_effects'] == counts['truncated']
+
+
+# two actions with the same effect: anyone may see ``tell``, only those at
+# ?l see ``whisper``
+SAME_EFFECT_OTHER_AWARENESS = """
+(define (domain rumour)
+    (:agents a b)
+    (:types loc)
+    (:predicates (secret) {AK}(at ?agent - agent ?l - loc))
+    (:action tell
+        :derive-condition always
+        :parameters       (?l - loc)
+        :precondition     (and)
+        :effect           (and (secret))
+    )
+    (:action whisper
+        :derive-condition (at $agent$ ?l)
+        :parameters       (?l - loc)
+        :precondition     (and)
+        :effect           (and (secret))
+    )
+)
+(define (problem rumour-1)
+    (:domain rumour)
+    (:objects l1 - loc)
+    (:depth 1)
+    (:task valid_generation)
+    (:init-type complete)
+    (:init (at a l1) (!secret))
+    (:goal (and [b](secret)))
+)
+"""
+
+
+def test_awareness_is_part_of_the_expansion_key():
+    prob = desugar(parse_text(SAME_EFFECT_OTHER_AWARENESS))
+    actions = ground(prob)
+    _, _, _, base_ops = encode_base(prob, actions)
+    assert [a.name for a in actions] == ['tell', 'whisper']
+    assert base_ops[0].outcomes == base_ops[1].outcomes
+    tell, whisper = compile_problem(prob, actions).operators
+    assert tell.outcomes != whisper.outcomes
+    at_l1 = cond(pos=[rml('at(b,l1)')])
+    assert (cond(), rml('B_b secret')) in tell.outcomes[0][0]
+    assert (at_l1, rml('B_b secret')) in whisper.outcomes[0][0]
+
+
+# ---------------------------------------------------------------------------
 # the artifacts, byte for byte
 
 # sha256 of what ``pdkb compile`` writes. A change that alters the emitted
@@ -270,6 +354,29 @@ ARTIFACT_DIGESTS = {
                        '1b1f44b8c62bb9f0e0084fc3258850bf',
         'compile-report.json': '1472d6c920ea8dd873728d9857fd1083'
                                '2dbefe62f7f0e7ff05638cd39367ce19',
+    },
+    # depth 2: operators that differ only in the acting agent share one
+    # expansion and its outcome objects
+    ('grapevine', 'prob-4ag-2g-2d.pdkbddl'): {
+        'domain.pddl': 'b52f4c2e906579de445496dfc79651d5'
+                       'a3295741d01bdd3812600f01666edc69',
+        'problem.pddl': 'b0148e7b12da37564e6e60b51848bd63'
+                        'fb022781a2a8f8889db2a84938c01ff8',
+        'fluents.map': '1c942ebb042c8f7d9f18a12518e653fd'
+                       '9f73cd1389d9b2baf473d5cc9c2b8929',
+        'compile-report.json': '9a65c9c08cd078d2a74d6c43109614df'
+                               '081bacd36f00a6f8dc745624701e4d8e',
+    },
+    # FOND: shared outcomes inside ``oneof`` branches
+    ('misc', 'lossy-3ag-2l.pdkbddl'): {
+        'domain.pddl': 'dfeaa42f00796c0aea9dd99e79166f60'
+                       'f58ace4caf9df34bcb86d30498ea0644',
+        'problem.pddl': '6aec4b8db3d9040da6ee0849a8cc5dba'
+                        '297ba12ddfc132e3f6e90eb3c71d2562',
+        'fluents.map': 'bdbb799bbecbf17cfbf8ed37df406f10'
+                       'bb4257a3aa6b80da5824d4c7d7ec7fc5',
+        'compile-report.json': 'a5a675655b22e0c645a4de64cf1670eb'
+                               'b77c3e9fe9084c936cdc0365643ddcc3',
     },
     ('misc', 'coin.pdkbddl'): {
         'domain.pddl': '5876efdb2a2206c6e06b60d40b1eabf0'
