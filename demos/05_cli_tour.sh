@@ -16,6 +16,11 @@ python3 -m pdkb.cli solve benchmarks/envelope/envelope.pdkbddl --out "$OUT"
 cat "$OUT/plan.txt"
 
 echo
+echo '== validate --plan: the plan file solve wrote, read back =='
+python3 -m pdkb.cli validate benchmarks/envelope/envelope.pdkbddl \
+    --plan "$OUT/plan.txt" > /dev/null && echo 'exit 0: StrongValid'
+
+echo
 echo '== solve (FOND): AND-OR search, written policy, semantic verification =='
 python3 -m pdkb.cli solve benchmarks/misc/lossy-3ag-2l.pdkbddl --out "$OUT"
 grep '"classification"' "$OUT/policy.json"

@@ -47,17 +47,19 @@ def _flavor(value):
     return value
 
 
-# config keys with typed values: parser and what the value must be
+# every config key: its parser and what the value must be
 _CONFIG_TYPES = {'depth': (int, 'an integer'),
                  'max_states': (int, 'an integer'),
                  'timeout': (float, 'a number'),
-                 'flavor': (_flavor, 'classical, fond or auto')}
+                 'flavor': (_flavor, 'classical, fond or auto'),
+                 'planner_cmd': (str, 'text'),
+                 'out': (str, 'text')}
 
 
 def load_config(path):
-    """key=value config lines; '#' starts a comment. A malformed line, a
-    non-numeric depth, max_states or timeout, or an unknown flavor is an
-    input diagnostic."""
+    """key=value config lines; '#' starts a comment. A malformed line, an
+    unknown key, a non-numeric depth, max_states or timeout, or an unknown
+    flavor is an input diagnostic."""
     config = {}
     if path is None:
         return config
@@ -70,14 +72,15 @@ def load_config(path):
                 sys.exit(_diagnose('%s:%d: expected key=value'
                                    % (path, lineno)))
             key, value = (part.strip() for part in line.split('=', 1))
-            if key in _CONFIG_TYPES:
-                parse, kind = _CONFIG_TYPES[key]
-                try:
-                    value = parse(value)
-                except ValueError:
-                    sys.exit(_diagnose('%s:%d: %s must be %s, not %r'
-                                       % (path, lineno, key, kind, value)))
-            config[key] = value
+            if key not in _CONFIG_TYPES:
+                sys.exit(_diagnose('%s:%d: unknown key %r'
+                                   % (path, lineno, key)))
+            parse, kind = _CONFIG_TYPES[key]
+            try:
+                config[key] = parse(value)
+            except ValueError:
+                sys.exit(_diagnose('%s:%d: %s must be %s, not %r'
+                                   % (path, lineno, key, kind, value)))
     return config
 
 
@@ -93,10 +96,10 @@ def _effective(config, **flags):
     return merged
 
 
-def _load_problem(path, root=None, depth_override=None):
+def _load_problem(path, depth_override=None):
     """Parse and desugar, translating failures into exit-2 diagnostics."""
     try:
-        problem = desugar(parse_file(path), root=root)
+        problem = desugar(parse_file(path))
     except (ParseError, IncludeCycle, RmlSyntaxError) as exc:
         raise SystemExit(_diagnose(str(exc)))
     except SemanticError as exc:
@@ -176,8 +179,6 @@ _common = [
     click.option('--config', 'config_path', type=click.Path(exists=True),
                  default=None, help='key=value config file'),
     click.option('--depth-override', type=int, default=None),
-    click.option('--root', default=None, help='plan from this agent\'s '
-                 'perspective'),
     click.option('--out', default=None, help='output directory'),
 ]
 
@@ -192,15 +193,14 @@ def _with_common(fn):
 @click.argument('input_path', type=click.Path(exists=True))
 @click.option('--flavor', type=click.Choice(FLAVORS), default=None)
 @_with_common
-def cmd_compile(input_path, flavor, config_path, depth_override, root, out):
+def cmd_compile(input_path, flavor, config_path, depth_override, out):
     """Compile a .pdkbddl problem to classical/FOND PDDL artifacts."""
     config = _effective(load_config(config_path), flavor=flavor,
-                        depth=depth_override, root=root, out=out)
-    problem = _load_problem(input_path, config.get('root'),
-                            config.get('depth'))
-    actions, cp = _compile(problem, config.get('flavor'))
+                        depth=depth_override, out=out)
+    problem = _load_problem(input_path, config.get('depth'))
+    _, cp = _compile(problem, config.get('flavor'))
     out_dir = config.get('out') or '%s-out' % os.path.splitext(input_path)[0]
-    paths = emit_pddl(cp, out_dir, problem.domain_name, problem.problem_name)
+    emit_pddl(cp, out_dir, problem.domain_name, problem.problem_name)
     _info('compiled %s: %d fluents, %d operators (%s) -> %s'
           % (problem.problem_name, len(cp.fluents), len(cp.operators),
              cp.flavor, out_dir))
@@ -219,15 +219,14 @@ def cmd_compile(input_path, flavor, config_path, depth_override, root, out):
 @click.option('--acyclic-only', is_flag=True, default=False)
 @_with_common
 def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
-              acyclic_only, config_path, depth_override, root, out):
+              acyclic_only, config_path, depth_override, out):
     """Compile and solve; the plan is validated semantically before
     success is reported."""
     config = _effective(load_config(config_path), flavor=flavor,
                         planner_cmd=planner_cmd, timeout=timeout,
                         max_states=max_states, depth=depth_override,
-                        root=root, out=out)
-    problem = _load_problem(input_path, config.get('root'),
-                            config.get('depth'))
+                        out=out)
+    problem = _load_problem(input_path, config.get('depth'))
     actions, cp = _compile(problem, config.get('flavor'))
     out_dir = config.get('out') or '%s-out' % os.path.splitext(input_path)[0]
     os.makedirs(out_dir, exist_ok=True)
@@ -245,7 +244,7 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
         if template:
             report['solver'] = 'external'
             plan = planner_mod.solve_external(
-                cp, template, timeout=_float(config.get('timeout')),
+                cp, template, timeout=config.get('timeout'),
                 domain_name=problem.domain_name,
                 problem_name=problem.problem_name)
             policy = None
@@ -352,35 +351,30 @@ def _search_counts(stats):
     return counts
 
 
-def _float(value):
-    return None if value is None else float(value)
-
-
 @main.command('validate')
 @click.argument('input_path', type=click.Path(exists=True))
 @click.option('--plan', 'plan_path', type=click.Path(exists=True),
               default=None, help='plan file overriding the (:plan) block')
 @_with_common
-def cmd_validate(input_path, plan_path, config_path, depth_override, root,
-                 out):
+def cmd_validate(input_path, plan_path, config_path, depth_override, out):
     """Assess a plan against the goal by semantic progression."""
     config = _effective(load_config(config_path), depth=depth_override,
-                        root=root, out=out)
-    problem = _load_problem(input_path, config.get('root'),
-                            config.get('depth'))
+                        out=out)
+    problem = _load_problem(input_path, config.get('depth'))
+    actions = ground(problem)
     plan = None
     if plan_path is not None:
-        plan = []
         with open(plan_path, encoding='utf-8') as handle:
-            for raw in handle:
-                line = raw.split(';', 1)[0].strip().strip('()')
-                if line:
-                    plan.append(tuple(line.lower().split()))
+            try:
+                plan = planner_mod.parse_plan_file(handle.read(), actions)
+            except planner_mod.PlanParseError as exc:
+                sys.exit(_diagnose('%s: %s' % (plan_path, exc)))
     elif problem.plan is None:
         sys.exit(_diagnose('assessment requires a (:plan ...) block or '
                            '--plan file'))
     try:
-        result = validator_mod.assess_plan(problem, plan=plan)
+        result = validator_mod.assess_plan(problem, plan=plan,
+                                           ground_actions=actions)
     except validator_mod.UnknownAction as exc:
         sys.exit(_diagnose(str(exc)))
     except planner_mod.ResourceLimit as exc:

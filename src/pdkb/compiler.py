@@ -486,6 +486,12 @@ def fluent_symbol(rml):
     return '_'.join(parts)
 
 
+def operator_symbol(op):
+    """PDDL action name of an operator or ground action: its name and
+    arguments joined by ``__``; plan files are read back through it."""
+    return '__'.join((op.name,) + op.args)
+
+
 class _ConditionText(dict):
     """Each distinct condition's sort key and PDDL text, made once per emit.
 
@@ -554,9 +560,7 @@ def emit_domain(cp, domain_name):
         lines.append('    (%s)' % fluent_symbol(f))
     lines.append('  )')
     for op in cp.operators:
-        opname = op.name if not op.args else \
-            '%s__%s' % (op.name, '__'.join(op.args))
-        lines.append('  (:action %s' % opname)
+        lines.append('  (:action %s' % operator_symbol(op))
         lines.append('    :parameters ()')
         lines.append('    :precondition %s' % conditions[op.precondition][1])
         if cp.flavor == FOND and len(op.outcomes) > 1:

@@ -131,17 +131,16 @@ class GroundAction:
 class RPMEPProblem:
     """A ground-able planning problem over nested-belief fluents."""
 
-    __slots__ = ('domain_name', 'problem_name', 'agents', 'root', 'types',
+    __slots__ = ('domain_name', 'problem_name', 'agents', 'types',
                  'objects', 'predicates', 'schemas', 'initial', 'goal_pos',
                  'goal_neg', 'depth', 'task', 'plan', 'warnings')
 
     def __init__(self, domain_name, problem_name, agents, types, objects,
                  predicates, schemas, initial, goal_pos, goal_neg, depth,
-                 task, plan=None, root=None, warnings=()):
+                 task, plan=None, warnings=()):
         self.domain_name = domain_name
         self.problem_name = problem_name
         self.agents = tuple(agents)
-        self.root = root
         self.types = tuple(types)
         # objects: tuple of (name, type); agents are implicitly objects of
         # type 'agent'

@@ -13,9 +13,9 @@ source. Symbols are case-insensitive and normalized to lower case.
 import os
 import re
 
-from .model import (AGENT_VAR, ALWAYS, ASSESSMENT, GENERATION, NEVER,
-                    Diagnostic, EffectTemplate, EpistemicActionSchema,
-                    RPMEPProblem)
+from .model import (ALWAYS, ASSESSMENT, GENERATION, NEVER, Diagnostic,
+                    EffectTemplate, EpistemicActionSchema, RPMEPProblem,
+                    _bindings, subst_rml)
 from .rml import BELIEF, POSSIBLE, Proposition, RML
 
 
@@ -238,6 +238,13 @@ def _sym(node, what='symbol'):
     return node.value
 
 
+def _field(tree, i, what):
+    """The symbol ``tree[i]``; a missing one is an error at the tree."""
+    if i >= len(tree):
+        raise ParseError('expected %s' % what, _pos(tree))
+    return _sym(tree[i], what)
+
+
 def _pos(node):
     if isinstance(node, Token):
         return node.pos
@@ -254,7 +261,10 @@ def _typed_list(nodes, default_type):
     for node in it:
         word = _sym(node, 'name or -')
         if word == '-':
-            typ = _sym(next(it, None), 'type name')
+            typ = next(it, None)
+            if typ is None:
+                raise ParseError('expected type name', node.pos)
+            typ = _sym(typ, 'type name')
             out.extend((name, typ) for name in pending)
             pending = []
         else:
@@ -313,71 +323,90 @@ def _attach_modals(items):
     return out
 
 
-def _parse_formula(node, modalities=()):
-    """Flatten a formula into literals; `and` and stacked modalities only.
+def _walk(node, effect=False, mods=(), quant=(), cond_pos=(), cond_neg=()):
+    """Flatten a formula into (quantifiers, when_pos, when_neg, literal)
+    tuples.
 
-    Returns a list of (_Literal, quantifier prefix) pairs; quantifiers are
-    (var, type) tuples from enclosing foralls.
+    Handles ``and``, ``forall ?v [- type]``, ``not``, stacked belief
+    markers and, in an effect outside any belief marker or ``not``,
+    ``(when C E)``: C's literals join the when-conditions of E's literals.
+    Quantifiers are (variable, type) pairs, outermost first; anywhere else
+    ``when`` reads as an atom.
     """
     if isinstance(node, Token):
         if node.kind == 'modal':
             raise ParseError('belief marker must prefix a formula', node.pos)
-        raise ParseError('expected a formula', node.pos)
+        raise ParseError('expected an effect formula' if effect
+                         else 'expected a formula', node.pos)
     items = list(node)
-    mods = list(modalities)
     while items and isinstance(items[0], Token) and items[0].kind == 'modal':
-        mods.append(items[0].value)
+        mods += (items[0].value,)
+        effect = False
         items = items[1:]
-    if len(items) == 1 and isinstance(items[0], list):
-        return _parse_formula(items[0], tuple(mods))
     if not items:
         raise ParseError('empty formula', _pos(node))
     head = items[0]
-    if isinstance(head, Token) and head.kind == 'sym':
-        if head.value == 'and':
-            out = []
-            for child in _attach_modals(items[1:]):
-                out.extend(_parse_formula(child, tuple(mods)))
-            return out
-        if head.value == 'forall':
-            var = _sym(items[1], 'quantified variable')
-            rest = items[2:]
-            typ = 'agent'
-            if rest and isinstance(rest[0], Token) and rest[0].value == '-':
-                typ = _sym(rest[1], 'type name')
-                rest = rest[2:]
-            out = []
-            for child in _attach_modals(rest):
-                for literal, quant in _parse_formula(child, tuple(mods)):
-                    out.append((literal, ((var, typ),) + quant))
-            return out
-        if head.value == 'not':
-            args = _attach_modals(items[1:])
-            if len(args) != 1:
-                raise ParseError('(not ...) takes one formula', head.pos)
-            inner = _parse_formula(args[0], tuple(mods))
-            out = []
-            for literal, quant in inner:
-                if literal.negated_outer:
-                    raise ParseError('nested (not (not ...))', head.pos)
-                out.append((_Literal(literal.rml, True), quant))
-            return out
-        # plain atom
-        negated, atom = _atom_template(items)
-        rml = RML(tuple(mods), negated, atom)
-        return [(_Literal(rml, False), ())]
-    # a bare nested list, e.g. ((p))
-    if len(items) == 1:
-        return _parse_formula(items[0], tuple(mods))
-    raise ParseError('cannot parse formula', _pos(node))
+    word = head.value if isinstance(head, Token) and head.kind == 'sym' \
+        else None
+    if word is None:
+        # a bare nested list, e.g. ((p))
+        if len(items) == 1:
+            return _walk(head, effect, mods, quant, cond_pos, cond_neg)
+        raise ParseError('cannot parse formula', _pos(node))
+    if word == 'and':
+        return [t for child in _attach_modals(items[1:])
+                for t in _walk(child, effect, mods, quant, cond_pos,
+                               cond_neg)]
+    if word == 'forall':
+        var = _field(items, 1, 'quantified variable')
+        rest = items[2:]
+        typ = 'agent'
+        if rest and isinstance(rest[0], Token) and rest[0].value == '-':
+            typ = _field(rest, 1, 'type name')
+            rest = rest[2:]
+        quant += ((var, typ),)
+        return [t for child in _attach_modals(rest)
+                for t in _walk(child, effect, mods, quant, cond_pos,
+                               cond_neg)]
+    if word == 'not':
+        args = _attach_modals(items[1:])
+        if len(args) != 1:
+            raise ParseError('(not ...) takes one formula', head.pos)
+        out = []
+        for q, pos, neg, literal in _walk(args[0], False, mods, quant,
+                                          cond_pos, cond_neg):
+            if literal.negated_outer:
+                raise ParseError('nested (not (not ...))', head.pos)
+            out.append((q, pos, neg, _Literal(literal.rml, True)))
+        return out
+    if word == 'when' and effect:
+        args = _attach_modals(items[1:])
+        if len(args) != 2:
+            raise ParseError('(when cond effect)', head.pos)
+        pos, neg = _condition(args[0], 'when conditions', head.pos)
+        return _walk(args[1], True, mods, quant, cond_pos + tuple(pos),
+                     cond_neg + tuple(neg))
+    negated, atom = _atom_template(items)
+    return [(quant, cond_pos, cond_neg,
+             _Literal(RML(mods, negated, atom), False))]
 
 
-def _section_map(body, pos, allowed_multi=()):
+def _condition(node, where, pos):
+    """(positive, negative) RML templates of a formula without forall."""
+    pos_rmls, neg_rmls = [], []
+    for quant, _, _, literal in _walk(node):
+        if quant:
+            raise ParseError('forall not allowed in %s' % where, pos)
+        (neg_rmls if literal.negated_outer else pos_rmls).append(literal.rml)
+    return pos_rmls, neg_rmls
+
+
+def _section_map(body, allowed_multi=()):
     """Group (:key ...) children of a define body."""
     sections = {}
     for item in body:
         if not isinstance(item, list) or not item \
-                or not isinstance(item[0], Token) \
+                or not isinstance(item[0], Token) or item[0].kind != 'sym' \
                 or not item[0].value.startswith(':'):
             raise ParseError('expected a (:section ...)', _pos(item))
         key = item[0].value
@@ -388,19 +417,26 @@ def _section_map(body, pos, allowed_multi=()):
 
 
 _KNOWN_DOMAIN = {':agents', ':types', ':constants', ':predicates', ':action'}
+_KNOWN_ACTION = {':parameters', ':precondition', ':effect',
+                 ':derive-condition'}
 _KNOWN_PROBLEM = {':domain', ':objects', ':projection', ':task', ':init-type',
                   ':init', ':goal', ':plan', ':depth'}
 
 
 def _parse_action(tree):
-    name = _sym(tree[1], 'action name')
+    name = _field(tree, 1, 'action name')
     fields = {}
     it = iter(tree[2:])
     for node in it:
         key = _sym(node, 'action field')
-        if not key.startswith(':'):
-            raise ParseError('expected :field in action %s' % name, node.pos)
+        if key not in _KNOWN_ACTION:
+            raise ParseError('unknown field %s in action %s' % (key, name),
+                             node.pos)
+        if key in fields:
+            raise ParseError('duplicate %s' % key, node.pos)
         fields[key] = next(it, None)
+        if fields[key] is None:
+            raise ParseError('%s has no value' % key, node.pos)
     derive = fields.get(':derive-condition')
     if derive is None:
         derive_condition = NEVER
@@ -419,11 +455,8 @@ def _parse_action(tree):
     parameters = _typed_list(fields.get(':parameters') or [], 'object')
     pre_pos, pre_neg = [], []
     if fields.get(':precondition') is not None:
-        for literal, quant in _parse_formula(fields[':precondition']):
-            if quant:
-                raise ParseError('forall not allowed in preconditions',
-                                 _pos(tree))
-            (pre_neg if literal.negated_outer else pre_pos).append(literal.rml)
+        pre_pos, pre_neg = _condition(fields[':precondition'],
+                                      'preconditions', _pos(tree))
     outcomes_raw = [[]]
     effect = fields.get(':effect')
     if effect is not None:
@@ -431,64 +464,11 @@ def _parse_action(tree):
         if isinstance(effect, list) and effect \
                 and isinstance(effect[0], Token) and effect[0].value == 'oneof':
             branches = _attach_modals(effect[1:])
-        outcomes_raw = [_parse_effect_branch(b) for b in branches]
+        outcomes_raw = [_walk(b, effect=True) for b in branches]
     return name, parameters, pre_pos, pre_neg, derive_condition, outcomes_raw
 
 
-def _parse_effect_branch(node):
-    """One deterministic outcome: a list of EffectTemplate precursors
-    (quantifiers, when-conditions, literal)."""
-    out = []
-
-    def walk(tree, quant, cond_pos, cond_neg):
-        if isinstance(tree, Token):
-            raise ParseError('expected an effect formula', tree.pos)
-        items = list(tree)
-        head = items[0] if items else None
-        if isinstance(head, Token) and head.kind == 'sym':
-            if head.value == 'and':
-                for child in _attach_modals(items[1:]):
-                    walk(child, quant, cond_pos, cond_neg)
-                return
-            if head.value == 'forall':
-                var = _sym(items[1], 'quantified variable')
-                rest = items[2:]
-                typ = 'agent'
-                if rest and isinstance(rest[0], Token) \
-                        and rest[0].value == '-':
-                    typ = _sym(rest[1], 'type name')
-                    rest = rest[2:]
-                for child in _attach_modals(rest):
-                    walk(child, quant + ((var, typ),), cond_pos, cond_neg)
-                return
-            if head.value == 'when':
-                args = _attach_modals(items[1:])
-                if len(args) != 2:
-                    raise ParseError('(when cond effect)', head.pos)
-                pos_extra, neg_extra = [], []
-                for literal, q in _parse_formula(args[0]):
-                    if q:
-                        raise ParseError('forall not allowed in when '
-                                         'conditions', head.pos)
-                    (neg_extra if literal.negated_outer
-                     else pos_extra).append(literal.rml)
-                walk(args[1], quant, cond_pos + tuple(pos_extra),
-                     cond_neg + tuple(neg_extra))
-                return
-        for literal, q in _parse_formula(tree):
-            out.append((quant + q, cond_pos, cond_neg, literal))
-
-    walk(node, (), (), ())
-    return out
-
-
-def _default_arg_types(params):
-    """Predicate declaration argument types: explicit `- type` or inferred
-    from the variable name (?agent... means agent)."""
-    return tuple(t for _, t in params)
-
-
-def desugar(ast, root=None):
+def desugar(ast):
     """Lower a parsed source to an RPMEPProblem.
 
     Raises SemanticError when structural errors are found; parse-and-ignore
@@ -498,10 +478,8 @@ def desugar(ast, root=None):
     domain_tree = None
     problem_tree = None
     for unit in ast.units:
-        kind = _sym(unit[1][0] if isinstance(unit[1], list) else unit[1],
-                    'define kind') if len(unit) > 1 else ''
-        header = unit[1]
-        if not isinstance(header, list):
+        header = unit[1] if len(unit) > 1 else None
+        if not isinstance(header, list) or not header:
             raise ParseError('expected (domain name) or (problem name)',
                              _pos(unit))
         kind = _sym(header[0], 'define kind')
@@ -515,9 +493,8 @@ def desugar(ast, root=None):
         raise SemanticError([Diagnostic('error', 'input',
                                         'no (define (domain ...)) found')])
 
-    domain_name = _sym(domain_tree[1][1], 'domain name')
-    sections = _section_map(domain_tree[2:], _pos(domain_tree),
-                            allowed_multi=(':action',))
+    domain_name = _field(domain_tree[1], 1, 'domain name')
+    sections = _section_map(domain_tree[2:], allowed_multi=(':action',))
     for key in sections:
         if key not in _KNOWN_DOMAIN:
             raise ParseError('unknown domain section %s' % key,
@@ -537,12 +514,12 @@ def desugar(ast, root=None):
             ak = True
             idx += 1
             node = pred_section[idx] if idx < len(pred_section) else None
-        if not isinstance(node, list):
+        if not isinstance(node, list) or not node:
             raise ParseError('expected (predicate ...) declaration',
                              _pos(node) if node else _pos(domain_tree))
         name = _sym(node[0], 'predicate name')
         params = _typed_list(node[1:], 'object')
-        predicates[name] = (_default_arg_types(params), ak)
+        predicates[name] = (tuple(t for _, t in params), ak)
         idx += 1
 
     schemas = []
@@ -554,7 +531,8 @@ def desugar(ast, root=None):
             templates = []
             for quant, cond_pos, cond_neg, literal in branch:
                 templates.append(_lower_effect(predicates, quant, cond_pos,
-                                               cond_neg, literal))
+                                               cond_neg, literal,
+                                               _pos(action_tree)))
             outcomes.append(tuple(templates))
         pre_pos, pre_neg = _lower_condition(predicates, pre_pos, pre_neg)
         schemas.append(EpistemicActionSchema(
@@ -566,17 +544,17 @@ def desugar(ast, root=None):
     depth = 1
     task = GENERATION
     plan = None
-    initial = []
+    initial = ()
     goal_pos, goal_neg = (), ()
     if problem_tree is not None:
-        problem_name = _sym(problem_tree[1][1], 'problem name')
-        psections = _section_map(problem_tree[2:], _pos(problem_tree))
+        problem_name = _field(problem_tree[1], 1, 'problem name')
+        psections = _section_map(problem_tree[2:])
         for key in psections:
             if key not in _KNOWN_PROBLEM:
                 raise ParseError('unknown problem section %s' % key,
                                  _pos(psections[key][0]))
         if ':domain' in psections:
-            declared = _sym(psections[':domain'][0][1], 'domain name')
+            declared = _field(psections[':domain'][0], 1, 'domain name')
             if declared != domain_name:
                 warnings.append(Diagnostic(
                     'warning', 'problem',
@@ -586,14 +564,19 @@ def desugar(ast, root=None):
             objects = tuple(_typed_list(psections[':objects'][0][1:],
                                         'object'))
         if ':depth' in psections:
-            depth = int(_sym(psections[':depth'][0][1], 'depth'))
+            word = _field(psections[':depth'][0], 1, 'depth')
+            try:
+                depth = int(word)
+            except ValueError:
+                raise ParseError('depth must be an integer, not %s' % word,
+                                 _pos(psections[':depth'][0][1]))
         if ':task' in psections:
-            task = _sym(psections[':task'][0][1], 'task')
+            task = _field(psections[':task'][0], 1, 'task')
             if task not in (GENERATION, ASSESSMENT):
                 raise ParseError('unknown task %s' % task,
                                  _pos(psections[':task'][0]))
         if ':init-type' in psections:
-            init_type = _sym(psections[':init-type'][0][1], 'init type')
+            init_type = _field(psections[':init-type'][0], 1, 'init type')
             if init_type != 'complete':
                 raise SemanticError([Diagnostic(
                     'error', 'problem',
@@ -613,8 +596,8 @@ def desugar(ast, root=None):
                               objects, predicates, (), (), (), (), depth,
                               task)
         if ':init' in psections:
-            initial = _expand_ground(helper, psections[':init'][0][1:],
-                                    allow_negative=False)
+            initial = tuple(r for _, r in _expand_ground(
+                helper, psections[':init'][0][1:], allow_negative=False))
         if ':goal' in psections:
             goal_literals = _expand_ground(helper, psections[':goal'][0][1:],
                                            allow_negative=True)
@@ -622,14 +605,10 @@ def desugar(ast, root=None):
                 predicates,
                 [r for neg, r in goal_literals if not neg],
                 [r for neg, r in goal_literals if neg])
-        else:
-            goal_pos, goal_neg = (), ()
-        if ':init' in psections:
-            initial = tuple(r for _, r in initial)
 
     return RPMEPProblem(domain_name, problem_name, agents, types, objects,
                         predicates, schemas, initial, goal_pos, goal_neg,
-                        depth, task, plan=plan, root=root, warnings=warnings)
+                        depth, task, plan=plan, warnings=warnings)
 
 
 def _lower_condition(predicates, pos_literals, neg_literals):
@@ -651,7 +630,7 @@ def _lower_condition(predicates, pos_literals, neg_literals):
     return tuple(pos), tuple(neg)
 
 
-def _lower_effect(predicates, quant, cond_pos, cond_neg, literal):
+def _lower_effect(predicates, quant, cond_pos, cond_neg, literal, pos):
     cond_pos, cond_neg = _lower_condition(predicates, cond_pos, cond_neg)
     rml = literal.rml
     delete = literal.negated_outer
@@ -661,12 +640,9 @@ def _lower_effect(predicates, quant, cond_pos, cond_neg, literal):
         if rml.negated:
             if delete:
                 raise ParseError('(not (!%s)) is not a valid effect'
-                                 % rml.atom.predicate)
+                                 % rml.atom.predicate, pos)
             delete = True
             rml = RML((), False, rml.atom)
-    elif delete:
-        # (not phi) on a regular RML erases phi
-        pass
     return EffectTemplate(rml, cond_pos, cond_neg, quantified=quant,
                           delete=delete)
 
@@ -675,9 +651,8 @@ def _expand_ground(problem, nodes, allow_negative):
     """Expand init/goal formulas (foralls over declared sets) to ground
     literals; returns (negated_outer, RML) pairs."""
     out = []
-    from .model import subst_rml, _bindings
     for node in _attach_modals(nodes):
-        for literal, quant in _parse_formula(node):
+        for quant, _, _, literal in _walk(node):
             for binding in _bindings(problem, quant):
                 rml = subst_rml(literal.rml, binding)
                 if literal.negated_outer and not allow_negative:

@@ -46,7 +46,7 @@ records each state's parent state only, and recovers the operator
 at plan reconstruction by expanding the parent again.
 
 RML frozensets remain at the edges: parsing, emission, the frozenset
-``step``/``apply`` (which pack, step and decode), the state
+``apply`` (which packs, steps and decodes), the state
 ``validate_plan`` returns and the states of a returned
 ``Policy.mapping``.
 """
@@ -57,7 +57,7 @@ import subprocess
 import tempfile
 from collections import deque, namedtuple
 
-from .compiler import emit_domain, emit_problem
+from .compiler import emit_domain, emit_problem, operator_symbol
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -227,22 +227,20 @@ def expander(ops):
 
 
 def applicable(state, op):
+    """Whether an operator applies at a frozenset state. The benchmark's
+    policy replay still steps frozensets; this goes once that replay runs
+    on packed states (ROADMAP items 1 and 2)."""
     return op.precondition.satisfied(state)
 
 
-def step(state, op, outcome_index=0):
-    """Successor of a frozenset state, without checking the precondition,
-    by the packed rule."""
+def apply(state, op, outcome_index=0):
+    """Successor of a frozenset state under an applicable operator, by the
+    packed rule. It goes with ``applicable`` (ROADMAP items 1 and 2)."""
+    if not applicable(state, op):
+        raise PreconditionViolated('%s not applicable' % op.label)
     packing = Packing((), (op,), (state,))
     outcome = packing.operators[0].outcomes[outcome_index]
     return packing.decode(successor(packing.encode(state), outcome))
-
-
-def apply(state, op, outcome_index=0):
-    """Successor state of an applicable operator."""
-    if not applicable(state, op):
-        raise PreconditionViolated('%s not applicable' % op.label)
-    return step(state, op, outcome_index)
 
 
 class Policy:
@@ -435,15 +433,11 @@ def solve_andor(cp, max_states=DEFAULT_STATE_CAP, acyclic_only=False,
 _PLAN_LINE = re.compile(r'^\(\s*([^\s()]+)((?:\s+[^\s()]+)*)\s*\)$')
 
 
-def _operator_symbol(op):
-    if op.args:
-        return '%s__%s' % (op.name, '__'.join(op.args))
-    return op.name
-
-
 def parse_plan_file(text, operators):
-    """Decode an external planner's plan file into operators."""
-    by_symbol = {_operator_symbol(op).lower(): op for op in operators}
+    """Decode a plan file into ``operators`` (compiled operators or ground
+    actions): one ``(name arg ...)`` or ``(name__arg__...)`` step per line,
+    ``;`` starting a comment."""
+    by_symbol = {operator_symbol(op).lower(): op for op in operators}
     by_parts = {(op.name,) + op.args: op for op in operators}
     plan = []
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -201,23 +201,10 @@ def assess_plan(problem, plan=None, ground_actions=None,
 
 
 def state_key(state):
-    """Policy lookup key of a PEKB state: its closure's RML set."""
+    """Policy lookup key of a PEKB state: its closure's RML set. The
+    benchmark still keys its policies by it; it goes with the frozenset
+    step layer (ROADMAP items 1 and 2)."""
     return closure(state).rmls
-
-
-def plan_policy(problem, plan=None, ground_actions=None):
-    """The policy a deterministic plan induces along its own trajectory."""
-    actions = resolve_plan(problem, plan, ground_actions)
-    state = closure(PEKB(problem.initial))
-    mapping = {}
-    for action in actions:
-        mapping[state.rmls] = action
-        nexts = successors(state, action, problem.depth, problem.is_ak)
-        if len(nexts) != 1:
-            raise UnknownAction('plan-induced policies need deterministic '
-                                'actions')
-        state = nexts[0]
-    return mapping
 
 
 def verify_policy(problem, policy, ground_actions=None,

@@ -190,6 +190,7 @@ def test_malformed_belief_base_line_is_a_diagnostic(tmp_path, command):
     ('max_states=lots', "max_states must be an integer, not 'lots'"),
     ('timeout=abc', "timeout must be a number, not 'abc'"),
     ('flavor=bogus', "flavor must be classical, fond or auto, not 'bogus'"),
+    ('root=a', "unknown key 'root'"),
 ])
 def test_config_file_errors_are_diagnostics(tmp_path, line, message):
     config = tmp_path / 'solve.cfg'
@@ -212,3 +213,106 @@ def test_config_file_numbers_reach_the_solver(tmp_path):
     assert result.exit_code == EXIT_UNSOLVABLE
     with open(tmp_path / 'solve-report.json', encoding='utf-8') as handle:
         assert 'state cap' in json.load(handle)['error']
+
+
+def test_config_file_names_the_output_directory(tmp_path):
+    config = tmp_path / 'compile.cfg'
+    config.write_text('out = %s\nplanner_cmd = true\n' % (tmp_path / 'o'),
+                      encoding='utf-8')
+    result = CliRunner().invoke(main, [
+        'compile', os.path.join(BENCH, 'misc', 'coin.pdkbddl'),
+        '--config', str(config)])
+    assert result.exit_code == EXIT_OK
+    assert (tmp_path / 'o' / 'domain.pddl').exists()
+
+
+def test_solve_has_no_root_option(tmp_path):
+    result = CliRunner().invoke(main, [
+        'solve', os.path.join(BENCH, 'envelope', 'envelope.pdkbddl'),
+        '--root', 'a', '--out', str(tmp_path)])
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert 'no such option' in result.output.lower()
+
+
+@pytest.mark.parametrize('text, position, message', [
+    ('(define)', (1, 1), 'expected (domain name) or (problem name)'),
+    ('(define (domain))', (1, 9), 'expected domain name'),
+    ('(define (domain x) (:action))', (1, 20), 'expected action name'),
+    ('(define (domain x)) (define (problem))', (1, 29),
+     'expected problem name'),
+    ('(define (domain x) (:predicates (p))\n'
+     '  (:action a :effect (forall)))', (2, 22),
+     'expected quantified variable'),
+    ('(define (domain x)) (define (problem p) (:objects a -))', (1, 52),
+     'expected type name'),
+    ('(define (domain x)) (define (problem p) (:depth two))', (1, 48),
+     'depth must be an integer, not two'),
+    ('(define (domain x) ([a] p))', (1, 20), 'expected a (:section ...)'),
+    ('(define (domain x) (:predicates {AK}(k))\n'
+     '  (:action a :effect (not (!k))))', (2, 3),
+     '(not (!k)) is not a valid effect'),
+    ('(define (domain x) (:action a :efect (p)))', (1, 30),
+     'unknown field :efect in action a'),
+    ('(define (domain x) (:action a :effect (p) :effect (q)))', (1, 42),
+     'duplicate :effect'),
+    ('(define (domain x) (:action a :effect))', (1, 30),
+     ':effect has no value'),
+])
+def test_malformed_input_is_a_positioned_diagnostic(tmp_path, text,
+                                                    position, message):
+    path = tmp_path / 'bad.pdkbddl'
+    path.write_text(text + '\n', encoding='utf-8')
+    result = CliRunner().invoke(main, ['compile', str(path),
+                                       '--out', str(tmp_path / 'out')])
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert isinstance(result.exception, SystemExit)
+    assert _last_line(result) == 'error: %s:%d:%d: %s' % (
+        (path,) + position + (message,))
+
+
+# ---------------------------------------------------------------------------
+# plan files: validate --plan reads what solve writes and what an external
+# planner writes
+
+
+ENVELOPE = os.path.join(BENCH, 'envelope', 'envelope.pdkbddl')
+
+
+def _validate_plan(tmp_path, text):
+    plan = tmp_path / 'plan.txt'
+    plan.write_text(text, encoding='utf-8')
+    return CliRunner().invoke(main, ['validate', ENVELOPE,
+                                     '--plan', str(plan)]), str(plan)
+
+
+def test_validate_reads_the_plan_that_solve_wrote(tmp_path):
+    out = tmp_path / 'out'
+    solved = CliRunner().invoke(main, ['solve', ENVELOPE, '--out', str(out)])
+    assert solved.exit_code == EXIT_OK
+    result = CliRunner().invoke(main, ['validate', ENVELOPE, '--plan',
+                                       str(out / 'plan.txt')])
+    assert result.exit_code == EXIT_OK
+    assert _last_line(result) == 'verdict: StrongValid'
+
+
+@pytest.mark.parametrize('text', [
+    '(check__bob)\n(check__alice)\n',
+    '; written by hand\n(CHECK bob)   ; the first look\n\n(check alice)\n',
+])
+def test_validate_reads_both_plan_forms(tmp_path, text):
+    result, _ = _validate_plan(tmp_path, text)
+    assert result.exit_code == EXIT_OK
+    assert _last_line(result) == 'verdict: StrongValid'
+
+
+@pytest.mark.parametrize('text, line', [
+    ('(check bob)\n; aside\n(teleport bob)\n', 3),
+    ('(check__carol)\n', 1),
+    ('check bob\n', 1),
+])
+def test_validate_names_the_bad_plan_line(tmp_path, text, line):
+    result, plan = _validate_plan(tmp_path, text)
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert isinstance(result.exception, SystemExit)
+    assert _last_line(result).startswith('error: %s: line %d: '
+                                         % (plan, line))

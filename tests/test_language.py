@@ -1,5 +1,7 @@
 """Parser and problem-model behavior on the benchmark corpus."""
 
+import hashlib
+import importlib.util
 import os
 
 import pytest
@@ -8,7 +10,7 @@ from pdkb.model import ALWAYS, GroundingReport, ground, validate_model
 from pdkb.parser import (IncludeCycle, ParseError, SemanticError, desugar,
                          parse_file, parse_text, pretty_print)
 from pdkb.pekb import PEKB, closure
-from pdkb.rml import lit, parse_rml
+from pdkb.rml import format_rml, lit, parse_rml
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -170,6 +172,110 @@ def test_grounding_is_deterministic():
     prob = load('grapevine', 'prob-4ag-2g-2d.pdkbddl')
     labels = [a.label for a in ground(prob)]
     assert labels == [a.label for a in ground(prob)]
+
+
+def _ground_digest(prob):
+    """sha256 over every ground action (name, args, preconditions,
+    awareness and each outcome's effects in order), then the initial state
+    and the goal."""
+    def rmls(items):
+        return sorted(format_rml(r) for r in items)
+
+    digest = hashlib.sha256()
+    for a in ground(prob):
+        awareness = sorted((agent, cond if isinstance(cond, str)
+                            else format_rml(cond))
+                           for agent, cond in a.awareness.items())
+        outcomes = [[(rmls(ce.condition_pos), rmls(ce.condition_neg),
+                      format_rml(ce.effect), ce.delete) for ce in outcome]
+                    for outcome in a.outcomes]
+        digest.update(repr((a.name, a.args, rmls(a.precondition_pos),
+                            rmls(a.precondition_neg), awareness,
+                            outcomes)).encode())
+        digest.update(b'\n')
+    digest.update(repr((rmls(prob.initial), rmls(prob.goal_pos),
+                        rmls(prob.goal_neg))).encode())
+    return digest.hexdigest()
+
+
+def _lossy_gossip_texts():
+    """name -> text of the generated lossy-gossip problems of seeds 1-3."""
+    spec = importlib.util.spec_from_file_location(
+        'lossy_gossip', os.path.join(HERE, '..', 'perfbench',
+                                     'lossy_gossip.py'))
+    lossy_gossip = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lossy_gossip)
+    return {'seed%d-%s' % (seed, name): text for seed in (1, 2, 3)
+            for name, text in lossy_gossip.generate(seed)}
+
+
+_LOSSY_GOSSIP = _lossy_gossip_texts()
+
+# every problem under benchmarks/ and the generated lossy-gossip problems;
+# envelope-reversed differs from envelope in its plan alone
+GROUND_DIGESTS = {
+    'envelope/envelope-reversed.pdkbddl':
+        '6ce22b123884defcbfaaaa4f98e4ea30a841eed67016f53f8b0cb72befc2b1dc',
+    'envelope/envelope.pdkbddl':
+        '6ce22b123884defcbfaaaa4f98e4ea30a841eed67016f53f8b0cb72befc2b1dc',
+    'grapevine/prob-4ag-2g-1d.pdkbddl':
+        '0f6bbd5c8eb023db55e67f7d76e7c8a6ad5282b356219f45e84bcecdb039cef0',
+    'grapevine/prob-4ag-2g-2d.pdkbddl':
+        '2a37a2d7b8524e9b03ebc5c4ab0e415e7bb5dc62335cf6ec17c64c66426b90e2',
+    'grapevine/prob-4ag-4g-1d.pdkbddl':
+        '7d5315871ba1384ad9d200024a78cf027c00d9ead4454c15829b9580f1629553',
+    'grapevine/prob-4ag-8g-1d.pdkbddl':
+        'ece100cfeea603be82d403c840b187bd72097bd3fddf4bb3312f4570ac93195b',
+    'misc/ask.pdkbddl':
+        '9f5401f484d204aceffe0b5e771d8c01f54e1093aeffc3f3dba93bf3b10e3406',
+    'misc/coin.pdkbddl':
+        '4be0c82fdb22ee667788e180ee7f8ee62074aa46182d3f30a27a8740270205db',
+    'misc/lossy-3ag-2l.pdkbddl':
+        '0c2edc90e3d04104fd49ff8daccfead2d81e825708ddd669c30ad7654bf978f8',
+    'misc/lossy-4ag-3l.pdkbddl':
+        'b8e0ea53fac23a1364a55c74fda94a43f39315931f2327382d870f922990e2f3',
+    'misc/negation-removal.pdkbddl':
+        'db59a50c751ae7ea3405e7609452b507145deab635b776a6c74377e147ab7c6f',
+    'misc/unsolvable.pdkbddl':
+        '9de30b6540bcd06c1b5f9555bb5fddb66a135e76a7df0f9e5997d8b7ab0fc798',
+    'seed1-lossy-3ag-2l':
+        '0c2edc90e3d04104fd49ff8daccfead2d81e825708ddd669c30ad7654bf978f8',
+    'seed1-lossy-3ag-3l':
+        'f7af16cfed93bc9fd33ebc7d6a3d51e33152112b0b41a5d73bb849f0bff84363',
+    'seed1-lossy-3ag-4l':
+        'e06f6242c11086473c07c0de87b6f5749ec8e73e9f7c2825f70eb07727479727',
+    'seed2-lossy-3ag-2l':
+        'e719de29ea026372044a5813cd12e000499cd3473e9b70af6b59592022be5b5e',
+    'seed2-lossy-3ag-3l':
+        '2bc46694332da79b0c048dcaa1d36e17adaebec225e3f73382e50f0a7cc96927',
+    'seed2-lossy-3ag-4l':
+        'f765cde79f681ad7a8e1724928884fac1a8ce586b14d3d3c03a55dffc092a080',
+    'seed3-lossy-3ag-2l':
+        'fdd4097d97dd9669661e8df5d9eb27ab12e15d44a2383d7d2b36546acfa3a2bc',
+    'seed3-lossy-3ag-3l':
+        'b0608626ab5bb2e19c4aee0947e5c0df5053d409165968cf3182b88724278872',
+    'seed3-lossy-3ag-4l':
+        '04d31f417edc7aecbb8da0f3075fc35539f522431de2f355f0c4c30cbbc0a035',
+}
+
+
+def test_every_benchmark_problem_has_a_ground_digest():
+    problems = set()
+    for kind in os.listdir(BENCH):
+        for name in os.listdir(bench(kind)):
+            with open(bench(kind, name), encoding='utf-8') as handle:
+                if '(define (problem' in handle.read():
+                    problems.add('%s/%s' % (kind, name))
+    assert problems == {k for k in GROUND_DIGESTS if '/' in k}
+
+
+@pytest.mark.parametrize('name', sorted(GROUND_DIGESTS))
+def test_ground_digests_are_pinned(name):
+    if '/' in name:
+        prob = load(*name.split('/'))
+    else:
+        prob = desugar(parse_text(_LOSSY_GOSSIP[name]))
+    assert _ground_digest(prob) == GROUND_DIGESTS[name]
 
 
 def test_deep_effects_are_truncated_and_counted():

@@ -10,13 +10,13 @@ from pdkb.compiler import (AncillaryConfig, CompiledCondition,
 from pdkb.model import ALWAYS, ground
 from pdkb.pekb import PEKB, ConditionalEffect, closure, progress
 from pdkb.parser import desugar, parse_file
-from pdkb.planner import apply, applicable, step
+from pdkb.planner import apply, applicable
 from pdkb.rml import parse_rml
 from pdkb.validator import (INVALID, STRONG_VALID, WEAK_VALID, UnknownAction,
                             _compiled_state, assess_plan,
                             crosscheck_progression, expand_outcome,
-                            plan_policy, precondition_holds, resolve_plan,
-                            state_key, successors, verify_policy)
+                            precondition_holds, resolve_plan, state_key,
+                            successors, verify_policy)
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -104,7 +104,12 @@ def test_sequential_plans_cannot_cover_both_branches(ask):
 
 
 def test_plan_induced_policy_is_strong_valid(envelope):
-    policy = plan_policy(envelope)
+    # each state along the plan's one trajectory maps to its next action
+    witness = assess_plan(envelope).witness
+    policy = {state.rmls: action for state, action
+              in zip(witness.states, witness.actions)}
+    assert [a.label for a in policy.values()] == ['(check bob)',
+                                                   '(check alice)']
     assert verify_policy(envelope, policy).verdict == STRONG_VALID
 
 
@@ -375,5 +380,5 @@ def test_a_false_always_known_condition_blocks_uncertain_firing(known):
     base = CompiledOperator('op', (), CompiledCondition(), ((frozenset([
         (CompiledCondition(add.condition_pos), add.effect)]), frozenset()),))
     op = apply_ancillary(base, AncillaryConfig(1, is_k, with_awareness=False))
-    assert step(state.rmls, op) == semantic
+    assert apply(state.rmls, op) == semantic
     assert (parse_rml('B_1 !s1') in semantic) is not known
