@@ -26,12 +26,13 @@ Each ``compile_problem`` call does each piece of work once:
   - each distinct (base outcomes, awareness) pair is expanded and pruned
     once, and operators with that pair share the resulting outcome
     objects. The key is exact: everything else the expansion reads
-    (depth, ``is_ak``, ``with_awareness``, the ``RmlTable``, the fluent
-    set and the prune memo) is fixed for the call, and the name,
-    arguments and precondition pass through untouched. In the grapevine
-    domain neither the effect nor the awareness condition of ``share ?a
-    ?as ?l`` and ``fib ?a ?as ?l`` mentions the speaker ``?a``, so the
-    operators for one ``(?as, ?l)`` expand once;
+    (depth, ``is_ak``, the ``RmlTable``, the fluent set and the prune
+    memo) is fixed for the call, and the name, arguments and
+    precondition pass through untouched (``planner.Packing`` then packs
+    each shared outcome once). In the grapevine domain neither the
+    effect nor the awareness condition of ``share ?a ?as ?l`` and ``fib
+    ?a ?as ?l`` mentions the speaker ``?a``, so the operators for one
+    ``(?as, ?l)`` expand once;
   - emission sorts by fluent rank, the position in ``sorted(fluents)``,
     computed once per emit, and writes each outcome's effects grouped by
     condition: the unconditional ones bare, then one
@@ -196,15 +197,12 @@ def encode_base(problem, ground_actions):
 
 
 class AncillaryConfig:
-    __slots__ = ('depth', 'is_ak', 'awareness', 'with_awareness', 'truncated',
-                 'table')
+    __slots__ = ('depth', 'is_ak', 'awareness', 'truncated', 'table')
 
-    def __init__(self, depth, is_ak, awareness=None, with_awareness=True,
-                 table=None):
+    def __init__(self, depth, is_ak, awareness=None, table=None):
         self.depth = depth
         self.is_ak = is_ak
         self.awareness = awareness or {}
-        self.with_awareness = with_awareness
         self.truncated = set()
         self.table = RmlTable() if table is None else table
 
@@ -347,12 +345,11 @@ def apply_ancillary(op, config):
         new_adds = adds
         new_dels = dels
         while new_adds or new_dels:
-            derived_adds = _closure_rule(config, new_adds)
+            derived_adds = (_closure_rule(config, new_adds)
+                            | _awareness_rules(config, new_adds, new_dels))
             derived_dels = (_negation_rule(config, new_adds)
                             | _uncertain_rule(config, new_adds)
                             | _contrapositive_rule(config, new_dels))
-            if config.with_awareness:
-                derived_adds |= _awareness_rules(config, new_adds, new_dels)
             new_adds = derived_adds - adds
             new_dels = derived_dels - dels
             adds |= new_adds
@@ -417,8 +414,8 @@ def _unreduced_style_count(problem):
             + 2 * len(problem.ak_propositions()))
 
 
-def compile_problem(problem, ground_actions, with_awareness=True,
-                    flavor=None, truncated_ground=0):
+def compile_problem(problem, ground_actions, flavor=None,
+                    truncated_ground=0):
     fluents, init, goal, base_ops = encode_base(problem, ground_actions)
     fluent_set = frozenset(fluents)
     table = RmlTable(fluents)
@@ -433,9 +430,7 @@ def compile_problem(problem, ground_actions, with_awareness=True,
         key = (op.outcomes, frozenset(action.awareness.items()))
         if key not in expansions:
             config = AncillaryConfig(problem.depth, problem.is_ak,
-                                     awareness=action.awareness,
-                                     with_awareness=with_awareness,
-                                     table=table)
+                                     awareness=action.awareness, table=table)
             expanded = apply_ancillary(op, config)
             counts = {'spawned': _size(expanded) - _size(op),
                       'truncated': len(config.truncated), 'pruned': 0}

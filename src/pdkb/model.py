@@ -281,7 +281,12 @@ def ground(problem, report=None):
     return actions
 
 
-def _check_symbols(problem, rml, location, diagnostics):
+def _check_symbols(problem, rml, location, diagnostics, bound=()):
+    """Unknown names, wrong arity, and variables outside ``bound``."""
+    for term in [agent for _, agent in rml.modalities] + list(rml.atom.args):
+        if (term.startswith('?') or term == AGENT_VAR) and term not in bound:
+            diagnostics.append(Diagnostic(
+                'error', location, 'unbound variable %s in %s' % (term, rml)))
     entry = problem.predicates.get(rml.atom.predicate)
     if entry is None:
         diagnostics.append(Diagnostic(
@@ -308,27 +313,32 @@ def _check_symbols(problem, rml, location, diagnostics):
 def validate_model(problem):
     """Well-formedness diagnostics; errors make the problem unusable."""
     diagnostics = list(problem.warnings)
-    for rml in problem.initial:
-        _check_symbols(problem, rml, 'init', diagnostics)
-        if rml.depth > problem.depth:
-            diagnostics.append(Diagnostic(
-                'error', 'init', '%s exceeds depth bound %d'
-                % (rml, problem.depth)))
-    for rml in problem.goal_pos + problem.goal_neg:
-        _check_symbols(problem, rml, 'goal', diagnostics)
-        if rml.depth > problem.depth:
-            diagnostics.append(Diagnostic(
-                'error', 'goal', '%s exceeds depth bound %d'
-                % (rml, problem.depth)))
+
+    def check_bounded(rmls, location, bound=()):
+        # effects deeper than the bound are truncated at grounding; init,
+        # goal and preconditions must lie within it
+        for rml in rmls:
+            _check_symbols(problem, rml, location, diagnostics, bound)
+            if rml.depth > problem.depth:
+                diagnostics.append(Diagnostic(
+                    'error', location, '%s exceeds depth bound %d'
+                    % (rml, problem.depth)))
+
+    check_bounded(problem.initial, 'init')
+    check_bounded(problem.goal_pos + problem.goal_neg, 'goal')
     for schema in problem.schemas:
         loc = 'action %s' % schema.name
-        for c in schema.precondition_pos + schema.precondition_neg:
-            _check_symbols(problem, c, loc, diagnostics)
+        params = {var for var, _ in schema.parameters}
+        check_bounded(schema.precondition_pos + schema.precondition_neg, loc,
+                     params)
+        if schema.derive_condition not in (ALWAYS, NEVER):
+            _check_symbols(problem, schema.derive_condition, loc,
+                           diagnostics, params | {AGENT_VAR})
         for outcome in schema.outcomes:
             for tpl in outcome:
-                _check_symbols(problem, tpl.effect, loc, diagnostics)
-                for c in tpl.condition_pos + tpl.condition_neg:
-                    _check_symbols(problem, c, loc, diagnostics)
+                bound = params | {var for var, _ in tpl.quantified}
+                for c in (tpl.effect,) + tpl.condition_pos + tpl.condition_neg:
+                    _check_symbols(problem, c, loc, diagnostics, bound)
                 # constraint: AK-changing effects may only watch AK atoms
                 eff_pred = problem.predicates.get(tpl.effect.atom.predicate)
                 if eff_pred and eff_pred[1]:

@@ -15,7 +15,7 @@ import re
 
 from .model import (ALWAYS, ASSESSMENT, GENERATION, NEVER, Diagnostic,
                     EffectTemplate, EpistemicActionSchema, RPMEPProblem,
-                    _bindings, subst_rml)
+                    UnknownSymbol, _bindings, subst_rml)
 from .rml import BELIEF, POSSIBLE, Proposition, RML
 
 
@@ -654,7 +654,12 @@ def _expand_ground(problem, nodes, allow_negative):
     for node in _attach_modals(nodes):
         for quant, _, _, literal in _walk(node):
             for binding in _bindings(problem, quant):
-                rml = subst_rml(literal.rml, binding)
+                try:
+                    rml = subst_rml(literal.rml, binding)
+                except UnknownSymbol as exc:
+                    raise SemanticError([Diagnostic(
+                        'error', 'goal' if allow_negative else 'init',
+                        str(exc))])
                 if literal.negated_outer and not allow_negative:
                     raise SemanticError([Diagnostic(
                         'error', 'init',

@@ -177,13 +177,16 @@ class ConditionalEffect:
     effect:        the RML added (delete=False) or removed (delete=True)
     """
 
-    __slots__ = ('condition_pos', 'condition_neg', 'effect', 'delete')
+    __slots__ = ('condition_pos', 'condition_neg', 'effect', 'delete',
+                 '_hash')
 
     def __init__(self, condition_pos, effect, delete=False, condition_neg=()):
         self.condition_pos = frozenset(condition_pos)
         self.condition_neg = frozenset(condition_neg)
         self.effect = effect
         self.delete = delete
+        self._hash = hash((self.condition_pos, self.condition_neg, effect,
+                           delete))
 
     def fires(self, p):
         return (all(r in p for r in self.condition_pos)
@@ -198,16 +201,14 @@ class ConditionalEffect:
                     for r in self.condition_pos)
                 and not any(r in p for r in self.condition_neg))
 
-    def key(self):
-        return (tuple(sorted(self.condition_pos)),
-                tuple(sorted(self.condition_neg)),
-                self.effect, self.delete)
-
     def __eq__(self, other):
-        return isinstance(other, ConditionalEffect) and self.key() == other.key()
+        return (isinstance(other, ConditionalEffect)
+                and self.effect == other.effect and self.delete == other.delete
+                and self.condition_pos == other.condition_pos
+                and self.condition_neg == other.condition_neg)
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         arrow = 'del' if self.delete else 'add'

@@ -26,10 +26,10 @@ state, as in PRP's partial policies (Muise, McIlraith and Beck, ICAPS
 
 Both searches run on packed states: a state is a Python int whose bit i
 is ``cp.fluents[i]``. Each search packs the operators once (``Packing``):
-precondition masks, and per outcome the unconditional add/delete masks
-plus one entry per distinct effect condition, so a condition is tested
-once per state however many effects it guards. ``fired`` is the one
-rule for the masks an outcome applies, and ``successor`` the one step.
+precondition masks, and per distinct outcome the unconditional add/delete
+masks plus one entry per distinct effect condition, so a condition is
+tested once per state however many effects it guards. ``fired`` is the
+one rule for the masks an outcome applies, and ``successor`` the one step.
 
 Each search builds one expansion step (``expander``) that both searches
 call, and memoises it for that search only. Whether an operator applies
@@ -38,19 +38,19 @@ precondition literal; so the applicable operators are cached per
 ``state & pre_mask`` (on the 8-goal depth-1 gossip problem, 38 of 94
 bits, and 3,798 distinct keys over 14,434 expansions). Likewise an
 outcome's fired masks depend only on the state's bits under the union of
-its condition groups' literals, and are cached per outcome under that
-key (3,106 entries over 73,622 successors there). Both keys keep the
-negative literals' bits, so a hit stands for exactly the same tests, and
-the cached masks are applied to the live state. Breadth-first search
-records each state's parent state only, and recovers the operator
-at plan reconstruction by expanding the parent again.
+its condition groups' literals, and are cached per distinct outcome
+under that key. Both keys keep the negative literals' bits, so a hit
+stands for exactly the same tests, and the cached masks are applied to
+the live state. Breadth-first search records each state's parent state
+only, and recovers the operator at plan reconstruction by expanding the
+parent again.
 
 RML frozensets remain at the edges: parsing, emission, the frozenset
-``apply`` (which packs, steps and decodes), the state
-``validate_plan`` returns and the states of a returned
+``apply`` (which packs, steps and decodes) and the states of a returned
 ``Policy.mapping``.
 """
 
+import itertools
 import os
 import re
 import subprocess
@@ -97,64 +97,54 @@ PackedOperator = namedtuple('PackedOperator', 'pre_pos pre_neg outcomes')
 class Packing:
     """A bit numbering of fluents, and operators packed against it.
 
-    Bit i is ``fluents[i]``; a literal that the given states or an add
-    effect hold but the table lacks (hand-built problems) takes the next
-    free bit. A negative literal outside the numbering can never be true,
-    so it adds no bit.
+    Bit i is ``fluents[i]``, which must hold every literal of the
+    operators, as ``cp.fluents`` holds every literal of a compiled problem.
 
-    ``operators`` holds one ``PackedOperator`` per operator, each outcome
-    an ``(adds, dels, groups)`` tuple: the unconditional add and delete
-    masks, then one ``(cond_pos, cond_neg, adds, dels)`` entry per
-    distinct condition.
+    ``operators`` holds one ``PackedOperator`` per operator. Operators
+    that share an outcome share its packed form, a ``(cond_mask, adds,
+    dels, groups)`` tuple: the union of its condition literals, the
+    unconditional add and delete masks, then one ``(cond_pos, cond_neg,
+    adds, dels)`` entry per distinct condition.
     """
 
     __slots__ = ('fluents', 'index', 'operators')
 
-    def __init__(self, fluents, operators, states=()):
-        self.index = index = {}
-        for f in fluents:
-            index.setdefault(f, len(index))
-        for state in states:
-            for f in state:
-                index.setdefault(f, len(index))
+    def __init__(self, fluents, operators):
+        self.fluents = tuple(fluents)
+        self.index = {f: i for i, f in enumerate(self.fluents)}
+        packed = {}
+        self.operators = []
         for op in operators:
-            for adds, _ in op.outcomes:
-                for _, f in adds:
-                    index.setdefault(f, len(index))
-        self.fluents = list(index)
-        self.operators = [self._operator(op) for op in operators]
-
-    def _bit(self, f):
-        i = self.index.get(f)
-        if i is None:
-            i = self.index[f] = len(self.fluents)
-            self.fluents.append(f)
-        return 1 << i
+            for outcome in op.outcomes:
+                if outcome not in packed:
+                    packed[outcome] = self._outcome(outcome)
+            self.operators.append(PackedOperator(
+                *self.condition(op.precondition),
+                tuple(packed[outcome] for outcome in op.outcomes)))
 
     def condition(self, cond):
         """(pos, neg) masks of a CompiledCondition."""
-        index = self.index
-        return (sum(self._bit(f) for f in cond.pos),
-                sum(1 << index[f] for f in cond.neg if f in index))
+        return self.encode(cond.pos), self.encode(cond.neg)
 
-    def _operator(self, op):
-        outcomes = []
-        for adds, dels in op.outcomes:
-            groups = {}
-            for effects, kind in ((adds, 0), (dels, 1)):
-                for cond, f in effects:
-                    if kind and f not in self.index:
-                        continue
-                    masks = groups.setdefault(self.condition(cond), [0, 0])
-                    masks[kind] |= self._bit(f)
-            add, dele = groups.pop((0, 0), (0, 0))
-            outcomes.append((add, dele, tuple(
-                (pos, neg, a, d) for (pos, neg), (a, d) in groups.items())))
-        return PackedOperator(*self.condition(op.precondition),
-                              tuple(outcomes))
+    def _outcome(self, outcome):
+        index = self.index
+        groups = {}
+        for kind, effects in enumerate(outcome):
+            for cond, f in effects:
+                groups.setdefault(cond, [0, 0])[kind] |= 1 << index[f]
+        cond_mask = adds = dels = 0
+        entries = []
+        for cond, (a, d) in groups.items():
+            pos, neg = self.condition(cond)
+            if pos | neg:
+                cond_mask |= pos | neg
+                entries.append((pos, neg, a, d))
+            else:
+                adds, dels = a, d
+        return cond_mask, adds, dels, tuple(entries)
 
     def encode(self, state):
-        return sum(self._bit(f) for f in state)
+        return sum(1 << self.index[f] for f in state)
 
     def decode(self, packed):
         fluents = self.fluents
@@ -166,7 +156,7 @@ def fired(state, outcome):
     """The (adds, dels) masks a packed outcome applies at a state: its
     unconditional masks and those of every condition group that holds
     there."""
-    adds, dels, groups = outcome
+    _, adds, dels, groups = outcome
     for pos, neg, a, d in groups:
         if state & pos == pos and not state & neg:
             adds |= a
@@ -187,20 +177,17 @@ def expander(ops):
     ``ops``: a function from a packed state to its ``(op index,
     successor tuple)`` pairs, one per applicable operator in index order,
     one successor per outcome. The applicable operators are memoised on
-    ``state & pre_mask`` and each outcome's fired masks on ``state &
-    cond_mask`` (see the module docstring), for the life of the returned
-    function."""
+    ``state & pre_mask``, and each distinct packed outcome's fired masks
+    on ``state & cond_mask`` (see the module docstring), for the life of
+    the returned function."""
     pre_mask = 0
+    memos = {}
     rows = []
     for idx, (pre_pos, pre_neg, outcomes) in enumerate(ops):
         pre_mask |= pre_pos | pre_neg
-        outs = []
-        for outcome in outcomes:
-            cond_mask = 0
-            for pos, neg, _, _ in outcome[2]:
-                cond_mask |= pos | neg
-            outs.append((cond_mask, {}, outcome))
-        rows.append((pre_pos, pre_neg, (idx, tuple(outs))))
+        rows.append((pre_pos, pre_neg, (idx, tuple(
+            (outcome[0], memos.setdefault(id(outcome), {}), outcome)
+            for outcome in outcomes))))
     usable_at = {}
 
     def expand(state):
@@ -235,10 +222,15 @@ def applicable(state, op):
 
 def apply(state, op, outcome_index=0):
     """Successor of a frozenset state under an applicable operator, by the
-    packed rule. It goes with ``applicable`` (ROADMAP items 1 and 2)."""
+    packed rule over a numbering of the state's and the operator's own
+    literals. It goes with ``applicable`` (ROADMAP items 1 and 2)."""
     if not applicable(state, op):
         raise PreconditionViolated('%s not applicable' % op.label)
-    packing = Packing((), (op,), (state,))
+    literals = set(state) | op.precondition.pos | op.precondition.neg
+    for outcome in op.outcomes:
+        for cond, f in itertools.chain(*outcome):
+            literals |= cond.pos | cond.neg | {f}
+    packing = Packing(literals, (op,))
     outcome = packing.operators[0].outcomes[outcome_index]
     return packing.decode(successor(packing.encode(state), outcome))
 
@@ -255,7 +247,7 @@ class Policy:
 
 def _pack_problem(cp):
     """The packing of a problem, its packed initial state and goal masks."""
-    packing = Packing(cp.fluents, cp.operators, (cp.init,))
+    packing = Packing(cp.fluents, cp.operators)
     return packing, packing.encode(cp.init), packing.condition(cp.goal)
 
 
@@ -459,10 +451,9 @@ def parse_plan_file(text, operators):
 
 def validate_plan(cp, plan):
     """Replay a classical plan on packed states, packing its distinct
-    operators once; raises PlanInvalid on any violation and returns the
-    final state."""
+    operators once; raises PlanInvalid on any violation."""
     ops = list(dict.fromkeys(plan))
-    packing = Packing(cp.fluents, ops, (cp.init,))
+    packing = Packing(cp.fluents, ops)
     packed = dict(zip(ops, packing.operators))
     state = packing.encode(cp.init)
     for step_no, op in enumerate(plan):
@@ -474,10 +465,9 @@ def validate_plan(cp, plan):
     goal_pos, goal_neg = packing.condition(cp.goal)
     if state & goal_pos != goal_pos or state & goal_neg:
         raise PlanInvalid('goal not satisfied after %d steps' % len(plan))
-    return packing.decode(state)
 
 
-def solve_external(cp, command_template, workdir=None, timeout=None,
+def solve_external(cp, command_template, timeout=None,
                    domain_name='compiled', problem_name='compiled'):
     """Run an external planner via a {domain}/{problem}/{plan} command
     template, decode, and validate the returned plan."""
@@ -485,11 +475,7 @@ def solve_external(cp, command_template, workdir=None, timeout=None,
         if placeholder not in command_template:
             raise PlannerFailure('command template must contain %s'
                                  % placeholder)
-    own_dir = None
-    if workdir is None:
-        own_dir = tempfile.TemporaryDirectory(prefix='pdkb-ext-')
-        workdir = own_dir.name
-    try:
+    with tempfile.TemporaryDirectory(prefix='pdkb-ext-') as workdir:
         domain_path = os.path.join(workdir, 'domain.pddl')
         problem_path = os.path.join(workdir, 'problem.pddl')
         plan_path = os.path.join(workdir, 'plan.txt')
@@ -516,6 +502,3 @@ def solve_external(cp, command_template, workdir=None, timeout=None,
             plan = parse_plan_file(handle.read(), cp.operators)
         validate_plan(cp, plan)
         return plan
-    finally:
-        if own_dir is not None:
-            own_dir.cleanup()

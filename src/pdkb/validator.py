@@ -4,8 +4,8 @@ Plans and policies run on full PEKB states via ``progress``, after each
 outcome is expanded with the compiler's awareness rule (``aware_copies``)
 at the RML level; a policy is keyed by a state's RML set, as a planner's
 ``Policy.mapping`` is. The cross-check harness replays random action
-outcomes through both the semantic pipeline and the planner's packed
-``successor``, and reports any divergence.
+outcomes, awareness copies included, through both the semantic pipeline
+and the planner's packed ``successor``, and reports any divergence.
 """
 
 import random
@@ -300,16 +300,16 @@ def _random_state(rng, pool, max_size=4):
             return closure(PEKB(sample))
 
 
-def crosscheck_progression(problem, n_cases, seed, max_state_size=4):
+def crosscheck_progression(problem, n_cases, seed):
     """Random (state, action, outcome) triples through both pipelines.
 
-    Semantic side: progress on the raw outcome (no awareness). Compiled
-    side: the matching operator compiled without awareness, applied to the
-    projected state. Reports every divergence with a greedily minimized
-    state.
+    Semantic side: progress on the outcome with its awareness copies, as
+    ``successors`` does. Compiled side: the operator compiled as ``pdkb
+    compile`` compiles it, applied to the projected state. Reports every
+    divergence with a greedily minimized state.
     """
     ground_actions = ground(problem)
-    cp = compile_problem(problem, ground_actions, with_awareness=False)
+    cp = compile_problem(problem, ground_actions)
     packing = Packing(cp.fluents, cp.operators)
     fluent_set = frozenset(cp.fluents)
     pool = sorted(fluent_set)
@@ -320,8 +320,10 @@ def crosscheck_progression(problem, n_cases, seed, max_state_size=4):
     def run_case(state, a_idx, o_idx):
         """(semantic projection, compiled successor) or None if skipped."""
         action = ground_actions[a_idx]
+        effects = expand_outcome(action.outcomes[o_idx], action.awareness,
+                                 problem.depth, problem.is_ak)
         try:
-            sem = progress(state, action.outcomes[o_idx], problem.is_ak)
+            sem = progress(state, effects, problem.is_ak)
         except InconsistentResult:
             return None
         packed = packing.encode(_compiled_state(state, fluent_set))
@@ -330,7 +332,7 @@ def crosscheck_progression(problem, n_cases, seed, max_state_size=4):
                 packing.decode(successor(packed, outcome)))
 
     for case in range(n_cases):
-        state = _random_state(rng, pool, max_state_size)
+        state = _random_state(rng, pool)
         a_idx = rng.randrange(len(ground_actions))
         o_idx = rng.randrange(len(ground_actions[a_idx].outcomes))
         pair = run_case(state, a_idx, o_idx)

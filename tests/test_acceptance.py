@@ -235,12 +235,10 @@ def test_criterion_6_entailment_triple_agreement():
                 done += 1
 
 
-def _expand(adds=(), dels=(), awareness=None, with_awareness=False, depth=2):
+def _expand(adds=(), dels=(), awareness=None, depth=2):
     op = CompiledOperator('op', (), CompiledCondition(),
                          ((frozenset(adds), frozenset(dels)),))
-    config = AncillaryConfig(depth, lambda atom: False,
-                             awareness=awareness,
-                             with_awareness=with_awareness)
+    config = AncillaryConfig(depth, lambda atom: False, awareness=awareness)
     return apply_ancillary(op, config).outcomes[0]
 
 
@@ -272,7 +270,7 @@ def test_criterion_7_ancillary_rule_goldens():
         # awareness of a delete: the aware agent starts doubting
         adds, _ = _expand(dels=[(CompiledCondition(neg=[parse_rml('!t1')]),
                                  parse_rml('!s1'))],
-                          awareness={'2': ALWAYS}, with_awareness=True)
+                          awareness={'2': ALWAYS})
         assert (CompiledCondition(pos=[parse_rml('P_2 t1')]),
                 parse_rml('P_2 s1')) in adds
 

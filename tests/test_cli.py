@@ -131,6 +131,16 @@ def test_solve_verifies_a_strong_cyclic_policy(tmp_path):
     assert report['verdict'] == 'StrongValid'
 
 
+@pytest.mark.xfail(strict=True, reason='after (check bob) the compiled step '
+                   'keeps P_alice B_bob !secret, which the semantic step '
+                   'erases, so the Strong 2-state policy verifies Invalid')
+def test_solve_verifies_the_envelope_policy(tmp_path):
+    result = CliRunner().invoke(main, [
+        'solve', os.path.join(BENCH, 'envelope', 'envelope.pdkbddl'),
+        '--flavor', 'fond', '--out', str(tmp_path)])
+    assert result.exit_code == EXIT_OK
+
+
 def test_solve_exits_invalid_on_a_policy_that_never_reaches_the_goal(
         tmp_path, monkeypatch):
     solve_andor = planner_mod.solve_andor
@@ -268,6 +278,37 @@ def test_malformed_input_is_a_positioned_diagnostic(tmp_path, text,
     assert isinstance(result.exception, SystemExit)
     assert _last_line(result) == 'error: %s:%d:%d: %s' % (
         (path,) + position + (message,))
+
+
+UNBOUND_OR_DEEP = """
+(define (domain d) (:agents a b) (:predicates (q ?x - agent))
+  (:action act :derive-condition always :parameters (?x - agent)
+               :precondition %s :effect %s))
+(define (problem p) (:domain d) (:depth 2) (:task valid_generation)
+  (:init-type complete) (:init ) (:goal %s))
+"""
+
+
+@pytest.mark.parametrize('pre, effect, goal, message', [
+    ('(and)', '(q ?x)', '(q ?y)', 'error: error at goal: unbound variable ?y'),
+    ('(and)', '(q ?y)', '(q a)',
+     'error at action act: unbound variable ?y in q(?y)'),
+    ('(and)', '(when (q ?z) (q ?x))', '(q a)',
+     'error at action act: unbound variable ?z in q(?z)'),
+    ('(q ?w)', '(q ?x)', '(q a)',
+     'error at action act: unbound variable ?w in q(?w)'),
+    ('(not [a][b][a](q a))', '(q ?x)', '(q a)',
+     'error at action act: B_a B_b B_a q(a) exceeds depth bound 2'),
+])
+def test_unbound_variables_and_deep_preconditions_are_diagnostics(
+        tmp_path, pre, effect, goal, message):
+    path = tmp_path / 'bad.pdkbddl'
+    path.write_text(UNBOUND_OR_DEEP % (pre, effect, goal), encoding='utf-8')
+    result = CliRunner().invoke(main, ['compile', str(path),
+                                       '--out', str(tmp_path / 'out')])
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert isinstance(result.exception, SystemExit)
+    assert _last_line(result) == message
 
 
 # ---------------------------------------------------------------------------

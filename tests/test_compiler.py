@@ -13,7 +13,7 @@ from pdkb.compiler import (AncillaryConfig, CompiledCondition,
                            emit_domain, emit_fluent_map, emit_pddl,
                            emit_problem, emit_report, encode_base,
                            fluent_symbol)
-from pdkb.model import ALWAYS, GroundingReport, ground
+from pdkb.model import ALWAYS, GroundAction, GroundingReport, ground
 from pdkb.parser import desugar, parse_file, parse_text
 from pdkb.rml import Proposition, lit, parse_rml, wrap
 
@@ -32,12 +32,10 @@ def cond(pos=(), neg=()):
     return CompiledCondition(pos, neg)
 
 
-def expand(adds=(), dels=(), awareness=None, with_awareness=False, depth=2):
+def expand(adds=(), dels=(), awareness=None, depth=2):
     op = CompiledOperator('op', (), cond(), ((frozenset(adds),
                                               frozenset(dels)),))
-    config = AncillaryConfig(depth, lambda atom: False,
-                             awareness=awareness,
-                             with_awareness=with_awareness)
+    config = AncillaryConfig(depth, lambda atom: False, awareness=awareness)
     out = apply_ancillary(op, config)
     return out.outcomes[0]
 
@@ -69,7 +67,7 @@ def test_uncertain_firing_spawns_negatively_conditioned_deletes():
 
 def test_awareness_of_a_delete_adds_the_doubting_possibility():
     adds, dels = expand(dels=[(cond(neg=[rml('!t1')]), rml('!s1'))],
-                        awareness={'2': ALWAYS}, with_awareness=True)
+                        awareness={'2': ALWAYS})
     assert (cond(pos=[rml('P_2 t1')]), rml('P_2 s1')) in adds
 
 
@@ -79,24 +77,21 @@ def test_awareness_of_a_delete_adds_the_doubting_possibility():
 
 def test_introspection_exception_skips_own_belief_deletes():
     base_del = (cond(), rml('B_2 s1'))
-    adds2, _ = expand(dels=[base_del], awareness={'2': ALWAYS},
-                      with_awareness=True)
+    adds2, _ = expand(dels=[base_del], awareness={'2': ALWAYS})
     assert adds2 == set()
-    adds1, _ = expand(dels=[base_del], awareness={'1': ALWAYS},
-                      with_awareness=True)
+    adds1, _ = expand(dels=[base_del], awareness={'1': ALWAYS})
     assert (cond(), rml('P_1 P_2 !s1')) in adds1
 
 
 def test_awareness_condition_wraps_in_belief():
     c = cond(pos=[rml('s1')])
-    adds, _ = expand(adds=[(c, rml('s2'))], awareness={'1': ALWAYS},
-                     with_awareness=True)
+    adds, _ = expand(adds=[(c, rml('s2'))], awareness={'1': ALWAYS})
     assert (cond(pos=[rml('B_1 s1')]), rml('B_1 s2')) in adds
 
 
 def test_awareness_respects_the_depth_bound():
     adds, _ = expand(adds=[(cond(), rml('B_2 s1'))],
-                     awareness={'1': ALWAYS}, with_awareness=True, depth=1)
+                     awareness={'1': ALWAYS}, depth=1)
     assert not any(l.depth > 1 for _, l in adds)
 
 
@@ -105,8 +100,7 @@ def test_ak_effects_are_exempt_from_ancillary_rules():
     op = CompiledOperator('op', (), cond(),
                           ((frozenset([(cond(), lit(Proposition('k')))]),
                             frozenset()),))
-    config = AncillaryConfig(2, is_ak, awareness={'1': ALWAYS},
-                             with_awareness=True)
+    config = AncillaryConfig(2, is_ak, awareness={'1': ALWAYS})
     adds, dels = apply_ancillary(op, config).outcomes[0]
     assert adds == {(cond(), lit(Proposition('k')))}
     assert dels == set()
@@ -214,15 +208,22 @@ def round_robin_ancillary(op, config):
             dels |= _negation_rule(config, adds)
             dels |= _contrapositive_rule(config, dels)
             dels |= _uncertain_rule(config, adds)
-            if config.with_awareness:
-                adds |= _awareness_rules(config, adds, dels)
+            adds |= _awareness_rules(config, adds, dels)
             if (len(adds), len(dels)) == before:
                 break
         outcomes.append((frozenset(adds), frozenset(dels)))
     return tuple(outcomes)
 
 
-@pytest.mark.parametrize('with_awareness', [True, False])
+def unaware(actions):
+    """The ground actions with empty awareness maps, which make no
+    awareness copies."""
+    return [GroundAction(a.name, a.args, a.precondition_pos,
+                         a.precondition_neg, {}, a.outcomes)
+            for a in actions]
+
+
+@pytest.mark.parametrize('aware', [True, False])
 @pytest.mark.parametrize('parts', [
     ('envelope', 'envelope.pdkbddl'),
     ('grapevine', 'prob-4ag-2g-1d.pdkbddl'),
@@ -230,14 +231,13 @@ def round_robin_ancillary(op, config):
     ('misc', 'coin.pdkbddl'),
     ('misc', 'ask.pdkbddl'),
 ])
-def test_semi_naive_fixpoint_matches_round_robin(parts, with_awareness):
+def test_semi_naive_fixpoint_matches_round_robin(parts, aware):
     prob = load(*parts)
-    actions = ground(prob)
+    actions = ground(prob) if aware else unaware(ground(prob))
     _, _, _, base_ops = encode_base(prob, actions)
     for action, op in zip(actions, base_ops):
         configs = [AncillaryConfig(prob.depth, prob.is_ak,
-                                   awareness=action.awareness,
-                                   with_awareness=with_awareness)
+                                   awareness=action.awareness)
                    for _ in range(2)]
         expected = round_robin_ancillary(op, configs[0])
         assert apply_ancillary(op, configs[1]).outcomes == expected, op
@@ -248,7 +248,7 @@ def test_semi_naive_fixpoint_matches_round_robin(parts, with_awareness):
 # one expansion per distinct (base outcomes, awareness)
 
 
-@pytest.mark.parametrize('with_awareness', [True, False])
+@pytest.mark.parametrize('aware', [True, False])
 @pytest.mark.parametrize('parts', [
     ('envelope', 'envelope.pdkbddl'),
     ('grapevine', 'prob-4ag-2g-1d.pdkbddl'),
@@ -257,18 +257,17 @@ def test_semi_naive_fixpoint_matches_round_robin(parts, with_awareness):
     ('misc', 'coin.pdkbddl'),
     ('misc', 'ask.pdkbddl'),
 ])
-def test_shared_expansions_match_per_operator_ones(parts, with_awareness):
+def test_shared_expansions_match_per_operator_ones(parts, aware):
     prob = load(*parts)
-    actions = ground(prob)
-    cp = compile_problem(prob, actions, with_awareness=with_awareness)
+    actions = ground(prob) if aware else unaware(ground(prob))
+    cp = compile_problem(prob, actions)
     fluents, _, _, base_ops = encode_base(prob, actions)
     fluent_set = frozenset(fluents)
     counts = {'spawned': 0, 'truncated': 0, 'pruned': 0}
     assert len(cp.operators) == len(base_ops)
     for action, op, got in zip(actions, base_ops, cp.operators):
         config = AncillaryConfig(prob.depth, prob.is_ak,
-                                 awareness=action.awareness,
-                                 with_awareness=with_awareness)
+                                 awareness=action.awareness)
         expanded = apply_ancillary(op, config)
         counts['spawned'] += (
             sum(len(a) + len(d) for a, d in expanded.outcomes)

@@ -282,14 +282,14 @@ def negation_removal():
 def test_packed_step_matches_the_frozenset_rule_on_a_random_walk(name,
                                                                  request):
     _, cp = request.getfixturevalue(name)
-    packing = Packing(cp.fluents, cp.operators, (cp.init,))
+    packing = Packing(cp.fluents, cp.operators)
     expand = expander(packing.operators)
     # fluents in no precondition and no effect condition: flipping them
     # keeps every memo key of the expansion step and changes the state
     keyed = 0
     for pre_pos, pre_neg, outcomes in packing.operators:
         keyed |= pre_pos | pre_neg
-        for _, _, groups in outcomes:
+        for _, _, _, groups in outcomes:
             for pos, neg, _, _ in groups:
                 keyed |= pos | neg
     free = ((1 << len(packing.fluents)) - 1) & ~keyed
@@ -324,6 +324,66 @@ def test_packed_step_matches_the_frozenset_rule_on_a_random_walk(name,
         out = rng.randrange(len(op.outcomes))
         assert apply(state, op, out) == reference_step(state, op, out)
         state = apply(state, op, out)
+
+
+def _lossy_gossip_texts():
+    """(name, text) of the generated lossy-gossip problems of seeds 1-3."""
+    spec = importlib.util.spec_from_file_location(
+        'lossy_gossip', os.path.join(HERE, '..', 'perfbench',
+                                     'lossy_gossip.py'))
+    lossy_gossip = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lossy_gossip)
+    return [('seed%d-%s' % (seed, name), text) for seed in (1, 2, 3)
+            for name, text in lossy_gossip.generate(seed)]
+
+
+def _benchmark_problems():
+    """Name -> loader of every problem under benchmarks/ and of the
+    generated lossy-gossip problems."""
+    problems = {}
+    for sub in sorted(os.listdir(BENCH)):
+        for name in sorted(os.listdir(os.path.join(BENCH, sub))):
+            path = os.path.join(BENCH, sub, name)
+            with open(path, encoding='utf-8') as handle:
+                if '(define (problem' in handle.read():
+                    problems['%s/%s' % (sub, name)] = (
+                        lambda path=path: desugar(parse_file(path)))
+    for name, text in _lossy_gossip_texts():
+        problems[name] = lambda text=text: desugar(parse_text(text))
+    return problems
+
+
+_BENCHMARK_PROBLEMS = _benchmark_problems()
+
+
+@pytest.mark.parametrize('name', sorted(_BENCHMARK_PROBLEMS))
+def test_compiled_problems_are_closed_over_their_fluents(name):
+    # Packing numbers only cp.fluents, so every literal of the compiled
+    # problem must be one of them
+    prob = _BENCHMARK_PROBLEMS[name]()
+    cp = compile_problem(prob, ground(prob))
+    used = set(cp.init) | cp.goal.pos | cp.goal.neg
+    for op in cp.operators:
+        used |= op.precondition.pos | op.precondition.neg
+        for outcome in op.outcomes:
+            for effects in outcome:
+                for cond, f in effects:
+                    used |= cond.pos | cond.neg
+                    used.add(f)
+    assert used <= set(cp.fluents)
+
+
+def test_each_distinct_outcome_is_packed_once(grapevine_2g_2d):
+    _, cp = grapevine_2g_2d
+    packing = Packing(cp.fluents, cp.operators)
+    packed = {}
+    for op, packed_op in zip(cp.operators, packing.operators):
+        for outcome, packed_outcome in zip(op.outcomes, packed_op.outcomes):
+            assert packed.setdefault(id(outcome),
+                                     packed_outcome) is packed_outcome
+    assert (len(cp.operators), len(packed)) == (133, 61)
+    assert len({id(outcome) for packed_op in packing.operators
+                for outcome in packed_op.outcomes}) == 61
 
 
 def _mapping(policy):
@@ -472,7 +532,7 @@ def oracle_classification(cp, acyclic_only=False):
     """Classification by a strong, then a strong-cyclic regression over
     the whole reachable graph, the region shrinking to the solved states
     until it stops changing."""
-    packing = Packing(cp.fluents, cp.operators, (cp.init,))
+    packing = Packing(cp.fluents, cp.operators)
     init = packing.encode(cp.init)
     goal_pos, goal_neg = packing.condition(cp.goal)
     edges = _reachable_graph(packing.operators, init)
@@ -517,14 +577,7 @@ def _oracle_inputs():
         with open(os.path.join(BENCH, 'misc', name + '.pdkbddl'),
                   encoding='utf-8') as handle:
             texts.append((name, handle.read()))
-    spec = importlib.util.spec_from_file_location(
-        'lossy_gossip', os.path.join(HERE, '..', 'perfbench',
-                                     'lossy_gossip.py'))
-    lossy_gossip = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(lossy_gossip)
-    texts += [('seed%d-%s' % (seed, name), text) for seed in (1, 2, 3)
-              for name, text in lossy_gossip.generate(seed)]
-    return texts
+    return texts + _lossy_gossip_texts()
 
 
 _ORACLE_INPUTS = _oracle_inputs()
