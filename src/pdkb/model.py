@@ -209,6 +209,27 @@ def subst_rml(template, binding):
     return RML(mods, template.negated, atom)
 
 
+def _substituter():
+    """``subst_rml`` for one grounding, memoised on the template and the
+    values of its variables."""
+    variables = {}
+    memo = {}
+
+    def subst(template, binding):
+        if template not in variables:
+            variables[template] = [
+                term for term in [agent for _, agent in template.modalities]
+                + list(template.atom.args)
+                if term.startswith('?') or term == AGENT_VAR]
+        key = template, tuple([_subst_term(name, binding)
+                               for name in variables[template]])
+        if key not in memo:
+            memo[key] = subst_rml(template, binding)
+        return memo[key]
+
+    return subst
+
+
 def _bindings(problem, parameters):
     out = [{}]
     for var, typ in parameters:
@@ -219,17 +240,17 @@ def _bindings(problem, parameters):
     return out
 
 
-def _instantiate_effects(problem, templates, binding, truncated):
+def _instantiate_effects(problem, templates, binding, truncated, subst):
     effects = []
     for tpl in templates:
         for ext in _bindings(problem, tpl.quantified):
             full = dict(binding, **ext)
-            effect = subst_rml(tpl.effect, full)
+            effect = subst(tpl.effect, full)
             if effect.depth > problem.depth:
                 truncated.append(effect)
                 continue
-            pos = tuple(subst_rml(c, full) for c in tpl.condition_pos)
-            neg = tuple(subst_rml(c, full) for c in tpl.condition_neg)
+            pos = tuple(subst(c, full) for c in tpl.condition_pos)
+            neg = tuple(subst(c, full) for c in tpl.condition_neg)
             if any(c.depth > problem.depth for c in pos + neg):
                 truncated.append(effect)
                 continue
@@ -252,11 +273,12 @@ def ground(problem, report=None):
     if report is None:
         report = GroundingReport()
     actions = []
+    subst = _substituter()
     for schema in problem.schemas:
         for binding in _bindings(problem, schema.parameters):
-            pre_pos = tuple(subst_rml(c, binding)
+            pre_pos = tuple(subst(c, binding)
                             for c in schema.precondition_pos)
-            pre_neg = tuple(subst_rml(c, binding)
+            pre_neg = tuple(subst(c, binding)
                             for c in schema.precondition_neg)
             for c in pre_pos + pre_neg:
                 if c.depth > problem.depth:
@@ -269,10 +291,11 @@ def ground(problem, report=None):
             elif schema.derive_condition != NEVER:
                 for agent in problem.agents:
                     full = dict(binding, **{AGENT_VAR: agent})
-                    awareness[agent] = subst_rml(schema.derive_condition, full)
+                    awareness[agent] = subst(schema.derive_condition, full)
             truncated = []
             outcomes = tuple(
-                _instantiate_effects(problem, out, binding, truncated)
+                _instantiate_effects(problem, out, binding, truncated,
+                                     subst)
                 for out in schema.outcomes)
             report.truncated_effects += len(truncated)
             args = tuple(binding[var] for var, _ in schema.parameters)
@@ -282,7 +305,8 @@ def ground(problem, report=None):
 
 
 def _check_symbols(problem, rml, location, diagnostics, bound=()):
-    """Unknown names, wrong arity, and variables outside ``bound``."""
+    """Unknown names, wrong arity, constant arguments that are no object
+    of their type, and variables outside ``bound``."""
     for term in [agent for _, agent in rml.modalities] + list(rml.atom.args):
         if (term.startswith('?') or term == AGENT_VAR) and term not in bound:
             diagnostics.append(Diagnostic(
@@ -298,6 +322,13 @@ def _check_symbols(problem, rml, location, diagnostics, bound=()):
             'error', location,
             'predicate %s expects %d arguments, got %d'
             % (rml.atom.predicate, len(arg_types), len(rml.atom.args))))
+    else:
+        for arg, typ in zip(rml.atom.args, arg_types):
+            if not arg.startswith('?') and arg != AGENT_VAR \
+                    and arg not in problem.objects_of_type(typ):
+                diagnostics.append(Diagnostic(
+                    'error', location, 'unknown object %s of type %s in %s'
+                    % (arg, typ, rml)))
     if ak and rml.modalities:
         diagnostics.append(Diagnostic(
             'error', location,

@@ -26,24 +26,30 @@ state, as in PRP's partial policies (Muise, McIlraith and Beck, ICAPS
 
 Both searches run on packed states: a state is a Python int whose bit i
 is ``cp.fluents[i]``. Each search packs the operators once (``Packing``):
-precondition masks, and per distinct outcome the unconditional add/delete
-masks plus one entry per distinct effect condition, so a condition is
-tested once per state however many effects it guards. ``fired`` is the
-one rule for the masks an outcome applies, and ``successor`` the one step.
+precondition masks, and per distinct outcome the mask of every bit it
+reads or writes, the unconditional add/delete masks and one entry per
+distinct effect condition, so a condition is tested once per state
+however many effects it guards. ``fired`` is the one rule for the masks
+an outcome applies, and ``successor`` the one step.
 
-Each search builds one expansion step (``expander``) that both searches
-call, and memoises it for that search only. Whether an operator applies
-depends only on the state's bits under ``pre_mask``, the union of every
-precondition literal; so the applicable operators are cached per
-``state & pre_mask`` (on the 8-goal depth-1 gossip problem, 38 of 94
-bits, and 3,798 distinct keys over 14,434 expansions). Likewise an
-outcome's fired masks depend only on the state's bits under the union of
-its condition groups' literals, and are cached per distinct outcome
-under that key. Both keys keep the negative literals' bits, so a hit
-stands for exactly the same tests, and the cached masks are applied to
-the live state. Breadth-first search records each state's parent state
-only, and recovers the operator at plan reconstruction by expanding the
-parent again.
+Each search builds one successor table (``successor_table``), the packed
+analogue of Fast Downward's successor generator (Helmert, JAIR 2006), and
+both searches and plan reconstruction step through it. Each distinct
+outcome memoises the XOR delta ``successor ^ state`` on ``state & mask``;
+the key is exact because the mask holds every bit the outcome reads or
+writes, so a step is ``state ^ delta``, a miss asks ``successor``, and a zero
+delta is a self-loop. Breadth-first search on the 8-goal depth-1 gossip
+problem fills 4,798 such keys over 61 outcomes (458 on
+``prob-4ag-2g-2d``). Applicability is factored over runs of consecutive
+operators, each grown until its precondition bits would pass
+``RUN_BITS``; a run memoises ``state & run_mask`` to its applicable
+operators, 1,020 keys over 6 runs on the 8-goal problem. Breadth-first
+search steps the first outcome of each operator, the determinization
+that ``emit_domain`` writes for the classical flavor: one comprehension
+per expansion keeps the non-zero deltas whose successor is unseen, and
+only those reach the loop that records parents and tests the goal. It
+records each state's parent state only, and recovers the operator at
+plan reconstruction by expanding the parent again.
 
 RML frozensets remain at the edges: parsing, emission, the frozenset
 ``apply`` (which packs, steps and decodes) and the states of a returned
@@ -101,10 +107,11 @@ class Packing:
     operators, as ``cp.fluents`` holds every literal of a compiled problem.
 
     ``operators`` holds one ``PackedOperator`` per operator. Operators
-    that share an outcome share its packed form, a ``(cond_mask, adds,
-    dels, groups)`` tuple: the union of its condition literals, the
-    unconditional add and delete masks, then one ``(cond_pos, cond_neg,
-    adds, dels)`` entry per distinct condition.
+    that share an outcome share its packed form, a ``(mask, adds, dels,
+    groups)`` tuple: every bit the outcome reads or writes (its condition
+    literals and its adds and deletes), the unconditional add and delete
+    masks, then one ``(cond_pos, cond_neg, adds, dels)`` entry per
+    distinct condition.
     """
 
     __slots__ = ('fluents', 'index', 'operators')
@@ -132,16 +139,16 @@ class Packing:
         for kind, effects in enumerate(outcome):
             for cond, f in effects:
                 groups.setdefault(cond, [0, 0])[kind] |= 1 << index[f]
-        cond_mask = adds = dels = 0
+        mask = adds = dels = 0
         entries = []
         for cond, (a, d) in groups.items():
             pos, neg = self.condition(cond)
+            mask |= pos | neg | a | d
             if pos | neg:
-                cond_mask |= pos | neg
                 entries.append((pos, neg, a, d))
             else:
                 adds, dels = a, d
-        return cond_mask, adds, dels, tuple(entries)
+        return mask, adds, dels, tuple(entries)
 
     def encode(self, state):
         return sum(1 << self.index[f] for f in state)
@@ -172,45 +179,68 @@ def successor(state, outcome):
     return (state & ~dels) | adds
 
 
-def expander(ops):
-    """The expansion step of one search over the packed operators
-    ``ops``: a function from a packed state to its ``(op index,
-    successor tuple)`` pairs, one per applicable operator in index order,
-    one successor per outcome. The applicable operators are memoised on
-    ``state & pre_mask``, and each distinct packed outcome's fired masks
-    on ``state & cond_mask`` (see the module docstring), for the life of
-    the returned function."""
-    pre_mask = 0
-    memos = {}
-    rows = []
+# Precondition bits per run of the successor table: a run's memo holds at
+# most 2**RUN_BITS keys. With 16 the gossip problems split into 6 runs;
+# 8 (16 runs) made breadth-first search on them about 15% slower.
+RUN_BITS = 16
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``."""
+
+    __slots__ = ('compute',)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def successor_table(ops):
+    """The successor table of one search over the packed operators
+    ``ops``: a tuple of ``(run_mask, usable)`` runs of consecutive
+    operators, where ``usable[state & run_mask]`` holds one ``(op index,
+    first, outs)`` entry per applicable operator of the run in index
+    order. ``outs`` holds one ``(mask, deltas)`` pair per outcome and
+    ``first`` is ``outs[0]``; ``state ^ deltas[state & mask]`` is the
+    successor. Each distinct packed outcome has one ``deltas`` memo, and
+    a miss takes the one step, ``successor`` (see the module
+    docstring)."""
+    deltas = {}
+    runs = []
     for idx, (pre_pos, pre_neg, outcomes) in enumerate(ops):
-        pre_mask |= pre_pos | pre_neg
-        rows.append((pre_pos, pre_neg, (idx, tuple(
-            (outcome[0], memos.setdefault(id(outcome), {}), outcome)
-            for outcome in outcomes))))
-    usable_at = {}
+        for outcome in outcomes:
+            if id(outcome) not in deltas:
+                deltas[id(outcome)] = _Memo(
+                    lambda key, outcome=outcome:
+                    successor(key, outcome) ^ key)
+        outs = tuple((outcome[0], deltas[id(outcome)])
+                     for outcome in outcomes)
+        bits = pre_pos | pre_neg
+        if not runs or (runs[-1][0] | bits).bit_count() > RUN_BITS:
+            runs.append([0, []])
+        runs[-1][0] |= bits
+        runs[-1][1].append((pre_pos, pre_neg, (idx, outs[0], outs)))
+    table = []
+    for run_mask, rows in runs:
+        table.append((run_mask, _Memo(
+            lambda key, rows=tuple(rows):
+            tuple(entry for pos, neg, entry in rows
+                  if key & pos == pos and not key & neg))))
+    return tuple(table)
 
-    def expand(state):
-        key = state & pre_mask
-        usable = usable_at.get(key)
-        if usable is None:
-            usable = usable_at[key] = tuple(
-                entry for pos, neg, entry in rows
-                if key & pos == pos and not key & neg)
-        pairs = []
-        for idx, outs in usable:
-            succs = []
-            for cond_mask, memo, outcome in outs:
-                key = state & cond_mask
-                effect = memo.get(key)
-                if effect is None:
-                    adds, dels = fired(key, outcome)
-                    effect = memo[key] = (~dels, adds)
-                succs.append((state & effect[0]) | effect[1])
-            pairs.append((idx, tuple(succs)))
-        return pairs
 
-    return expand
+def expand(table, state):
+    """A packed state's ``(op index, successor tuple)`` pairs under a
+    successor table, one per applicable operator in index order, one
+    successor per outcome."""
+    return [(idx, tuple([state ^ deltas[state & mask]
+                         for mask, deltas in outs]))
+            for run_mask, usable in table
+            for idx, _, outs in usable[state & run_mask]]
 
 
 def applicable(state, op):
@@ -262,22 +292,25 @@ def solve_bfs(cp, max_states=DEFAULT_STATE_CAP, stats=None):
         stats['expanded'] = 0
         stats['states'] = 1
         return []
-    expand = expander(packing.operators)
+    table = successor_table(packing.operators)
     seen = {init: None}
     frontier = deque([init])
     expanded = 0
     while frontier:
         state = frontier.popleft()
         expanded += 1
-        for _, succs in expand(state):
-            succ = succs[0]
-            if succ in seen:
-                continue
+        # first outcomes only, as emit_domain writes the classical flavor;
+        # a zero delta is a self-loop
+        fresh = [succ for run_mask, usable in table
+                 for _, (mask, deltas), _ in usable[state & run_mask]
+                 if (delta := deltas[state & mask])
+                 and (succ := state ^ delta) not in seen]
+        for succ in dict.fromkeys(fresh):
             seen[succ] = state
             if succ & goal_pos == goal_pos and not succ & goal_neg:
                 stats['expanded'] = expanded
                 stats['states'] = len(seen)
-                return _plan(cp.operators, expand, seen, succ)
+                return _plan(cp.operators, table, seen, succ)
             if len(seen) > max_states:
                 stats['expanded'] = expanded
                 stats['states'] = len(seen)
@@ -289,14 +322,15 @@ def solve_bfs(cp, max_states=DEFAULT_STATE_CAP, stats=None):
     return None
 
 
-def _plan(operators, expand, parents, state):
+def _plan(operators, table, parents, state):
     """The operators that led breadth-first search to ``state``: at each
     parent, the first operator whose first outcome yields the child, which
     is the one that discovered it."""
     plan = []
     while parents[state] is not None:
         parent = parents[state]
-        plan.append(operators[next(idx for idx, succs in expand(parent)
+        plan.append(operators[next(idx for idx, succs
+                                   in expand(table, parent)
                                    if succs[0] == state)])
         state = parent
     plan.reverse()
@@ -322,7 +356,7 @@ def _regress(goals, preds, inside, strong):
     return choice
 
 
-def _envelope(expand, init, goal, strong, max_states, stats):
+def _envelope(table, init, goal, strong, max_states, stats):
     """Choices that solve ``init``, grown one breadth-first layer of
     packed states at a time, or None once the reachable space is
     exhausted. Goal states are not expanded; after each layer the
@@ -346,7 +380,7 @@ def _envelope(expand, init, goal, strong, max_states, stats):
             frontier = []
             for state in layer:
                 expanded.add(state)
-                for idx, succs in expand(state):
+                for idx, succs in expand(table, state):
                     if strong and state in succs:
                         continue
                     n_edges += 1
@@ -404,9 +438,9 @@ def solve_andor(cp, max_states=DEFAULT_STATE_CAP, acyclic_only=False,
         stats = {}
     stats.update(expanded=0, states=0, edges=0, rounds=0)
     packing, init, goal = _pack_problem(cp)
-    expand = expander(packing.operators)
+    table = successor_table(packing.operators)
     for strong in (True,) if acyclic_only else (True, False):
-        choice = _envelope(expand, init, goal, strong, max_states, stats)
+        choice = _envelope(table, init, goal, strong, max_states, stats)
         if choice is None:
             continue
         mapping = {}

@@ -299,6 +299,11 @@ UNBOUND_OR_DEEP = """
      'error at action act: unbound variable ?w in q(?w)'),
     ('(not [a][b][a](q a))', '(q ?x)', '(q a)',
      'error at action act: B_a B_b B_a q(a) exceeds depth bound 2'),
+    # an argument that is no declared object of its type
+    ('(and)', '(q ?x)', '[b](q zz)',
+     'error at goal: unknown object zz of type agent in B_b q(zz)'),
+    ('(and)', '(when (q zz) (q ?x))', '(q a)',
+     'error at action act: unknown object zz of type agent in q(zz)'),
 ])
 def test_unbound_variables_and_deep_preconditions_are_diagnostics(
         tmp_path, pre, effect, goal, message):

@@ -14,11 +14,12 @@ import pytest
 from pdkb.compiler import compile_problem
 from pdkb.model import ground
 from pdkb.parser import desugar, parse_file, parse_text
-from pdkb.planner import (Packing, PlanInvalid, PlanParseError,
-                          PlannerFailure, PreconditionViolated,
-                          ResourceLimit, apply, applicable, expander,
-                          parse_plan_file, solve_andor, solve_bfs,
-                          solve_external, successor, validate_plan)
+from pdkb.planner import (DEFAULT_STATE_CAP, Packing, PlanInvalid,
+                          PlanParseError, PlannerFailure,
+                          PreconditionViolated, ResourceLimit, apply,
+                          applicable, expand, parse_plan_file, solve_andor,
+                          solve_bfs, solve_external, successor,
+                          successor_table, validate_plan)
 from pdkb.rml import format_rml
 from pdkb.validator import STRONG_VALID, verify_policy
 
@@ -283,15 +284,17 @@ def test_packed_step_matches_the_frozenset_rule_on_a_random_walk(name,
                                                                  request):
     _, cp = request.getfixturevalue(name)
     packing = Packing(cp.fluents, cp.operators)
-    expand = expander(packing.operators)
-    # fluents in no precondition and no effect condition: flipping them
-    # keeps every memo key of the expansion step and changes the state
+    table = successor_table(packing.operators)
+    # fluents that no precondition reads and no outcome reads or writes:
+    # flipping them keeps every memo key of the successor table and
+    # changes the state
     keyed = 0
     for pre_pos, pre_neg, outcomes in packing.operators:
         keyed |= pre_pos | pre_neg
-        for _, _, _, groups in outcomes:
-            for pos, neg, _, _ in groups:
-                keyed |= pos | neg
+        for _, adds, dels, groups in outcomes:
+            keyed |= adds | dels
+            for pos, neg, a, d in groups:
+                keyed |= pos | neg | a | d
     free = ((1 << len(packing.fluents)) - 1) & ~keyed
     assert free
 
@@ -308,18 +311,23 @@ def test_packed_step_matches_the_frozenset_rule_on_a_random_walk(name,
         usable = [i for i, op in enumerate(cp.operators)
                   if applicable(state, op)]
         packed = packing.encode(state)
-        assert expand(packed) == direct(packed)
-        assert expand(packed ^ free) == direct(packed ^ free)
+        assert expand(table, packed) == direct(packed)
+        assert expand(table, packed ^ free) == direct(packed ^ free)
+        entries = {idx: outs for run_mask, usable_at in table
+                   for idx, _, outs in usable_at[packed & run_mask]}
+        assert list(entries) == usable
         if not usable:
             state = cp.init
             continue
         for idx in usable:
             op = cp.operators[idx]
             packed_op = packing.operators[idx]
-            for out in range(len(op.outcomes)):
+            for out, (mask, deltas) in enumerate(entries[idx]):
                 expected = reference_step(state, op, out)
                 assert packing.decode(successor(
                     packed, packed_op.outcomes[out])) == expected
+                # a zero delta is exactly a self-loop
+                assert (deltas[packed & mask] == 0) == (expected == state)
         op = cp.operators[rng.choice(usable)]
         out = rng.randrange(len(op.outcomes))
         assert apply(state, op, out) == reference_step(state, op, out)
@@ -386,6 +394,86 @@ def test_each_distinct_outcome_is_packed_once(grapevine_2g_2d):
                 for outcome in packed_op.outcomes}) == 61
 
 
+def reference_bfs(cp, max_states, stats):
+    """Breadth-first search without the successor table: every
+    operator's precondition tested at every expansion, and the first
+    outcome of each applicable one stepped by ``successor``."""
+    packing = Packing(cp.fluents, cp.operators)
+    init = packing.encode(cp.init)
+    goal_pos, goal_neg = packing.condition(cp.goal)
+
+    def is_goal(state):
+        return state & goal_pos == goal_pos and not state & goal_neg
+
+    if is_goal(init):
+        stats.update(expanded=0, states=1)
+        return []
+    seen = {init: None}
+    frontier = deque([init])
+    expanded = 0
+    while frontier:
+        state = frontier.popleft()
+        expanded += 1
+        for idx, (pre_pos, pre_neg, outcomes) in enumerate(
+                packing.operators):
+            if state & pre_pos != pre_pos or state & pre_neg:
+                continue
+            succ = successor(state, outcomes[0])
+            if succ in seen:
+                continue
+            seen[succ] = state, idx
+            stats.update(expanded=expanded, states=len(seen))
+            if is_goal(succ):
+                plan = []
+                while seen[succ] is not None:
+                    succ, idx = seen[succ]
+                    plan.append(cp.operators[idx])
+                return plan[::-1]
+            if len(seen) > max_states:
+                raise ResourceLimit('state cap', stats)
+            frontier.append(succ)
+    stats.update(expanded=expanded, states=len(seen))
+    return None
+
+
+def _classical_inputs():
+    """(path under benchmarks/, flavor) of every classical problem there,
+    and of coin and lossy-3ag-2l compiled classical, so that breadth-first
+    search takes their first outcomes."""
+    inputs = []
+    for name in sorted(_BENCHMARK_PROBLEMS):
+        path = os.path.join(BENCH, name)
+        if os.path.exists(path):
+            with open(path, encoding='utf-8') as handle:
+                if 'oneof' not in handle.read():
+                    inputs.append((name, None))
+    return inputs + [('misc/coin.pdkbddl', 'classical'),
+                     ('misc/lossy-3ag-2l.pdkbddl', 'classical')]
+
+
+def _bfs_outcome(search, cp, max_states):
+    """The plan's labels (or None) and the stats, or 'cap' and the stats
+    the state cap raised with."""
+    stats = {}
+    try:
+        plan = search(cp, max_states=max_states, stats=stats)
+    except ResourceLimit as info:
+        return 'cap', info.stats
+    return None if plan is None else [op.label for op in plan], stats
+
+
+@pytest.mark.parametrize('name,flavor', _classical_inputs())
+def test_bfs_matches_the_search_without_the_table(name, flavor):
+    prob = _BENCHMARK_PROBLEMS[name]()
+    cp = compile_problem(prob, ground(prob), flavor=flavor)
+    found = _bfs_outcome(solve_bfs, cp, DEFAULT_STATE_CAP)
+    assert found == _bfs_outcome(reference_bfs, cp, DEFAULT_STATE_CAP)
+    # the state cap raises at the same count with the same stats
+    for cap in (0, found[1]['states'] // 2):
+        assert _bfs_outcome(solve_bfs, cp, cap) \
+            == _bfs_outcome(reference_bfs, cp, cap)
+
+
 def _mapping(policy):
     return {frozenset(map(format_rml, state)): op.label
             for state, op in policy.mapping.items()}
@@ -403,7 +491,7 @@ def test_andor_policies_on_coin_and_ask(coin, ask):
 
 
 # solved in this order in one process, each must equal a solve in a fresh
-# interpreter: no memo of the expansion step may outlive its search
+# interpreter: no memo of the successor table may outlive its search
 _SEARCHES = [(('grapevine', 'prob-4ag-8g-1d.pdkbddl'), 'bfs'),
              (('grapevine', 'prob-4ag-2g-1d.pdkbddl'), 'bfs'),
              (('misc', 'lossy-3ag-2l.pdkbddl'), 'and-or'),
