@@ -7,6 +7,7 @@ cap hit, 4 external planner failure, 5 weakly-valid-only plan or
 policy, 6 invalid plan or policy.
 """
 
+import functools
 import json
 import os
 import sys
@@ -104,7 +105,7 @@ def _load_problem(path, depth_override=None):
         raise SystemExit(_diagnose(str(exc)))
     except SemanticError as exc:
         for diag in exc.diagnostics:
-            _info('error: %s' % diag)
+            _info(str(diag))
         raise SystemExit(EXIT_DIAGNOSTICS)
     if depth_override is not None:
         problem.depth = int(depth_override)
@@ -230,14 +231,24 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
     actions, cp = _compile(problem, config.get('flavor'))
     out_dir = config.get('out') or '%s-out' % os.path.splitext(input_path)[0]
     os.makedirs(out_dir, exist_ok=True)
+    report = {'version': 1, 'problem': problem.problem_name,
+              'flavor': cp.flavor, 'fluents': len(cp.fluents),
+              'operators': len(cp.operators)}
+    message, code = _solve(report, problem, actions, cp, config, out_dir,
+                           acyclic_only)
+    _write_json(os.path.join(out_dir, 'solve-report.json'), report)
+    _info(message)
+    sys.exit(code)
+
+
+def _solve(report, problem, actions, cp, config, out_dir, acyclic_only):
+    """Search, verify the plan or policy semantically and write it to
+    ``out_dir``; fills ``report`` and returns the summary line and the
+    exit code."""
     cap = config.get('max_states')
     if cap is None:
         cap = planner_mod.DEFAULT_STATE_CAP
     started = time.perf_counter()
-
-    report = {'version': 1, 'problem': problem.problem_name,
-              'flavor': cp.flavor, 'fluents': len(cp.fluents),
-              'operators': len(cp.operators)}
     template = config.get('planner_cmd')
     stats = {}
     try:
@@ -262,48 +273,50 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
             planner_mod.PlanInvalid) as exc:
         report['error'] = str(exc)
         report['wall_time'] = time.perf_counter() - started
-        _write_json(os.path.join(out_dir, 'solve-report.json'), report)
-        _info('external planner failed: %s' % exc)
-        sys.exit(EXIT_PLANNER_FAILURE)
+        return 'external planner failed: %s' % exc, EXIT_PLANNER_FAILURE
     except planner_mod.ResourceLimit as exc:
         report.update(_search_counts(exc.stats))
         report['error'] = str(exc)
         report['wall_time'] = time.perf_counter() - started
-        _write_json(os.path.join(out_dir, 'solve-report.json'), report)
-        _info('search limit hit: %s' % exc)
-        sys.exit(EXIT_UNSOLVABLE)
+        return 'search limit hit: %s' % exc, EXIT_UNSOLVABLE
     report['wall_time'] = time.perf_counter() - started
     if report['solver'] != 'external':
         report.update(_search_counts(stats))
 
     if plan is None and policy is None:
         report['result'] = 'Unsolvable'
-        _write_json(os.path.join(out_dir, 'solve-report.json'), report)
-        _info('unsolvable: %s' % problem.problem_name)
-        sys.exit(EXIT_UNSOLVABLE)
+        return 'unsolvable: %s' % problem.problem_name, EXIT_UNSOLVABLE
 
     if plan is not None:
         report['result'] = 'plan'
         report['plan_length'] = len(plan)
         steps = [(op.name,) + op.args for op in plan]
-        verdict = _verify(report, out_dir, validator_mod.assess_plan,
-                          problem, plan=steps, ground_actions=actions)
-        report['verdict'] = verdict.verdict
+        check = functools.partial(validator_mod.assess_plan, problem,
+                                  plan=steps)
+    else:
+        report['result'] = 'policy'
+        report['policy_classification'] = policy.classification
+        report['policy_size'] = len(policy.mapping)
+        check = functools.partial(validator_mod.verify_policy, problem,
+                                  policy.mapping)
+    started = time.perf_counter()
+    try:
+        verdict = check(ground_actions=actions).verdict
+    except planner_mod.ResourceLimit as exc:
+        report['error'] = str(exc)
+        return 'validation limit hit: %s' % exc, EXIT_UNSOLVABLE
+    finally:
+        report['verify_time'] = time.perf_counter() - started
+    report['verdict'] = verdict
+
+    if plan is not None:
         with open(os.path.join(out_dir, 'plan.txt'), 'w',
                   encoding='utf-8') as handle:
             for op in plan:
                 handle.write('%s\n' % op.label)
-        _write_json(os.path.join(out_dir, 'solve-report.json'), report)
-        _info('plan of length %d (%s) -> %s'
-              % (len(plan), verdict.verdict, out_dir))
-        sys.exit(_verdict_exit(verdict.verdict))
+        return ('plan of length %d (%s) -> %s'
+                % (len(plan), verdict, out_dir), _verdict_exit(verdict))
 
-    report['result'] = 'policy'
-    report['policy_classification'] = policy.classification
-    report['policy_size'] = len(policy.mapping)
-    verdict = _verify(report, out_dir, validator_mod.verify_policy, problem,
-                      policy.mapping, ground_actions=actions)
-    report['verdict'] = verdict.verdict
     payload = {'classification': policy.classification, 'states': []}
     for state in sorted(policy.mapping, key=sorted):
         payload['states'].append({
@@ -311,27 +324,9 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
             'action': policy.mapping[state].label,
         })
     _write_json(os.path.join(out_dir, 'policy.json'), payload)
-    _write_json(os.path.join(out_dir, 'solve-report.json'), report)
-    _info('%s policy over %d states (%s) -> %s'
-          % (policy.classification, len(policy.mapping), verdict.verdict,
-             out_dir))
-    sys.exit(_verdict_exit(verdict.verdict))
-
-
-def _verify(report, out_dir, check, *args, **kwargs):
-    """Run a semantic check and record its time as ``verify_time``; a
-    validator cap writes the report with its error and exits 3."""
-    started = time.perf_counter()
-    try:
-        verdict = check(*args, **kwargs)
-    except planner_mod.ResourceLimit as exc:
-        report['verify_time'] = time.perf_counter() - started
-        report['error'] = str(exc)
-        _write_json(os.path.join(out_dir, 'solve-report.json'), report)
-        _info('validation limit hit: %s' % exc)
-        sys.exit(EXIT_UNSOLVABLE)
-    report['verify_time'] = time.perf_counter() - started
-    return verdict
+    return ('%s policy over %d states (%s) -> %s'
+            % (policy.classification, len(policy.mapping), verdict,
+               out_dir), _verdict_exit(verdict))
 
 
 def _verdict_exit(verdict):

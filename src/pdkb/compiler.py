@@ -5,7 +5,8 @@ depth-bounded space over the regular propositions, plus one fluent per
 always-known (AK) atom. The whole state is the root agent's perspective,
 so an RML fluent being true means the root believes that RML.
 
-The ancillary rules derive extra conditional effects until fixpoint:
+The ancillary rules derive extra conditional effects until fixpoint, all
+five in one step, ``_derive``; always-known effects have no consequences:
   closure         an add entails adds of everything it entails
   negation        an add deletes the negated literal
   contrapositive  a delete also deletes everything entailing the literal
@@ -20,9 +21,9 @@ Each ``compile_problem`` call does each piece of work once:
     RML, so set and dict hits compare by identity, and memoises
     ``negate``, ``wrap`` and ``upward_closure``; it is dropped with the
     call, so nothing is cached across compiles;
-  - the fixpoint is semi-naive: every rule maps one effect to its
-    consequences, so each round feeds the rules only the effects that are
-    new since the last round;
+  - the fixpoint is semi-naive: ``_derive`` maps each effect to its
+    consequences on its own, so ``apply_ancillary`` feeds each round only
+    the effects that are new since the last round;
   - each distinct (base outcomes, awareness) pair is expanded and pruned
     once, and operators with that pair share the resulting outcome
     objects. The key is exact: everything else the expansion reads
@@ -196,72 +197,6 @@ def encode_base(problem, ground_actions):
 # ancillary rules
 
 
-class AncillaryConfig:
-    __slots__ = ('depth', 'is_ak', 'awareness', 'truncated', 'table')
-
-    def __init__(self, depth, is_ak, awareness=None, table=None):
-        self.depth = depth
-        self.is_ak = is_ak
-        self.awareness = awareness or {}
-        self.truncated = set()
-        self.table = RmlTable() if table is None else table
-
-
-def _closure_rule(config, adds):
-    out = set()
-    closure_of = config.table.upward_closure
-    for cond, l in adds:
-        if not is_regular(config.is_ak, l):
-            continue
-        for weaker in closure_of(l):
-            out.add((cond, weaker))
-    return out
-
-
-def _negation_rule(config, adds):
-    out = set()
-    negate = config.table.negate
-    for cond, l in adds:
-        if not is_regular(config.is_ak, l):
-            continue
-        out.add((cond, negate(l)))
-    return out
-
-
-def _contrapositive_rule(config, dels):
-    out = set()
-    negate = config.table.negate
-    closure_of = config.table.upward_closure
-    for cond, l in dels:
-        if not is_regular(config.is_ak, l):
-            continue
-        for weaker in closure_of(negate(l)):
-            out.add((cond, negate(weaker)))
-    return out
-
-
-def _uncertain_rule(config, adds):
-    """While an add's condition is not believed false, the negation of its
-    literal is deleted: regular positive conditions turn into negative
-    ones, and always-known ones stay positive, since an absent always-known
-    atom is known false."""
-    out = set()
-    negate = config.table.negate
-    is_ak = config.is_ak
-    for cond, l in adds:
-        if not is_regular(is_ak, l):
-            continue
-        pos = []
-        neg = set(cond.neg)
-        for c in cond.pos:
-            if is_regular(is_ak, c):
-                neg.add(negate(c))
-            else:
-                pos.append(c)
-        out.add((CompiledCondition(pos, neg), negate(l)))
-    return out
-
-
 def _believed_condition(table, agent, pos, neg, mu, depth, is_ak):
     """An effect's condition and awareness condition mu as the agent
     believes them, or None when a wrapped literal exceeds the depth bound.
@@ -317,46 +252,58 @@ def aware_copies(table, awareness, pos, neg, effect, delete, depth, is_ak):
                                           is_ak), nested)
 
 
-def _awareness_rules(config, adds, dels):
-    out = set()
-    for effects, kind in ((adds, 'add'), (dels, 'del')):
+def _derive(adds, dels, awareness, depth, is_ak, table, truncated):
+    """The consequences of a batch of effects under all five ancillary
+    rules, as (adds, dels) sets; awareness copies past the depth bound go
+    into ``truncated`` as (agent, condition, literal, delete) instead."""
+    negate = table.negate
+    closure_of = table.upward_closure
+    out_adds = set()
+    out_dels = set()
+    for delete, effects in ((False, adds), (True, dels)):
         for cond, l in effects:
+            if not is_regular(is_ak, l):
+                continue
+            if delete:
+                # contrapositive
+                for weaker in closure_of(negate(l)):
+                    out_dels.add((cond, negate(weaker)))
+            else:
+                # closure, negation, then uncertain firing
+                for weaker in closure_of(l):
+                    out_adds.add((cond, weaker))
+                negated = negate(l)
+                out_dels.add((cond, negated))
+                pos = [c for c in cond.pos if not is_regular(is_ak, c)]
+                neg = [negate(c) for c in cond.pos if is_regular(is_ak, c)]
+                out_dels.add((CompiledCondition(pos, cond.neg.union(neg)),
+                              negated))
+            # awareness
             for agent, believed, nested in aware_copies(
-                    config.table, config.awareness, cond.pos, cond.neg, l,
-                    kind == 'del', config.depth, config.is_ak):
+                    table, awareness, cond.pos, cond.neg, l, delete, depth,
+                    is_ak):
                 if believed is None:
-                    config.truncated.add((agent, cond, l, kind))
+                    truncated.add((agent, cond, l, delete))
                 else:
-                    out.add((CompiledCondition(*believed), nested))
-    return out
+                    out_adds.add((CompiledCondition(*believed), nested))
+    return out_adds, out_dels
 
 
-def apply_ancillary(op, config):
-    """Expand one operator's outcomes with ancillary effects to fixpoint.
-
-    Semi-naive: every rule maps one effect to its consequences, so each
-    round feeds the rules only the effects that are new since the last
-    round, and each effect meets each rule exactly once.
-    """
-    outcomes = []
-    for adds, dels in op.outcomes:
-        adds = set(adds)
-        dels = set(dels)
-        new_adds = adds
-        new_dels = dels
-        while new_adds or new_dels:
-            derived_adds = (_closure_rule(config, new_adds)
-                            | _awareness_rules(config, new_adds, new_dels))
-            derived_dels = (_negation_rule(config, new_adds)
-                            | _uncertain_rule(config, new_adds)
-                            | _contrapositive_rule(config, new_dels))
-            new_adds = derived_adds - adds
-            new_dels = derived_dels - dels
-            adds |= new_adds
-            dels |= new_dels
-        outcomes.append((frozenset(adds), frozenset(dels)))
-    return CompiledOperator(op.name, op.args, op.precondition,
-                            tuple(outcomes))
+def apply_ancillary(outcome, awareness, depth, is_ak, table):
+    """One (adds, dels) outcome closed under the ancillary rules, and the
+    awareness copies that the depth bound cut. Semi-naive: each round feeds
+    ``_derive`` only the effects that are new since the last round."""
+    adds, dels = map(set, outcome)
+    truncated = set()
+    new_adds, new_dels = adds, dels
+    while new_adds or new_dels:
+        derived_adds, derived_dels = _derive(new_adds, new_dels, awareness,
+                                             depth, is_ak, table, truncated)
+        new_adds = derived_adds - adds
+        new_dels = derived_dels - dels
+        adds |= new_adds
+        dels |= new_dels
+    return (frozenset(adds), frozenset(dels)), truncated
 
 
 def _pruned_condition(cond, fluent_set):
@@ -371,37 +318,27 @@ def _pruned_condition(cond, fluent_set):
     return CompiledCondition(cond.pos, neg)
 
 
-def _prune(op, fluent_set, counters, pruned):
-    """Drop never-firing effects and trim their vacuous negative
-    conditions; ``pruned`` memoises each distinct condition's verdict."""
-    outcomes = []
-    for outcome in op.outcomes:
-        kept = []
-        for effects in outcome:
-            out = set()
-            for cond, l in effects:
-                if cond in pruned:
-                    trimmed = pruned[cond]
-                else:
-                    trimmed = pruned[cond] = _pruned_condition(cond,
-                                                               fluent_set)
-                if trimmed is None:
-                    counters['pruned'] += 1
-                else:
-                    out.add((trimmed, l))
-            kept.append(frozenset(out))
-        outcomes.append(tuple(kept))
-    return CompiledOperator(op.name, op.args, op.precondition,
-                            tuple(outcomes))
+def _prune(outcome, fluent_set, pruned):
+    """An (adds, dels) outcome without its never-firing effects and with
+    their vacuous negative conditions trimmed, and the number of effects
+    dropped; ``pruned`` memoises each distinct condition's verdict."""
+    kept = []
+    dropped = 0
+    for effects in outcome:
+        out = set()
+        for cond, l in effects:
+            if cond not in pruned:
+                pruned[cond] = _pruned_condition(cond, fluent_set)
+            if pruned[cond] is None:
+                dropped += 1
+            else:
+                out.add((pruned[cond], l))
+        kept.append(frozenset(out))
+    return tuple(kept), dropped
 
 
 # ---------------------------------------------------------------------------
 # driver
-
-
-def _size(op):
-    """The number of effects over all of op's outcomes."""
-    return sum(len(adds) + len(dels) for adds, dels in op.outcomes)
 
 
 def _unreduced_style_count(problem):
@@ -429,13 +366,21 @@ def compile_problem(problem, ground_actions, flavor=None,
     for action, op in zip(ground_actions, base_ops):
         key = (op.outcomes, frozenset(action.awareness.items()))
         if key not in expansions:
-            config = AncillaryConfig(problem.depth, problem.is_ak,
-                                     awareness=action.awareness, table=table)
-            expanded = apply_ancillary(op, config)
-            counts = {'spawned': _size(expanded) - _size(op),
-                      'truncated': len(config.truncated), 'pruned': 0}
-            outcomes = _prune(expanded, fluent_set, counts, pruned).outcomes
-            expansions[key] = outcomes, counts
+            outcomes = []
+            spawned = dropped = 0
+            # a copy that several outcomes cut counts once
+            cut = set()
+            for outcome in op.outcomes:
+                expanded, outcome_cut = apply_ancillary(
+                    outcome, action.awareness, problem.depth, problem.is_ak,
+                    table)
+                cut |= outcome_cut
+                spawned += sum(map(len, expanded)) - sum(map(len, outcome))
+                kept, n = _prune(expanded, fluent_set, pruned)
+                dropped += n
+                outcomes.append(kept)
+            expansions[key] = tuple(outcomes), {
+                'spawned': spawned, 'pruned': dropped, 'truncated': len(cut)}
         outcomes, counts = expansions[key]
         for name, n in counts.items():
             counters[name] += n

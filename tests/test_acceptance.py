@@ -13,15 +13,15 @@ import time
 
 import pytest
 
-from pdkb.compiler import (AncillaryConfig, CompiledCondition,
-                           CompiledOperator, apply_ancillary, compile_problem)
+from pdkb.compiler import CompiledCondition, apply_ancillary, compile_problem
 from pdkb.kripke import oracle_entails
 from pdkb.model import ALWAYS, ground
 from pdkb.parser import desugar, parse_file, parse_text
 from pdkb.pekb import (PEKB, closure, entails, erase, is_consistent, negkb,
                        update)
 from pdkb.planner import solve_andor, solve_bfs, solve_external
-from pdkb.rml import (Proposition, RmlSpace, enumerate_rmls, parse_rml)
+from pdkb.rml import (Proposition, RmlSpace, RmlTable, enumerate_rmls,
+                      parse_rml)
 from pdkb.validator import (STRONG_VALID, INVALID, assess_plan,
                             crosscheck_progression, state_key, verify_policy)
 
@@ -236,10 +236,10 @@ def test_criterion_6_entailment_triple_agreement():
 
 
 def _expand(adds=(), dels=(), awareness=None, depth=2):
-    op = CompiledOperator('op', (), CompiledCondition(),
-                         ((frozenset(adds), frozenset(dels)),))
-    config = AncillaryConfig(depth, lambda atom: False, awareness=awareness)
-    return apply_ancillary(op, config).outcomes[0]
+    outcome, _ = apply_ancillary((frozenset(adds), frozenset(dels)),
+                                 awareness or {}, depth, lambda atom: False,
+                                 RmlTable())
+    return outcome
 
 
 def test_criterion_7_ancillary_rule_goldens():

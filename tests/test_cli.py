@@ -290,7 +290,7 @@ UNBOUND_OR_DEEP = """
 
 
 @pytest.mark.parametrize('pre, effect, goal, message', [
-    ('(and)', '(q ?x)', '(q ?y)', 'error: error at goal: unbound variable ?y'),
+    ('(and)', '(q ?x)', '(q ?y)', 'error at goal: unbound variable ?y'),
     ('(and)', '(q ?y)', '(q a)',
      'error at action act: unbound variable ?y in q(?y)'),
     ('(and)', '(when (q ?z) (q ?x))', '(q a)',

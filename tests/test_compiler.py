@@ -6,16 +6,13 @@ import re
 
 import pytest
 
-from pdkb.compiler import (AncillaryConfig, CompiledCondition,
-                           CompiledOperator, _awareness_rules, _closure_rule,
-                           _contrapositive_rule, _negation_rule, _prune,
-                           _uncertain_rule, apply_ancillary, compile_problem,
-                           emit_domain, emit_fluent_map, emit_pddl,
-                           emit_problem, emit_report, encode_base,
-                           fluent_symbol)
+from pdkb.compiler import (CompiledCondition, _derive, _prune,
+                           apply_ancillary, compile_problem, emit_domain,
+                           emit_fluent_map, emit_pddl, emit_problem,
+                           emit_report, encode_base, fluent_symbol)
 from pdkb.model import ALWAYS, GroundAction, GroundingReport, ground
 from pdkb.parser import desugar, parse_file, parse_text
-from pdkb.rml import Proposition, lit, parse_rml, wrap
+from pdkb.rml import Proposition, RmlTable, lit, parse_rml, wrap
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -33,11 +30,10 @@ def cond(pos=(), neg=()):
 
 
 def expand(adds=(), dels=(), awareness=None, depth=2):
-    op = CompiledOperator('op', (), cond(), ((frozenset(adds),
-                                              frozenset(dels)),))
-    config = AncillaryConfig(depth, lambda atom: False, awareness=awareness)
-    out = apply_ancillary(op, config)
-    return out.outcomes[0]
+    outcome, _ = apply_ancillary((frozenset(adds), frozenset(dels)),
+                                 awareness or {}, depth, lambda atom: False,
+                                 RmlTable())
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +93,9 @@ def test_awareness_respects_the_depth_bound():
 
 def test_ak_effects_are_exempt_from_ancillary_rules():
     is_ak = lambda atom: atom.predicate == 'k'
-    op = CompiledOperator('op', (), cond(),
-                          ((frozenset([(cond(), lit(Proposition('k')))]),
-                            frozenset()),))
-    config = AncillaryConfig(2, is_ak, awareness={'1': ALWAYS})
-    adds, dels = apply_ancillary(op, config).outcomes[0]
+    outcome = (frozenset([(cond(), lit(Proposition('k')))]), frozenset())
+    (adds, dels), _ = apply_ancillary(outcome, {'1': ALWAYS}, 2, is_ak,
+                                      RmlTable())
     assert adds == {(cond(), lit(Proposition('k')))}
     assert dels == set()
 
@@ -180,6 +174,7 @@ def test_negated_ak_goal_condition_is_dropped_not_encoded():
     (('envelope', 'envelope.pdkbddl'), 192, 188, 0, 144),
     (('grapevine', 'prob-4ag-2g-1d.pdkbddl'), 2393, 1932, 0, 6912),
     (('grapevine', 'prob-4ag-2g-2d.pdkbddl'), 23129, 22668, 0, 62208),
+    (('misc', 'lossy-3ag-2l.pdkbddl'), 361, 279, 0, 648),
 ])
 def test_compile_counters_are_pinned(parts, effects, spawned, pruned,
                                      truncated):
@@ -191,28 +186,67 @@ def test_compile_counters_are_pinned(parts, effects, spawned, pruned,
     assert cp.report['truncated_effects'] == truncated
 
 
+ONE_ACTION = """
+(define (domain one)
+    (:agents a b)
+    (:predicates (p) (q) (r))
+    (:action act
+        :derive-condition always
+        :parameters       ()
+        :precondition     (and)
+        :effect           %s
+    )
+)
+(define (problem one-1)
+    (:domain one)
+    (:depth 1)
+    (:task valid_generation)
+    (:init-type complete)
+    (:init (!p) (!q) (!r))
+    (:goal (and (q)))
+)
+"""
+
+
+def compile_one(effect):
+    prob = desugar(parse_text(ONE_ACTION % effect))
+    return compile_problem(prob, ground(prob))
+
+
+def test_cut_copies_that_outcomes_share_count_once():
+    # both outcomes add [a](p), whose cut copies count once per operator;
+    # counted per outcome they would read 24
+    cp = compile_one('(oneof (and [a](p) (q)) (and [a](p) (r)))')
+    assert cp.flavor == 'fond'
+    assert cp.report['truncated_effects'] == 20
+
+
+def test_never_firing_effects_are_pruned():
+    # the condition requires p both held and absent, so the add of q and
+    # the negation rule's delete of !q under it never fire
+    cp = compile_one('(when (and (p) (not (p))) (q))')
+    assert cp.report['pruned_effects'] == 2
+    assert '(when (and (p) (not (p)))' not in emit_domain(cp, 'one')
+
+
 # ---------------------------------------------------------------------------
 # the semi-naive fixpoint against the round-robin one
 
 
-def round_robin_ancillary(op, config):
-    """Every rule reapplied to every effect until nothing changes: the
+def round_robin_ancillary(outcome, awareness, depth, is_ak, table):
+    """``_derive`` reapplied to all effects until nothing changes: the
     reference for the semi-naive ``apply_ancillary``."""
-    outcomes = []
-    for adds, dels in op.outcomes:
-        adds = set(adds)
-        dels = set(dels)
-        while True:
-            before = (len(adds), len(dels))
-            adds |= _closure_rule(config, adds)
-            dels |= _negation_rule(config, adds)
-            dels |= _contrapositive_rule(config, dels)
-            dels |= _uncertain_rule(config, adds)
-            adds |= _awareness_rules(config, adds, dels)
-            if (len(adds), len(dels)) == before:
-                break
-        outcomes.append((frozenset(adds), frozenset(dels)))
-    return tuple(outcomes)
+    adds, dels = map(set, outcome)
+    truncated = set()
+    while True:
+        before = (len(adds), len(dels))
+        derived_adds, derived_dels = _derive(adds, dels, awareness, depth,
+                                             is_ak, table, truncated)
+        adds |= derived_adds
+        dels |= derived_dels
+        if (len(adds), len(dels)) == before:
+            break
+    return (frozenset(adds), frozenset(dels)), truncated
 
 
 def unaware(actions):
@@ -236,12 +270,10 @@ def test_semi_naive_fixpoint_matches_round_robin(parts, aware):
     actions = ground(prob) if aware else unaware(ground(prob))
     _, _, _, base_ops = encode_base(prob, actions)
     for action, op in zip(actions, base_ops):
-        configs = [AncillaryConfig(prob.depth, prob.is_ak,
-                                   awareness=action.awareness)
-                   for _ in range(2)]
-        expected = round_robin_ancillary(op, configs[0])
-        assert apply_ancillary(op, configs[1]).outcomes == expected, op
-        assert configs[1].truncated == configs[0].truncated, op
+        for outcome in op.outcomes:
+            args = (outcome, action.awareness, prob.depth, prob.is_ak)
+            expected = round_robin_ancillary(*args, RmlTable())
+            assert apply_ancillary(*args, RmlTable()) == expected, op
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +298,22 @@ def test_shared_expansions_match_per_operator_ones(parts, aware):
     counts = {'spawned': 0, 'truncated': 0, 'pruned': 0}
     assert len(cp.operators) == len(base_ops)
     for action, op, got in zip(actions, base_ops, cp.operators):
-        config = AncillaryConfig(prob.depth, prob.is_ak,
-                                 awareness=action.awareness)
-        expanded = apply_ancillary(op, config)
-        counts['spawned'] += (
-            sum(len(a) + len(d) for a, d in expanded.outcomes)
-            - sum(len(a) + len(d) for a, d in op.outcomes))
-        counts['truncated'] += len(config.truncated)
-        expected = _prune(expanded, fluent_set, counts, {})
+        table = RmlTable()
+        expected = []
+        truncated = set()
+        for outcome in op.outcomes:
+            expanded, cut = apply_ancillary(outcome, action.awareness,
+                                            prob.depth, prob.is_ak, table)
+            truncated |= cut
+            counts['spawned'] += (sum(map(len, expanded))
+                                  - sum(map(len, outcome)))
+            kept, dropped = _prune(expanded, fluent_set, {})
+            counts['pruned'] += dropped
+            expected.append(kept)
+        counts['truncated'] += len(truncated)
         assert (got.name, got.args) == (op.name, op.args)
         assert got.precondition == op.precondition
-        assert got.outcomes == expected.outcomes, op
+        assert got.outcomes == tuple(expected), op
     assert cp.report['spawned_ancillary_effects'] == counts['spawned']
     assert cp.report['pruned_effects'] == counts['pruned']
     assert cp.report['truncated_effects'] == counts['truncated']

@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from pdkb.compiler import (AncillaryConfig, CompiledCondition,
-                           CompiledOperator, apply_ancillary, compile_problem)
+from pdkb.compiler import (CompiledCondition, CompiledOperator,
+                           apply_ancillary, compile_problem)
 from pdkb.model import ALWAYS, ground
 from pdkb.pekb import PEKB, ConditionalEffect, closure, progress
 from pdkb.parser import desugar, parse_file
 from pdkb.planner import apply, applicable
-from pdkb.rml import parse_rml
+from pdkb.rml import RmlTable, parse_rml
 from pdkb.validator import (INVALID, STRONG_VALID, WEAK_VALID, UnknownAction,
                             _compiled_state, assess_plan,
                             crosscheck_progression, expand_outcome,
@@ -323,12 +323,11 @@ def awareness_copies(base, awareness, depth, is_ak=not_ak):
             base.effect)
     outcome = ((frozenset(), frozenset([pair])) if base.delete
                else (frozenset([pair]), frozenset()))
-    op = CompiledOperator('op', (), CompiledCondition(), (outcome,))
-    config = AncillaryConfig(depth, is_ak, awareness=awareness)
-    adds, _ = apply_ancillary(op, config).outcomes[0]
+    (adds, _), truncated = apply_ancillary(outcome, awareness, depth, is_ak,
+                                           RmlTable())
     literals = {l for _, l in semantic}
     compiled = {(c, l) for c, l in adds if l in literals}
-    return semantic, compiled, config.truncated
+    return semantic, compiled, truncated
 
 
 def test_awareness_of_a_conditional_add():
@@ -389,7 +388,7 @@ def test_awareness_spawns_recursively_up_to_the_depth_bound():
     assert compiled == expected
     # the depth-3 copies are cut, and the compiler records each cut
     assert ('1', CompiledCondition(rmls('B_2 B_1 t1')),
-            parse_rml('B_2 B_1 s1'), 'add') in truncated
+            parse_rml('B_2 B_1 s1'), False) in truncated
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +404,9 @@ def test_a_false_always_known_condition_blocks_uncertain_firing(known):
     held = ['B_1 !s1', 'k1'] if known else ['B_1 !s1']
     state = closure(PEKB(rmls(*held)))
     semantic = progress(state, [add], is_k).rmls
-    base = CompiledOperator('op', (), CompiledCondition(), ((frozenset([
-        (CompiledCondition(add.condition_pos), add.effect)]), frozenset()),))
-    op = apply_ancillary(base, AncillaryConfig(1, is_k))
+    effect = (CompiledCondition(add.condition_pos), add.effect)
+    outcome, _ = apply_ancillary((frozenset([effect]), frozenset()), {}, 1,
+                                 is_k, RmlTable())
+    op = CompiledOperator('op', (), CompiledCondition(), (outcome,))
     assert apply(state.rmls, op) == semantic
     assert (parse_rml('B_1 !s1') in semantic) is not known
