@@ -10,6 +10,8 @@ a negated AK atom in a condition means the atom must be absent, and a
 negated AK effect is a delete.
 """
 
+from itertools import product
+
 from .pekb import ConditionalEffect
 from .rml import Proposition, RML
 
@@ -172,22 +174,10 @@ class RPMEPProblem:
         return tuple(p for p in self._all_propositions() if self.is_ak(p))
 
     def _all_propositions(self):
-        out = []
-        for name in sorted(self.predicates):
-            arg_types, _ = self.predicates[name]
-            for args in _typed_tuples(self, arg_types):
-                out.append(Proposition(name, args))
-        return tuple(out)
-
-
-def _typed_tuples(problem, arg_types):
-    if not arg_types:
-        return [()]
-    out = [()]
-    for typ in arg_types:
-        pool = problem.objects_of_type(typ)
-        out = [prefix + (obj,) for prefix in out for obj in pool]
-    return out
+        return tuple(Proposition(name, args)
+                     for name in sorted(self.predicates)
+                     for args in product(*map(self.objects_of_type,
+                                              self.predicates[name][0])))
 
 
 def _subst_term(term, binding):
@@ -231,13 +221,10 @@ def _substituter():
 
 
 def _bindings(problem, parameters):
-    out = [{}]
-    for var, typ in parameters:
-        pool = problem.objects_of_type(typ)
-        if not pool:
-            return []
-        out = [dict(b, **{var: obj}) for b in out for obj in pool]
-    return out
+    """Every binding of the typed variables, the first varying slowest."""
+    names = [var for var, _ in parameters]
+    return [dict(zip(names, values)) for values in
+            product(*[problem.objects_of_type(typ) for _, typ in parameters])]
 
 
 def _instantiate_effects(problem, templates, binding, truncated, subst):

@@ -10,6 +10,7 @@ token keeping its own file/line/column so diagnostics point at the real
 source. Symbols are case-insensitive and normalized to lower case.
 """
 
+import bisect
 import os
 import re
 
@@ -45,7 +46,8 @@ class SemanticError(Exception):
 class Token:
     __slots__ = ('kind', 'value', 'pos')
 
-    # kinds: 'lp', 'rp', 'sym', 'modal' (value (mode, agent)), 'ak'
+    # kinds: 'lp', 'rp', 'sym', 'modal' (value (mode, agent)), 'ak',
+    # 'include' (value the included path)
 
     def __init__(self, kind, value, pos):
         self.kind = kind
@@ -56,80 +58,54 @@ class Token:
         return 'Token(%s, %r)' % (self.kind, self.value)
 
 
-_INCLUDE_RE = re.compile(r'\{include:([^}]*)\}')
-_SYMBOL_CHARS = re.compile(r'[^\s()\[\]<>{};]')
+# One alternative per token kind; the search skips the blanks between
+# tokens, and the last two alternatives only ever raise.
+_TOKEN_RE = re.compile(r"""
+      (?P<comment> ;[^\n]* )
+    | (?P<lp> \( )
+    | (?P<rp> \) )
+    | (?P<modal> \[[^\]]*\] | <[^>]*> )
+    | (?P<marker> \{[^}]*\} )
+    | (?P<sym> [^\s()\[\]<>{};]+ )
+    | (?P<unterminated> [\[<{] )
+    | (?P<unexpected> \S )
+""", re.VERBOSE)
 
 
 def tokenize(text, filename='<string>'):
+    """Tokens of ``text``; lines count from 1 and columns from 0."""
+    line_starts = [0] + [m.end() for m in re.finditer('\n', text)]
     tokens = []
-    line, col = 1, 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        pos = (filename, line, col)
-        if ch == '\n':
-            line += 1
-            col = 0
-            i += 1
+    for match in _TOKEN_RE.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        if kind == 'comment':
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == ';':
-            while i < n and text[i] != '\n':
-                i += 1
-            continue
-        if ch == '(':
-            tokens.append(Token('lp', '(', pos))
-            i += 1
-            col += 1
-            continue
-        if ch == ')':
-            tokens.append(Token('rp', ')', pos))
-            i += 1
-            col += 1
-            continue
-        if ch in '[<':
-            close = ']' if ch == '[' else '>'
-            end = text.find(close, i + 1)
-            if end < 0:
-                raise ParseError('unterminated %r belief marker' % ch, pos)
-            name = text[i + 1:end].strip().lower()
+        offset = match.start()
+        line = bisect.bisect(line_starts, offset)
+        pos = (filename, line, offset - line_starts[line - 1])
+        if kind in ('sym', 'lp', 'rp'):
+            tokens.append(Token(kind, word.lower(), pos))
+        elif kind == 'modal':
+            name = word[1:-1].strip().lower()
             if not name:
                 raise ParseError('empty belief marker', pos)
-            mode = BELIEF if ch == '[' else POSSIBLE
-            tokens.append(Token('modal', (mode, name), pos))
-            col += end - i + 1
-            i = end + 1
-            continue
-        if ch == '{':
-            end = text.find('}', i)
-            if end < 0:
-                raise ParseError('unterminated { marker', pos)
-            body = text[i:end + 1]
-            if body.lower() == '{ak}':
-                tokens.append(Token('ak', body, pos))
-            elif body.lower().startswith('{include:'):
-                # include splice happens in parse_file; a bare include here
-                # means tokenize was called on raw text
-                tokens.append(Token('include', body[9:-1].strip(), pos))
+            mode = BELIEF if word[0] == '[' else POSSIBLE
+            tokens.append(Token(kind, (mode, name), pos))
+        elif kind == 'marker':
+            if word.lower() == '{ak}':
+                tokens.append(Token('ak', word, pos))
+            elif word.lower().startswith('{include:'):
+                # include splice happens in tokenize_file; a bare include
+                # here means tokenize was called on raw text
+                tokens.append(Token('include', word[9:-1].strip(), pos))
             else:
-                raise ParseError('unknown marker %s' % body, pos)
-            col += end - i + 1
-            i = end + 1
-            continue
-        m = _SYMBOL_CHARS.match(text, i)
-        if not m:
-            raise ParseError('unexpected character %r' % ch, pos)
-        j = i
-        while j < n and _SYMBOL_CHARS.match(text, j):
-            j += 1
-        word = text[i:j]
-        tokens.append(Token('sym', word.lower(), pos))
-        col += j - i
-        i = j
+                raise ParseError('unknown marker %s' % word, pos)
+        elif word == '{':
+            raise ParseError('unterminated { marker', pos)
+        elif kind == 'unterminated':
+            raise ParseError('unterminated %r belief marker' % word, pos)
+        else:
+            raise ParseError('unexpected character %r' % word, pos)
     return tokens
 
 
@@ -195,10 +171,7 @@ def parse(tokens):
     for tree in trees:
         if not isinstance(tree, list) or not tree \
                 or getattr(tree[0], 'value', None) != 'define':
-            pos = tree[0].pos if isinstance(tree, list) and tree \
-                and isinstance(tree[0], Token) else None
-            raise ParseError('expected (define ...) at top level',
-                             getattr(tree, 'pos', pos))
+            raise ParseError('expected (define ...) at top level', _pos(tree))
     return Ast(trees)
 
 

@@ -21,8 +21,9 @@ STRONG_VALID = 'StrongValid'
 WEAK_VALID = 'WeakValid'
 INVALID = 'Invalid'
 
+# caps the trajectories assess_plan enumerates and the states verify_policy
+# reaches; there is no depth cap
 DEFAULT_MAX_BRANCHES = 10_000
-DEFAULT_MAX_DEPTH = 50
 
 
 class UnknownAction(Exception):
@@ -144,8 +145,7 @@ def resolve_plan(problem, plan=None, ground_actions=None):
 # plan assessment
 
 
-def assess_plan(problem, plan=None, ground_actions=None,
-                max_branches=DEFAULT_MAX_BRANCHES):
+def assess_plan(problem, plan=None, ground_actions=None):
     """Enumerate every trajectory of the plan and aggregate verdicts.
 
     StrongValid: all trajectories complete and end in the goal.
@@ -163,8 +163,9 @@ def assess_plan(problem, plan=None, ground_actions=None,
     while stack:
         state, states, taken = stack.pop()
         count += 1
-        if count > max_branches:
-            raise ResourceLimit('trajectory cap %d exceeded' % max_branches)
+        if count > DEFAULT_MAX_BRANCHES:
+            raise ResourceLimit('trajectory cap %d exceeded'
+                                % DEFAULT_MAX_BRANCHES)
         step = len(taken)
         if step == len(actions):
             if goal_holds(problem, state):
@@ -207,16 +208,25 @@ def state_key(state):
     return closure(state).rmls
 
 
-def verify_policy(problem, policy, ground_actions=None,
-                  max_states=DEFAULT_MAX_BRANCHES,
-                  max_depth=DEFAULT_MAX_DEPTH):
+def _discovery_path(parent, state, failure=None):
+    """The trajectory that first reached ``state``, from its parents."""
+    states, actions = [state], []
+    while parent[state] is not None:
+        state, action = parent[state]
+        states.append(state)
+        actions.append(action)
+    return Trajectory(reversed(states), reversed(actions), failure)
+
+
+def verify_policy(problem, policy, ground_actions=None):
     """Exhaustively execute a policy keyed by a state's RML set, whose
     actions (tuples, GroundActions or CompiledOperators) match by name+args.
 
     Undefined at a goal state ends the trajectory successfully; undefined
     anywhere else fails it. Cycles are accepted under the fairness
     reading: StrongValid requires every reachable state to have some path
-    to a terminal success and no reachable failure.
+    to a terminal success and no reachable failure. Witnesses are the
+    paths on which the search first reached their last state.
     """
     if ground_actions is None:
         ground_actions = ground(problem)
@@ -224,50 +234,48 @@ def verify_policy(problem, policy, ground_actions=None,
     init = closure(PEKB(problem.initial))
 
     succ_map = {}
-    terminal_ok = {}
-    fail_witness = {}
-    frontier = [(init, [init], [])]
-    seen = {init}
+    terminal_ok = []
+    failures = []
+    parent = {init: None}
+    frontier = [init]
     while frontier:
-        state, states, taken = frontier.pop()
-        if len(states) > max_depth + 1:
-            raise ResourceLimit('policy depth cap %d exceeded' % max_depth)
+        state = frontier.pop()
         chosen = policy.get(state.rmls)
         if chosen is None:
             if goal_holds(problem, state):
-                terminal_ok[state] = Trajectory(states, taken)
+                terminal_ok.append(state)
             else:
-                fail_witness[state] = Trajectory(
-                    states, taken, 'policy undefined off the goal')
+                failures.append((state, 'policy undefined off the goal'))
             continue
         if not isinstance(chosen, tuple):
             chosen = (chosen.name,) + chosen.args
         chosen = index.get(chosen)
         if chosen is None or not precondition_holds(state, chosen):
             label = chosen.label if chosen is not None else '<unknown>'
-            fail_witness[state] = Trajectory(
-                states, taken, 'policy action %s not applicable' % label)
+            failures.append((state, 'policy action %s not applicable'
+                             % label))
             continue
         try:
             nexts = successors(state, chosen, problem.depth, problem.is_ak)
         except InconsistentResult as exc:
-            fail_witness[state] = Trajectory(states, taken, str(exc))
+            failures.append((state, str(exc)))
             continue
         succ_map[state] = nexts
         for nxt in nexts:
-            if nxt not in seen:
-                if len(seen) > max_states:
+            if nxt not in parent:
+                if len(parent) > DEFAULT_MAX_BRANCHES:
                     raise ResourceLimit('policy state cap %d exceeded'
-                                        % max_states)
-                seen.add(nxt)
-                frontier.append((nxt, states + [nxt], taken + [chosen]))
+                                        % DEFAULT_MAX_BRANCHES)
+                parent[nxt] = (state, chosen)
+                frontier.append(nxt)
 
-    if fail_witness:
-        return VerificationResult(INVALID, next(iter(fail_witness.values())),
-                                  len(seen))
+    if failures:
+        state, failure = failures[0]
+        return VerificationResult(
+            INVALID, _discovery_path(parent, state, failure), len(parent))
     if not terminal_ok:
         witness = Trajectory([init], [], 'no trajectory reaches the goal')
-        return VerificationResult(INVALID, witness, len(seen))
+        return VerificationResult(INVALID, witness, len(parent))
     # can every reachable state still reach a terminal success?
     can_finish = set(terminal_ok)
     grew = True
@@ -278,10 +286,10 @@ def verify_policy(problem, policy, ground_actions=None,
                                                for n in nexts):
                 can_finish.add(state)
                 grew = True
-    witness = next(iter(terminal_ok.values()))
-    if all(s in can_finish for s in seen):
-        return VerificationResult(STRONG_VALID, witness, len(seen))
-    return VerificationResult(WEAK_VALID, witness, len(seen))
+    witness = _discovery_path(parent, terminal_ok[0])
+    if all(s in can_finish for s in parent):
+        return VerificationResult(STRONG_VALID, witness, len(parent))
+    return VerificationResult(WEAK_VALID, witness, len(parent))
 
 
 # ---------------------------------------------------------------------------

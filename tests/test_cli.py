@@ -70,8 +70,6 @@ def test_solve_with_max_states_zero_exits_unsolvable(tmp_path):
      'trajectory cap 10000 exceeded'),
     (('misc', 'ask.pdkbddl'), 'verify_policy',
      'policy state cap 10000 exceeded'),
-    (('misc', 'ask.pdkbddl'), 'verify_policy',
-     'policy depth cap 50 exceeded'),
 ])
 def test_solve_exits_unsolvable_on_a_validator_cap(tmp_path, monkeypatch,
                                                    parts, check, message):
@@ -85,6 +83,43 @@ def test_solve_exits_unsolvable_on_a_validator_cap(tmp_path, monkeypatch,
     assert report['error'] == message
     assert report['verify_time'] >= 0
     assert 'verdict' not in report
+
+
+def test_solve_past_the_policy_state_cap_exits_unsolvable(tmp_path,
+                                                         monkeypatch):
+    # the policy for misc/ask reaches 5 states
+    monkeypatch.setattr(validator_mod, 'DEFAULT_MAX_BRANCHES', 2)
+    result, report = _solve_report(tmp_path, 'misc', 'ask.pdkbddl')
+    assert result.exit_code == EXIT_UNSOLVABLE
+    assert report['error'] == 'policy state cap 2 exceeded'
+
+
+def _chain_problem(n):
+    """A FOND walk along always-known stations s0 .. s(n-1): each step
+    either moves on or leaves the state as it was."""
+    steps = ''.join(
+        '  (:action go%d :derive-condition never :precondition (s%d)\n'
+        '    :effect (oneof (and (!s%d) (s%d)) (and)))\n' % (i, i, i, i + 1)
+        for i in range(n - 1))
+    return ('(define (domain chain) (:agents a)\n  (:predicates %s)\n%s)\n'
+            '(define (problem walk) (:domain chain) (:depth 1)\n'
+            '  (:task valid_generation) (:init-type complete) (:init (s0))\n'
+            '  (:goal (s%d)))\n'
+            % (' '.join('{AK}(s%d)' % i for i in range(n)), steps, n - 1))
+
+
+def test_solve_verifies_a_policy_longer_than_fifty_steps(tmp_path):
+    path = tmp_path / 'chain.pdkbddl'
+    path.write_text(_chain_problem(55), encoding='utf-8')
+    result = CliRunner().invoke(main, ['solve', str(path),
+                                       '--out', str(tmp_path / 'out')])
+    assert result.exit_code == EXIT_OK, result.output
+    with open(tmp_path / 'out' / 'solve-report.json',
+              encoding='utf-8') as handle:
+        report = json.load(handle)
+    assert report['policy_classification'] == 'StrongCyclic'
+    assert report['policy_size'] == 54
+    assert report['verdict'] == 'StrongValid'
 
 
 @pytest.mark.parametrize('parts,solver', [
@@ -267,6 +302,21 @@ def test_solve_has_no_root_option(tmp_path):
      'duplicate :effect'),
     ('(define (domain x) (:action a :effect))', (1, 30),
      ':effect has no value'),
+    # the scanner's own diagnostics
+    ('(define (domain x) [a (p))', (1, 19),
+     "unterminated '[' belief marker"),
+    ('(define (domain x) <a (p))', (1, 19),
+     "unterminated '<' belief marker"),
+    ('(define (domain x) {AK (p))', (1, 19), 'unterminated { marker'),
+    ('(define (domain x) [ ] (p))', (1, 19), 'empty belief marker'),
+    ('(define (domain x) {foo} (p))', (1, 19), 'unknown marker {foo}'),
+    ('(define (domain x) ] (p))', (1, 19), "unexpected character ']'"),
+    # a top-level form that is no (define ...) names its first token
+    ('((define (domain x)))', (1, 2), 'expected (define ...) at top level'),
+    # a belief marker that spans a line break moves later tokens down
+    ('(define (domain x)\n  (:predicates (p))\n'
+     '  (:action a :effect ([a\n] p) (q r)))', (4, 6),
+     'expected action field'),
 ])
 def test_malformed_input_is_a_positioned_diagnostic(tmp_path, text,
                                                     position, message):
