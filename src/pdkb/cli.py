@@ -2,18 +2,18 @@
 
 Subcommands: compile, solve, validate, query, closure. Machine-readable
 output goes to files or stdout; human summaries go to stderr. Exit codes:
-0 success, 1 false query, 2 input diagnostics, 3 unsolvable or a resource
-cap hit, 4 external planner failure, 5 weakly-valid-only plan or
-policy, 6 invalid plan or policy.
+0 success, 1 false query, 2 input diagnostics or a usage error (an
+unknown option or command, a missing file, a bad option value), 3
+unsolvable or a resource cap hit, 4 external planner failure, 5
+weakly-valid-only plan or policy, 6 invalid plan or policy.
 """
 
+import argparse
 import functools
 import json
 import os
 import sys
 import time
-
-import click
 
 from . import planner as planner_mod
 from . import validator as validator_mod
@@ -36,7 +36,7 @@ PLANNER_CMD_ENV = 'PDKB_PLANNER_CMD'
 
 
 def _info(message):
-    click.echo(message, err=True)
+    print(message, file=sys.stderr)
 
 
 FLAVORS = ('classical', 'fond', 'auto')
@@ -62,39 +62,37 @@ def load_config(path):
     unknown key, a non-numeric depth, max_states or timeout, or an unknown
     flavor is an input diagnostic."""
     config = {}
-    if path is None:
-        return config
     with open(path, encoding='utf-8') as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split('#', 1)[0].strip()
             if not line:
                 continue
             if '=' not in line:
-                sys.exit(_diagnose('%s:%d: expected key=value'
-                                   % (path, lineno)))
+                raise SystemExit(_diagnose('%s:%d: expected key=value'
+                                           % (path, lineno)))
             key, value = (part.strip() for part in line.split('=', 1))
             if key not in _CONFIG_TYPES:
-                sys.exit(_diagnose('%s:%d: unknown key %r'
-                                   % (path, lineno, key)))
+                raise SystemExit(_diagnose('%s:%d: unknown key %r'
+                                           % (path, lineno, key)))
             parse, kind = _CONFIG_TYPES[key]
             try:
                 config[key] = parse(value)
             except ValueError:
-                sys.exit(_diagnose('%s:%d: %s must be %s, not %r'
-                                   % (path, lineno, key, kind, value)))
+                raise SystemExit(_diagnose('%s:%d: %s must be %s, not %r' % (
+                    path, lineno, key, kind, value)))
     return config
 
 
-def _effective(config, **flags):
-    """Config file values overridden by flags, then by the environment."""
-    merged = dict(config)
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
+def _effective(config_path, flags):
+    """The config file's values overridden by the flags that are set; the
+    environment's planner command applies only when neither sets one."""
+    config = load_config(config_path) if config_path else {}
+    config.update((key, value) for key, value in flags.items()
+                  if value is not None)
     env_cmd = os.environ.get(PLANNER_CMD_ENV)
-    if env_cmd and not merged.get('planner_cmd'):
-        merged['planner_cmd'] = env_cmd
-    return merged
+    if env_cmd and not config.get('planner_cmd'):
+        config['planner_cmd'] = env_cmd
+    return config
 
 
 def _load_problem(path, depth_override=None):
@@ -110,10 +108,9 @@ def _load_problem(path, depth_override=None):
     if depth_override is not None:
         problem.depth = int(depth_override)
     diagnostics = validate_model(problem)
-    errors = [d for d in diagnostics if d.is_error]
     for diag in diagnostics:
         _info(str(diag))
-    if errors:
+    if any(d.is_error for d in diagnostics):
         raise SystemExit(EXIT_DIAGNOSTICS)
     return problem
 
@@ -148,7 +145,8 @@ def _load_pekb(path):
             try:
                 rmls.append(parse_rml(line))
             except RmlSyntaxError as exc:
-                sys.exit(_diagnose('%s:%d: %s' % (path, lineno, exc)))
+                raise SystemExit(_diagnose('%s:%d: %s'
+                                           % (path, lineno, exc)))
     return PEKB(rmls)
 
 
@@ -162,42 +160,14 @@ def _state_diff(prev, cur):
 def _trajectory_payload(traj):
     if traj is None:
         return None
-    steps = []
-    for i, action in enumerate(traj.actions):
-        steps.append({
-            'action': action.label,
-            'diff': _state_diff(traj.states[i], traj.states[i + 1]),
-        })
+    steps = [{'action': action.label, 'diff': _state_diff(prev, cur)}
+             for action, prev, cur in zip(traj.actions, traj.states,
+                                          traj.states[1:])]
     return {'steps': steps, 'failure': traj.failure}
 
 
-@click.group()
-def main():
-    """Nested-belief planning: compile, solve, and validate."""
-
-
-_common = [
-    click.option('--config', 'config_path', type=click.Path(exists=True),
-                 default=None, help='key=value config file'),
-    click.option('--depth-override', type=int, default=None),
-    click.option('--out', default=None, help='output directory'),
-]
-
-
-def _with_common(fn):
-    for deco in reversed(_common):
-        fn = deco(fn)
-    return fn
-
-
-@main.command('compile')
-@click.argument('input_path', type=click.Path(exists=True))
-@click.option('--flavor', type=click.Choice(FLAVORS), default=None)
-@_with_common
-def cmd_compile(input_path, flavor, config_path, depth_override, out):
+def cmd_compile(input_path, config):
     """Compile a .pdkbddl problem to classical/FOND PDDL artifacts."""
-    config = _effective(load_config(config_path), flavor=flavor,
-                        depth=depth_override, out=out)
     problem = _load_problem(input_path, config.get('depth'))
     _, cp = _compile(problem, config.get('flavor'))
     out_dir = config.get('out') or '%s-out' % os.path.splitext(input_path)[0]
@@ -205,28 +175,12 @@ def cmd_compile(input_path, flavor, config_path, depth_override, out):
     _info('compiled %s: %d fluents, %d operators (%s) -> %s'
           % (problem.problem_name, len(cp.fluents), len(cp.operators),
              cp.flavor, out_dir))
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
-@main.command('solve')
-@click.argument('input_path', type=click.Path(exists=True))
-@click.option('--flavor', type=click.Choice(FLAVORS), default=None)
-@click.option('--planner-cmd', default=None,
-              help='external planner template with {domain} {problem} '
-                   '{plan}')
-@click.option('--timeout', type=float, default=None,
-              help='external planner timeout in seconds')
-@click.option('--max-states', type=int, default=None)
-@click.option('--acyclic-only', is_flag=True, default=False)
-@_with_common
-def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
-              acyclic_only, config_path, depth_override, out):
+def cmd_solve(input_path, acyclic_only, config):
     """Compile and solve; the plan is validated semantically before
     success is reported."""
-    config = _effective(load_config(config_path), flavor=flavor,
-                        planner_cmd=planner_cmd, timeout=timeout,
-                        max_states=max_states, depth=depth_override,
-                        out=out)
     problem = _load_problem(input_path, config.get('depth'))
     actions, cp = _compile(problem, config.get('flavor'))
     out_dir = config.get('out') or '%s-out' % os.path.splitext(input_path)[0]
@@ -238,19 +192,18 @@ def cmd_solve(input_path, flavor, planner_cmd, timeout, max_states,
                            acyclic_only)
     _write_json(os.path.join(out_dir, 'solve-report.json'), report)
     _info(message)
-    sys.exit(code)
+    return code
 
 
 def _solve(report, problem, actions, cp, config, out_dir, acyclic_only):
     """Search, verify the plan or policy semantically and write it to
     ``out_dir``; fills ``report`` and returns the summary line and the
     exit code."""
-    cap = config.get('max_states')
-    if cap is None:
-        cap = planner_mod.DEFAULT_STATE_CAP
+    cap = config.get('max_states', planner_mod.DEFAULT_STATE_CAP)
     started = time.perf_counter()
     template = config.get('planner_cmd')
     stats = {}
+    plan = policy = None
     try:
         if template:
             report['solver'] = 'external'
@@ -258,17 +211,14 @@ def _solve(report, problem, actions, cp, config, out_dir, acyclic_only):
                 cp, template, timeout=config.get('timeout'),
                 domain_name=problem.domain_name,
                 problem_name=problem.problem_name)
-            policy = None
         elif cp.flavor == FOND:
             report['solver'] = 'and-or'
             policy = planner_mod.solve_andor(cp, max_states=cap,
                                              acyclic_only=acyclic_only,
                                              stats=stats)
-            plan = None
         else:
             report['solver'] = 'bfs'
             plan = planner_mod.solve_bfs(cp, max_states=cap, stats=stats)
-            policy = None
     except (planner_mod.PlannerFailure, planner_mod.PlanParseError,
             planner_mod.PlanInvalid) as exc:
         report['error'] = str(exc)
@@ -346,15 +296,8 @@ def _search_counts(stats):
     return counts
 
 
-@main.command('validate')
-@click.argument('input_path', type=click.Path(exists=True))
-@click.option('--plan', 'plan_path', type=click.Path(exists=True),
-              default=None, help='plan file overriding the (:plan) block')
-@_with_common
-def cmd_validate(input_path, plan_path, config_path, depth_override, out):
+def cmd_validate(input_path, plan_path, config):
     """Assess a plan against the goal by semantic progression."""
-    config = _effective(load_config(config_path), depth=depth_override,
-                        out=out)
     problem = _load_problem(input_path, config.get('depth'))
     actions = ground(problem)
     plan = None
@@ -363,18 +306,18 @@ def cmd_validate(input_path, plan_path, config_path, depth_override, out):
             try:
                 plan = planner_mod.parse_plan_file(handle.read(), actions)
             except planner_mod.PlanParseError as exc:
-                sys.exit(_diagnose('%s: %s' % (plan_path, exc)))
+                return _diagnose('%s: %s' % (plan_path, exc))
     elif problem.plan is None:
-        sys.exit(_diagnose('assessment requires a (:plan ...) block or '
-                           '--plan file'))
+        return _diagnose('assessment requires a (:plan ...) block or '
+                         '--plan file')
     try:
         result = validator_mod.assess_plan(problem, plan=plan,
                                            ground_actions=actions)
     except validator_mod.UnknownAction as exc:
-        sys.exit(_diagnose(str(exc)))
+        return _diagnose(str(exc))
     except planner_mod.ResourceLimit as exc:
         _info('error: validation limit hit: %s' % exc)
-        sys.exit(EXIT_UNSOLVABLE)
+        return EXIT_UNSOLVABLE
     payload = {
         'version': 1,
         'problem': problem.problem_name,
@@ -387,14 +330,11 @@ def cmd_validate(input_path, plan_path, config_path, depth_override, out):
         _write_json(os.path.join(config['out'], 'validate-report.json'),
                     payload)
     else:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     _info('verdict: %s' % result.verdict)
-    sys.exit(_verdict_exit(result.verdict))
+    return _verdict_exit(result.verdict)
 
 
-@main.command('query')
-@click.argument('state_path', type=click.Path(exists=True))
-@click.argument('query_text')
 def cmd_query(state_path, query_text):
     """Does the belief-base file entail the query (a comma-separated RML
     conjunction)? Prints true/false; exit 0/1, or 2 on a syntax error."""
@@ -403,26 +343,86 @@ def cmd_query(state_path, query_text):
         rmls = [parse_rml(part) for part in query_text.split(',')
                 if part.strip()]
     except RmlSyntaxError as exc:
-        sys.exit(_diagnose(str(exc)))
+        return _diagnose(str(exc))
     if not is_consistent(base):
-        sys.exit(_diagnose('belief base is inconsistent'))
+        return _diagnose('belief base is inconsistent')
     verdict = entails(base, rmls)
-    click.echo('true' if verdict else 'false')
-    sys.exit(EXIT_OK if verdict else EXIT_FALSE)
+    print('true' if verdict else 'false')
+    return EXIT_OK if verdict else EXIT_FALSE
 
 
-@main.command('closure')
-@click.argument('state_path', type=click.Path(exists=True))
-@click.option('--prime', 'prime_form', is_flag=True, default=False,
-              help='print the reduced (prime) form instead')
 def cmd_closure(state_path, prime_form):
-    """Print the deductive closure of a belief-base file, one RML per
-    line."""
+    """Print a belief-base file's deductive closure, one RML per line."""
     base = _load_pekb(state_path)
     result = prime(closure(base)) if prime_form else closure(base)
     for rml in sorted(result.rmls):
-        click.echo(format_rml(rml))
-    sys.exit(EXIT_OK)
+        print(format_rml(rml))
+    return EXIT_OK
+
+
+def _existing(path):
+    """Type of a path argument: a missing path is a usage error."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError("'%s' does not exist" % path)
+    return path
+
+
+def _parser():
+    """One subparser per command; compile, solve and validate share their
+    input path and three flags through one parent parser."""
+    helpful = argparse.ArgumentParser(add_help=False)
+    helpful.add_argument('--help', action='help',
+                         help='show this message and exit')
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument('input_path', type=_existing)
+    common.add_argument('--config', dest='config_path', metavar='FILE',
+                        type=_existing, help='key=value config file')
+    common.add_argument('--depth-override', dest='depth', type=int)
+    common.add_argument('--out', help='output directory')
+    parser = argparse.ArgumentParser(prog='pdkb', description=main.__doc__,
+                                     parents=[helpful], add_help=False,
+                                     allow_abbrev=False)
+    commands = parser.add_subparsers(metavar='COMMAND', required=True)
+
+    def command(name, run, *parents):
+        sub = commands.add_parser(name, parents=(helpful,) + parents,
+                                  help=run.__doc__, description=run.__doc__,
+                                  add_help=False, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    sub = command('compile', cmd_compile, common)
+    sub.add_argument('--flavor', choices=FLAVORS)
+    sub = command('solve', cmd_solve, common)
+    sub.add_argument('--flavor', choices=FLAVORS)
+    sub.add_argument('--planner-cmd', help='external planner template with '
+                     '{domain} {problem} {plan}')
+    sub.add_argument('--timeout', type=float,
+                     help='external planner timeout in seconds')
+    sub.add_argument('--max-states', type=int)
+    sub.add_argument('--acyclic-only', action='store_true')
+    sub = command('validate', cmd_validate, common)
+    sub.add_argument('--plan', dest='plan_path', metavar='FILE',
+                     type=_existing,
+                     help='plan file overriding the (:plan) block')
+    sub = command('query', cmd_query)
+    sub.add_argument('state_path', type=_existing)
+    sub.add_argument('query_text')
+    sub = command('closure', cmd_closure)
+    sub.add_argument('state_path', type=_existing)
+    sub.add_argument('--prime', dest='prime_form', action='store_true',
+                     help='print the reduced (prime) form instead')
+    return parser
+
+
+def main(argv=None):
+    """Nested-belief planning: compile, solve, and validate."""
+    args = vars(_parser().parse_args(argv))
+    run = args.pop('run')
+    if 'config_path' in args:
+        flags = {key: args.pop(key) for key in _CONFIG_TYPES if key in args}
+        args['config'] = _effective(args.pop('config_path'), flags)
+    sys.exit(run(**args))
 
 
 if __name__ == '__main__':

@@ -11,7 +11,7 @@ from the satisfaction clauses.
 import itertools
 from functools import lru_cache
 
-from .rml import BELIEF, RML
+from .rml import BELIEF
 
 _COST_CAP = 5_000_000
 
@@ -98,61 +98,44 @@ def _mask_table(props, agents, max_worlds):
     return rmls, frozenset(masks)
 
 
+def _model_masks(rmls, max_worlds):
+    """After the bound checks both oracles share: the bit of each of
+    ``rmls`` and the truth masks of the models within the bound."""
+    if max_worlds < 1:
+        raise ScaleExceeded('need at least one world')
+    if any(r.depth > 2 for r in rmls):
+        raise ScaleExceeded('oracle handles depth <= 2 only')
+    props = frozenset(r.atom for r in rmls)
+    if len(props) > 3:
+        raise ScaleExceeded('oracle handles at most 3 propositions')
+    if max_worlds > 4:
+        raise ScaleExceeded('oracle handles at most 4 worlds')
+    agents = frozenset(a for r in rmls for _, a in r.modalities)
+    if not agents:
+        agents = frozenset(['i'])
+    rml_index, masks = _mask_table(tuple(sorted(props)),
+                                   tuple(sorted(agents)), max_worlds)
+    pos = {r: i for i, r in enumerate(rml_index)}
+    return [1 << pos[r] for r in rmls], masks
+
+
 def oracle_entails(p, query, max_worlds=3):
     """Semantic entailment check by bounded model enumeration.
 
     Returns False iff some serial pointed model within the bound satisfies
     every RML of p together with the negation of the query.
     """
-    from .rml import negate
-
     p_rmls = sorted(set(p.rmls if hasattr(p, 'rmls') else p))
-    all_rmls = p_rmls + [query]
-    if max_worlds < 1:
-        raise ScaleExceeded('need at least one world')
-    if any(r.depth > 2 for r in all_rmls):
-        raise ScaleExceeded('oracle handles depth <= 2 only')
-    props = frozenset(r.atom for r in all_rmls)
-    if len(props) > 3:
-        raise ScaleExceeded('oracle handles at most 3 propositions')
-    if max_worlds > 4:
-        raise ScaleExceeded('oracle handles at most 4 worlds')
-    agents = frozenset(a for r in all_rmls for _, a in r.modalities)
-    if not agents:
-        agents = frozenset(['i'])
-
-    rml_index, masks = _mask_table(tuple(sorted(props)),
-                                   tuple(sorted(agents)), max_worlds)
-    pos = {r: i for i, r in enumerate(rml_index)}
-    p_bits = 0
-    for r in p_rmls:
-        p_bits |= 1 << pos[r]
-    q_bit = 1 << pos[query]
-    for mask in masks:
-        if mask & p_bits == p_bits and not mask & q_bit:
-            return False
-    return True
+    bits, masks = _model_masks(p_rmls + [query], max_worlds)
+    q_bit = bits.pop()
+    p_bits = sum(bits)
+    return not any(mask & p_bits == p_bits and not mask & q_bit
+                   for mask in masks)
 
 
 def oracle_consistent(p, max_worlds=3):
     """True iff some serial pointed model within the bound satisfies p."""
     p_rmls = sorted(set(p.rmls if hasattr(p, 'rmls') else p))
-    if not p_rmls:
-        return True
-    if any(r.depth > 2 for r in p_rmls):
-        raise ScaleExceeded('oracle handles depth <= 2 only')
-    props = frozenset(r.atom for r in p_rmls)
-    if len(props) > 3:
-        raise ScaleExceeded('oracle handles at most 3 propositions')
-    if max_worlds > 4:
-        raise ScaleExceeded('oracle handles at most 4 worlds')
-    agents = frozenset(a for r in p_rmls for _, a in r.modalities)
-    if not agents:
-        agents = frozenset(['i'])
-    rml_index, masks = _mask_table(tuple(sorted(props)),
-                                   tuple(sorted(agents)), max_worlds)
-    pos = {r: i for i, r in enumerate(rml_index)}
-    p_bits = 0
-    for r in p_rmls:
-        p_bits |= 1 << pos[r]
+    bits, masks = _model_masks(p_rmls, max_worlds)
+    p_bits = sum(bits)
     return any(mask & p_bits == p_bits for mask in masks)

@@ -231,6 +231,9 @@ def progress(p, outcome, is_ak):
     atom (``is_ak(atom)``) in its positive condition must be in p.
     """
     p = closure(p)
+    if not outcome:
+        # nothing fires, so the erase and the update below return p as is
+        return p
     adds = set()
     removes = set()
     uncertain = set()

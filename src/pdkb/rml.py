@@ -130,26 +130,31 @@ def is_regular(is_ak, rml):
     return bool(rml.modalities) or not is_ak(rml.atom)
 
 
+def _switch_closure(rml, mode, to):
+    """rml with any subset of its ``mode`` modalities switched to ``to``."""
+    positions = [i for i, (m, _) in enumerate(rml.modalities) if m == mode]
+    out = set()
+    for r in range(len(positions) + 1):
+        for subset in itertools.combinations(positions, r):
+            mods = list(rml.modalities)
+            for i in subset:
+                mods[i] = (to, mods[i][1])
+            out.add(RML(tuple(mods), rml.negated, rml.atom))
+    return out
+
+
 def upward_closure(rml):
     """All RMLs entailed by rml: weaken any subset of B modalities to P.
 
     Self-inclusive; size is 2 ** (number of B modalities).
     """
-    belief_positions = [i for i, (m, _) in enumerate(rml.modalities) if m == BELIEF]
-    out = set()
-    for r in range(len(belief_positions) + 1):
-        for subset in itertools.combinations(belief_positions, r):
-            mods = list(rml.modalities)
-            for i in subset:
-                mods[i] = (POSSIBLE, mods[i][1])
-            out.add(RML(tuple(mods), rml.negated, rml.atom))
-    return out
+    return _switch_closure(rml, BELIEF, POSSIBLE)
 
 
 def downward_closure(rml):
-    """All RMLs that entail rml: the negate-image of the upward closure of
-    the negation."""
-    return {negate(x) for x in upward_closure(negate(rml))}
+    """All RMLs that entail rml: strengthen any subset of P modalities to
+    B, which is the negate-image of the upward closure of the negation."""
+    return _switch_closure(rml, POSSIBLE, BELIEF)
 
 
 class RmlTable:

@@ -218,6 +218,23 @@ def _discovery_path(parent, state, failure=None):
     return Trajectory(reversed(states), reversed(actions), failure)
 
 
+def _can_finish(succ_map, terminal_ok):
+    """The states that can still reach a terminal success: one backward
+    walk over predecessor lists from the terminal successes."""
+    preds = {}
+    for state, nexts in succ_map.items():
+        for nxt in nexts:
+            preds.setdefault(nxt, []).append(state)
+    can_finish = set(terminal_ok)
+    stack = list(terminal_ok)
+    while stack:
+        for prev in preds.get(stack.pop(), ()):
+            if prev not in can_finish:
+                can_finish.add(prev)
+                stack.append(prev)
+    return can_finish
+
+
 def verify_policy(problem, policy, ground_actions=None):
     """Exhaustively execute a policy keyed by a state's RML set, whose
     actions (tuples, GroundActions or CompiledOperators) match by name+args.
@@ -276,16 +293,7 @@ def verify_policy(problem, policy, ground_actions=None):
     if not terminal_ok:
         witness = Trajectory([init], [], 'no trajectory reaches the goal')
         return VerificationResult(INVALID, witness, len(parent))
-    # can every reachable state still reach a terminal success?
-    can_finish = set(terminal_ok)
-    grew = True
-    while grew:
-        grew = False
-        for state, nexts in succ_map.items():
-            if state not in can_finish and any(n in can_finish
-                                               for n in nexts):
-                can_finish.add(state)
-                grew = True
+    can_finish = _can_finish(succ_map, terminal_ok)
     witness = _discovery_path(parent, terminal_ok[0])
     if all(s in can_finish for s in parent):
         return VerificationResult(STRONG_VALID, witness, len(parent))

@@ -24,3 +24,25 @@ def long_coin_plan(tmp_path):
     path = tmp_path / 'coin-1200.pdkbddl'
     path.write_text(text, encoding='utf-8')
     return str(path)
+
+
+@pytest.fixture
+def chain_problem(tmp_path):
+    """Writes a FOND walk along n always-known stations s0 .. s(n-1), where
+    each step either moves on or leaves the state as it was, and returns
+    its path."""
+    def write(n):
+        steps = ''.join(
+            '  (:action go%d :derive-condition never :precondition (s%d)\n'
+            '    :effect (oneof (and (!s%d) (s%d)) (and)))\n'
+            % (i, i, i, i + 1) for i in range(n - 1))
+        path = tmp_path / ('chain-%d.pdkbddl' % n)
+        path.write_text(
+            '(define (domain chain) (:agents a)\n  (:predicates %s)\n%s)\n'
+            '(define (problem walk) (:domain chain) (:depth 1)\n'
+            '  (:task valid_generation) (:init-type complete) (:init (s0))\n'
+            '  (:goal (s%d)))\n'
+            % (' '.join('{AK}(s%d)' % i for i in range(n)), steps, n - 1),
+            encoding='utf-8')
+        return str(path)
+    return write

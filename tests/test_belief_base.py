@@ -274,3 +274,10 @@ def test_effects_evaluate_against_the_pre_state():
     out = progress(PEKB([B('1', lit(P, True))]), effs, no_ak)
     assert entails(out, B('1', lit(P)))
     assert not entails(out, B('1', lit(Q)))
+
+
+@given(_bases)
+def test_an_empty_outcome_leaves_the_state_as_it_was(base):
+    # the erase-then-update step with nothing to erase or add
+    full = update(erase(base, PEKB()), PEKB())
+    assert progress(base, [], no_ak).rmls == full.rmls == closure(base).rmls

@@ -1,25 +1,45 @@
 """Exit codes of the pdkb command line."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
 import time
+import types
 
 import pytest
-from click.testing import CliRunner
 
 from pdkb import planner as planner_mod
 from pdkb import validator as validator_mod
 from pdkb.cli import (EXIT_DIAGNOSTICS, EXIT_FALSE, EXIT_INVALID, EXIT_OK,
-                      EXIT_UNSOLVABLE, main)
+                      EXIT_PLANNER_FAILURE, EXIT_UNSOLVABLE, main)
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
+COIN = os.path.join(BENCH, 'misc', 'coin.pdkbddl')
+ENVELOPE = os.path.join(BENCH, 'envelope', 'envelope.pdkbddl')
+
+
+def _invoke(args):
+    """Run ``pdkb ARGS`` in-process with stdout and stderr captured into
+    one buffer; the exception is the ``SystemExit`` of a non-zero exit."""
+    buffer = io.StringIO()
+    code, exception = 0, None
+    with contextlib.redirect_stdout(buffer), \
+            contextlib.redirect_stderr(buffer):
+        try:
+            main(args)
+        except SystemExit as exc:
+            if exc.code:
+                code, exception = exc.code, exc
+    return types.SimpleNamespace(exit_code=code, output=buffer.getvalue(),
+                                 exception=exception)
 
 
 def _solve_report(tmp_path, *parts):
-    result = CliRunner().invoke(main, ['solve', os.path.join(BENCH, *parts),
-                                       '--out', str(tmp_path)])
+    result = _invoke(['solve', os.path.join(BENCH, *parts),
+                      '--out', str(tmp_path)])
     with open(tmp_path / 'solve-report.json', encoding='utf-8') as handle:
         return result, json.load(handle)
 
@@ -34,7 +54,7 @@ def test_validate_past_the_trajectory_cap_exits_unsolvable(tmp_path):
                         '(:goal (heads))\n    (:plan %s)' % ('(flip) ' * 14))
     problem = tmp_path / 'coin-14.pdkbddl'
     problem.write_text(text, encoding='utf-8')
-    result = CliRunner().invoke(main, ['validate', str(problem)])
+    result = _invoke(['validate', str(problem)])
     assert result.exit_code == EXIT_UNSOLVABLE
     assert isinstance(result.exception, SystemExit)
     assert result.output.strip().splitlines()[-1].startswith('error: ')
@@ -42,8 +62,8 @@ def test_validate_past_the_trajectory_cap_exits_unsolvable(tmp_path):
 
 def test_solve_past_the_state_cap_exits_unsolvable(tmp_path):
     problem = os.path.join(BENCH, 'grapevine', 'prob-4ag-2g-1d.pdkbddl')
-    result = CliRunner().invoke(main, ['solve', problem, '--max-states', '5',
-                                       '--out', str(tmp_path)])
+    result = _invoke(['solve', problem, '--max-states', '5',
+                      '--out', str(tmp_path)])
     assert result.exit_code == EXIT_UNSOLVABLE
     assert isinstance(result.exception, SystemExit)
     with open(tmp_path / 'solve-report.json', encoding='utf-8') as handle:
@@ -52,14 +72,14 @@ def test_solve_past_the_state_cap_exits_unsolvable(tmp_path):
 
 
 def test_validate_a_plan_longer_than_the_recursion_limit(long_coin_plan):
-    result = CliRunner().invoke(main, ['validate', long_coin_plan])
+    result = _invoke(['validate', long_coin_plan])
     assert result.exit_code == EXIT_OK
 
 
 def test_solve_with_max_states_zero_exits_unsolvable(tmp_path):
     problem = os.path.join(BENCH, 'grapevine', 'prob-4ag-2g-1d.pdkbddl')
-    result = CliRunner().invoke(main, ['solve', problem, '--max-states', '0',
-                                       '--out', str(tmp_path)])
+    result = _invoke(['solve', problem, '--max-states', '0',
+                      '--out', str(tmp_path)])
     assert result.exit_code == EXIT_UNSOLVABLE
     with open(tmp_path / 'solve-report.json', encoding='utf-8') as handle:
         assert 'state cap 0' in json.load(handle)['error']
@@ -94,25 +114,10 @@ def test_solve_past_the_policy_state_cap_exits_unsolvable(tmp_path,
     assert report['error'] == 'policy state cap 2 exceeded'
 
 
-def _chain_problem(n):
-    """A FOND walk along always-known stations s0 .. s(n-1): each step
-    either moves on or leaves the state as it was."""
-    steps = ''.join(
-        '  (:action go%d :derive-condition never :precondition (s%d)\n'
-        '    :effect (oneof (and (!s%d) (s%d)) (and)))\n' % (i, i, i, i + 1)
-        for i in range(n - 1))
-    return ('(define (domain chain) (:agents a)\n  (:predicates %s)\n%s)\n'
-            '(define (problem walk) (:domain chain) (:depth 1)\n'
-            '  (:task valid_generation) (:init-type complete) (:init (s0))\n'
-            '  (:goal (s%d)))\n'
-            % (' '.join('{AK}(s%d)' % i for i in range(n)), steps, n - 1))
-
-
-def test_solve_verifies_a_policy_longer_than_fifty_steps(tmp_path):
-    path = tmp_path / 'chain.pdkbddl'
-    path.write_text(_chain_problem(55), encoding='utf-8')
-    result = CliRunner().invoke(main, ['solve', str(path),
-                                       '--out', str(tmp_path / 'out')])
+def test_solve_verifies_a_policy_longer_than_fifty_steps(tmp_path,
+                                                         chain_problem):
+    result = _invoke(['solve', chain_problem(55),
+                      '--out', str(tmp_path / 'out')])
     assert result.exit_code == EXIT_OK, result.output
     with open(tmp_path / 'out' / 'solve-report.json',
               encoding='utf-8') as handle:
@@ -170,7 +175,7 @@ def test_solve_verifies_a_strong_cyclic_policy(tmp_path):
                    'keeps P_alice B_bob !secret, which the semantic step '
                    'erases, so the Strong 2-state policy verifies Invalid')
 def test_solve_verifies_the_envelope_policy(tmp_path):
-    result = CliRunner().invoke(main, [
+    result = _invoke([
         'solve', os.path.join(BENCH, 'envelope', 'envelope.pdkbddl'),
         '--flavor', 'fond', '--out', str(tmp_path)])
     assert result.exit_code == EXIT_OK
@@ -208,14 +213,14 @@ def _last_line(result):
 
 def test_query_answers_false_with_exit_one(tmp_path):
     kb = _belief_base(tmp_path, 'B_a p\n')
-    result = CliRunner().invoke(main, ['query', kb, 'B_b p'])
+    result = _invoke(['query', kb, 'B_b p'])
     assert result.exit_code == EXIT_FALSE
     assert result.output.strip() == 'false'
 
 
 def test_query_syntax_error_is_a_diagnostic(tmp_path):
     kb = _belief_base(tmp_path, 'B_a p\n')
-    result = CliRunner().invoke(main, ['query', kb, 'B_a (p'])
+    result = _invoke(['query', kb, 'B_a (p'])
     assert result.exit_code == EXIT_DIAGNOSTICS
     assert _last_line(result).startswith('error: bad atom')
 
@@ -224,7 +229,7 @@ def test_query_syntax_error_is_a_diagnostic(tmp_path):
 def test_malformed_belief_base_line_is_a_diagnostic(tmp_path, command):
     kb = _belief_base(tmp_path, '# comment\nB_a p\nB_a (p\n')
     args = command + [kb] + (['B_a p'] if command == ['query'] else [])
-    result = CliRunner().invoke(main, args)
+    result = _invoke(args)
     assert result.exit_code == EXIT_DIAGNOSTICS
     assert _last_line(result).startswith('error: %s:3: bad atom' % kb)
 
@@ -241,7 +246,7 @@ def test_config_file_errors_are_diagnostics(tmp_path, line, message):
     config = tmp_path / 'solve.cfg'
     config.write_text('# settings\nflavor=auto\n%s\n' % line,
                       encoding='utf-8')
-    result = CliRunner().invoke(main, [
+    result = _invoke([
         'solve', os.path.join(BENCH, 'misc', 'coin.pdkbddl'),
         '--config', str(config), '--out', str(tmp_path / 'out')])
     assert result.exit_code == EXIT_DIAGNOSTICS
@@ -253,8 +258,8 @@ def test_config_file_numbers_reach_the_solver(tmp_path):
     config = tmp_path / 'solve.cfg'
     config.write_text('max_states = 5\ntimeout = 2.5\n', encoding='utf-8')
     problem = os.path.join(BENCH, 'grapevine', 'prob-4ag-2g-1d.pdkbddl')
-    result = CliRunner().invoke(main, ['solve', problem, '--config',
-                                       str(config), '--out', str(tmp_path)])
+    result = _invoke(['solve', problem, '--config',
+                      str(config), '--out', str(tmp_path)])
     assert result.exit_code == EXIT_UNSOLVABLE
     with open(tmp_path / 'solve-report.json', encoding='utf-8') as handle:
         assert 'state cap' in json.load(handle)['error']
@@ -264,19 +269,95 @@ def test_config_file_names_the_output_directory(tmp_path):
     config = tmp_path / 'compile.cfg'
     config.write_text('out = %s\nplanner_cmd = true\n' % (tmp_path / 'o'),
                       encoding='utf-8')
-    result = CliRunner().invoke(main, [
+    result = _invoke([
         'compile', os.path.join(BENCH, 'misc', 'coin.pdkbddl'),
         '--config', str(config)])
     assert result.exit_code == EXIT_OK
     assert (tmp_path / 'o' / 'domain.pddl').exists()
 
 
+# the exit code of each source's planner command names the one that ran
+PLANNER_EXITS = {'flag': 11, 'config': 12, 'env': 13}
+
+
+@pytest.mark.parametrize('sources, winner', [
+    (('flag', 'config', 'env'), 'flag'),
+    (('flag', 'env'), 'flag'),
+    (('config', 'env'), 'config'),
+    (('env',), 'env'),
+])
+def test_planner_command_order_is_flag_config_environment(
+        tmp_path, monkeypatch, sources, winner):
+    templates = {source: 'exit %d; : {domain} {problem} {plan}' % code
+                 for source, code in PLANNER_EXITS.items()}
+    config = tmp_path / 'solve.cfg'
+    config.write_text('planner_cmd = %s\n' % templates['config']
+                      if 'config' in sources else '', encoding='utf-8')
+    monkeypatch.setenv('PDKB_PLANNER_CMD', templates['env'])
+    args = ['solve', COIN, '--config', str(config),
+            '--out', str(tmp_path / 'out')]
+    if 'flag' in sources:
+        args += ['--planner-cmd', templates['flag']]
+    result = _invoke(args)
+    assert result.exit_code == EXIT_PLANNER_FAILURE
+    with open(tmp_path / 'out' / 'solve-report.json',
+              encoding='utf-8') as handle:
+        assert json.load(handle)['error'] == (
+            'external planner exited %d: ' % PLANNER_EXITS[winner])
+
+
 def test_solve_has_no_root_option(tmp_path):
-    result = CliRunner().invoke(main, [
+    result = _invoke([
         'solve', os.path.join(BENCH, 'envelope', 'envelope.pdkbddl'),
         '--root', 'a', '--out', str(tmp_path)])
     assert result.exit_code == EXIT_DIAGNOSTICS
-    assert 'no such option' in result.output.lower()
+    assert 'unrecognized arguments: --root' in result.output.lower()
+
+
+MISSING = 'missing.pdkbddl'
+
+
+@pytest.mark.parametrize('args', [
+    ['compile', MISSING],
+    ['solve', MISSING],
+    ['validate', MISSING],
+    ['solve', COIN, '--config', MISSING],
+    ['validate', ENVELOPE, '--plan', MISSING],
+    ['query', MISSING, 'B_a p'],
+    ['closure', MISSING],
+    ['solve', COIN, '--flavor', 'bogus'],
+    ['solve', COIN, '--depth-override', 'x'],
+    ['solve', COIN, '--max-states', 'x'],
+    ['solve', COIN, '--timeout', 'x'],
+    # no abbreviation stands for --max-states
+    ['solve', COIN, '--max', '5'],
+    ['bogus'],
+    [],
+])
+def test_usage_errors_exit_2(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    result = _invoke(args)
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert isinstance(result.exception, SystemExit)
+    assert 'usage:' in result.output.lower()
+
+
+COMMON = ['--config', '--depth-override', '--out']
+
+
+@pytest.mark.parametrize('command, options', [
+    ('compile', ['--flavor'] + COMMON),
+    ('solve', ['--flavor', '--planner-cmd', '--timeout', '--max-states',
+               '--acyclic-only'] + COMMON),
+    ('validate', ['--plan'] + COMMON),
+    ('query', []),
+    ('closure', ['--prime']),
+])
+def test_each_command_help_names_its_options(command, options):
+    result = _invoke([command, '--help'])
+    assert result.exit_code == EXIT_OK
+    for option in options + ['--help']:
+        assert option in result.output
 
 
 @pytest.mark.parametrize('text, position, message', [
@@ -322,8 +403,8 @@ def test_malformed_input_is_a_positioned_diagnostic(tmp_path, text,
                                                     position, message):
     path = tmp_path / 'bad.pdkbddl'
     path.write_text(text + '\n', encoding='utf-8')
-    result = CliRunner().invoke(main, ['compile', str(path),
-                                       '--out', str(tmp_path / 'out')])
+    result = _invoke(['compile', str(path),
+                      '--out', str(tmp_path / 'out')])
     assert result.exit_code == EXIT_DIAGNOSTICS
     assert isinstance(result.exception, SystemExit)
     assert _last_line(result) == 'error: %s:%d:%d: %s' % (
@@ -359,8 +440,8 @@ def test_unbound_variables_and_deep_preconditions_are_diagnostics(
         tmp_path, pre, effect, goal, message):
     path = tmp_path / 'bad.pdkbddl'
     path.write_text(UNBOUND_OR_DEEP % (pre, effect, goal), encoding='utf-8')
-    result = CliRunner().invoke(main, ['compile', str(path),
-                                       '--out', str(tmp_path / 'out')])
+    result = _invoke(['compile', str(path),
+                      '--out', str(tmp_path / 'out')])
     assert result.exit_code == EXIT_DIAGNOSTICS
     assert isinstance(result.exception, SystemExit)
     assert _last_line(result) == message
@@ -371,22 +452,20 @@ def test_unbound_variables_and_deep_preconditions_are_diagnostics(
 # planner writes
 
 
-ENVELOPE = os.path.join(BENCH, 'envelope', 'envelope.pdkbddl')
-
 
 def _validate_plan(tmp_path, text):
     plan = tmp_path / 'plan.txt'
     plan.write_text(text, encoding='utf-8')
-    return CliRunner().invoke(main, ['validate', ENVELOPE,
-                                     '--plan', str(plan)]), str(plan)
+    return _invoke(['validate', ENVELOPE,
+                    '--plan', str(plan)]), str(plan)
 
 
 def test_validate_reads_the_plan_that_solve_wrote(tmp_path):
     out = tmp_path / 'out'
-    solved = CliRunner().invoke(main, ['solve', ENVELOPE, '--out', str(out)])
+    solved = _invoke(['solve', ENVELOPE, '--out', str(out)])
     assert solved.exit_code == EXIT_OK
-    result = CliRunner().invoke(main, ['validate', ENVELOPE, '--plan',
-                                       str(out / 'plan.txt')])
+    result = _invoke(['validate', ENVELOPE, '--plan',
+                      str(out / 'plan.txt')])
     assert result.exit_code == EXIT_OK
     assert _last_line(result) == 'verdict: StrongValid'
 

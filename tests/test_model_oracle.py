@@ -50,6 +50,8 @@ def test_scale_guard():
     many = [Proposition(c) for c in 'abcd']
     with pytest.raises(ScaleExceeded):
         oracle_consistent(PEKB([lit(a) for a in many]))
+    with pytest.raises(ScaleExceeded):
+        oracle_consistent(PEKB([lit(P)]), 0)
 
 
 def test_triple_agreement_on_random_queries():

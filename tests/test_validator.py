@@ -10,7 +10,8 @@ from pdkb.compiler import (CompiledCondition, CompiledOperator,
 from pdkb.model import ALWAYS, ground
 from pdkb.pekb import PEKB, ConditionalEffect, closure, progress
 from pdkb.parser import desugar, parse_file
-from pdkb.planner import apply, applicable
+from pdkb import validator as validator_mod
+from pdkb.planner import apply, applicable, solve_andor
 from pdkb.rml import RmlTable, parse_rml
 from pdkb.validator import (INVALID, STRONG_VALID, WEAK_VALID, UnknownAction,
                             _compiled_state, assess_plan,
@@ -199,6 +200,65 @@ def test_retry_policy_on_coin_is_strong_under_fairness():
                 seen.add(nxt)
                 frontier.append(nxt)
     assert verify_policy(prob, policy).verdict == STRONG_VALID
+
+
+def _fixpoint_can_finish(succ_map, terminal_ok):
+    """The can-finish fixpoint verify_policy ran before its backward walk:
+    rescan every state until a pass adds none."""
+    can_finish = set(terminal_ok)
+    grew = True
+    while grew:
+        grew = False
+        for state, nexts in succ_map.items():
+            if state not in can_finish and any(n in can_finish
+                                               for n in nexts):
+                can_finish.add(state)
+                grew = True
+    return can_finish
+
+
+def _damaged(policy, operators, goal):
+    """The policy with one state left out, with one state's action swapped
+    for another operator, and with the goal state its witness ends in
+    given an action."""
+    for state in sorted(policy, key=sorted):
+        yield {s: a for s, a in policy.items() if s != state}
+    for state in sorted(policy, key=sorted) + [goal]:
+        for op in operators:
+            if policy.get(state) is not op:
+                yield {**policy, state: op}
+
+
+def test_backward_walk_matches_the_old_fixpoint(monkeypatch, chain_problem):
+    def outcome(result):
+        witness = result.witness
+        return (result.verdict, result.trajectories, witness.states,
+                [a.label for a in witness.actions], witness.failure)
+
+    verdicts = set()
+    paths = [(chain_problem(55), False), (chain_problem(200), False)] + [
+        (os.path.join(BENCH, 'misc', name + '.pdkbddl'), True)
+        for name in ('coin', 'ask', 'lossy-3ag-2l')]
+    for path, damage in paths:
+        prob = desugar(parse_file(path))
+        actions = ground(prob)
+        cp = compile_problem(prob, actions)
+        policy = solve_andor(cp).mapping
+        result = verify_policy(prob, policy, ground_actions=actions)
+        assert result.verdict == STRONG_VALID
+        policies = [policy]
+        if damage:
+            goal = result.witness.states[-1].rmls
+            policies += _damaged(policy, cp.operators, goal)
+        for candidate in policies:
+            new = verify_policy(prob, candidate, ground_actions=actions)
+            with monkeypatch.context() as patch:
+                patch.setattr(validator_mod, '_can_finish',
+                              _fixpoint_can_finish)
+                old = verify_policy(prob, candidate, ground_actions=actions)
+            assert outcome(new) == outcome(old)
+            verdicts.add(new.verdict)
+    assert verdicts == {STRONG_VALID, WEAK_VALID, INVALID}
 
 
 # ---------------------------------------------------------------------------
