@@ -287,11 +287,14 @@ def _verdict_exit(verdict):
 
 
 def _search_counts(stats):
-    """Report fields of a search's ``stats``: the AND-OR search also
-    reports its state-action pairs and strong-cyclic rounds."""
+    """Report fields of a search's ``stats``: breadth-first search also
+    reports the operators it pruned, the AND-OR search its state-action
+    pairs and strong-cyclic rounds."""
     counts = {'states_expanded': stats.get('expanded', 0),
               'states_generated': stats.get('states', 0)}
-    counts.update((key, stats[key]) for key in ('edges', 'rounds')
+    counts.update((field, stats[key]) for key, field
+                  in (('pruned', 'operators_pruned'), ('edges', 'edges'),
+                      ('rounds', 'rounds'))
                   if key in stats)
     return counts
 

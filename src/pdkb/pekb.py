@@ -166,6 +166,12 @@ def update(p, q):
     q = q if isinstance(q, PEKB) else PEKB(q)
     if not is_consistent(q):
         raise InconsistentUpdate('update argument is inconsistent')
+    return _conjoin(p, q)
+
+
+def _conjoin(p, q):
+    """``update`` without its consistency check, for callers that have
+    checked ``q`` themselves."""
     return PEKB(erase(p, negkb(q)).rmls | closure(q).rmls, closed=True)
 
 
@@ -253,4 +259,4 @@ def progress(p, outcome, is_ak):
     q = PEKB(adds, closed=True)
     if not is_consistent(q):
         raise InconsistentResult('added effects are jointly inconsistent')
-    return update(erase(p, PEKB(removes | uncertain)), q)
+    return _conjoin(erase(p, PEKB(removes | uncertain)), q)

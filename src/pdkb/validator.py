@@ -8,8 +8,6 @@ outcomes, awareness copies included, through both the semantic pipeline
 and the planner's packed ``successor``, and reports any divergence.
 """
 
-import random
-
 from .compiler import aware_copies, compile_problem
 from .model import ground
 from .pekb import (PEKB, ConditionalEffect, InconsistentResult, closure,
@@ -324,6 +322,7 @@ def crosscheck_progression(problem, n_cases, seed):
     compile`` compiles it, applied to the projected state. Reports every
     divergence with a greedily minimized state.
     """
+    import random  # only this harness draws random cases
     ground_actions = ground(problem)
     cp = compile_problem(problem, ground_actions)
     packing = Packing(cp.fluents, cp.operators)

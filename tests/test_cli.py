@@ -71,6 +71,16 @@ def test_solve_past_the_state_cap_exits_unsolvable(tmp_path):
     assert 'state cap' in report['error']
 
 
+def test_solve_reports_the_operators_breadth_first_search_pruned(tmp_path):
+    # the 48 fib operators only make agents believe the secret false
+    result, report = _solve_report(tmp_path, 'grapevine',
+                                   'prob-4ag-2g-1d.pdkbddl')
+    assert result.exit_code == EXIT_OK, result.output
+    assert report['operators_pruned'] == 48
+    assert (report['states_expanded'], report['states_generated']) \
+        == (24, 115)
+
+
 def test_validate_a_plan_longer_than_the_recursion_limit(long_coin_plan):
     result = _invoke(['validate', long_coin_plan])
     assert result.exit_code == EXIT_OK

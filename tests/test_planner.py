@@ -11,16 +11,18 @@ from collections import deque
 
 import pytest
 
-from pdkb.compiler import compile_problem
+from pdkb.compiler import (CompiledCondition, CompiledOperator,
+                           CompiledProblem, compile_problem)
 from pdkb.model import ground
 from pdkb.parser import desugar, parse_file, parse_text
 from pdkb.planner import (DEFAULT_STATE_CAP, Packing, PlanInvalid,
                           PlanParseError, PlannerFailure,
                           PreconditionViolated, ResourceLimit, apply,
-                          applicable, expand, parse_plan_file, solve_andor,
-                          solve_bfs, solve_external, successor,
-                          successor_table, validate_plan)
-from pdkb.rml import format_rml
+                          applicable, expand, parse_plan_file,
+                          relevant_operators, solve_andor, solve_bfs,
+                          solve_external, successor, successor_table,
+                          validate_plan)
+from pdkb.rml import Proposition, format_rml, lit
 from pdkb.validator import STRONG_VALID, verify_policy
 
 HERE = os.path.dirname(__file__)
@@ -70,8 +72,6 @@ def test_apply_evaluates_conditions_on_the_pre_state(envelope):
 def test_add_wins_over_delete():
     # negation-removal's apply both deletes and re-adds nothing conflicting;
     # construct the race directly instead
-    from pdkb.compiler import CompiledCondition, CompiledOperator
-    from pdkb.rml import Proposition, lit
     p = lit(Proposition('p'))
     cond = CompiledCondition()
     op = CompiledOperator('t', (), cond,
@@ -114,7 +114,6 @@ def test_bfs_respects_the_state_cap(grapevine_2g):
 
 def test_bfs_empty_plan_when_goal_already_holds(envelope):
     prob, cp = envelope
-    from pdkb.compiler import CompiledProblem
     solved = CompiledProblem(cp.fluents, cp.init,
                              type(cp.goal)((), ()), cp.operators,
                              cp.flavor, cp.report)
@@ -220,12 +219,12 @@ def test_plan_validation_names_the_failing_step():
 
 
 @pytest.mark.parametrize('goals,counts,plan', [
-    ('2g', (30, 195), ['(initialize)', '(move c l2 l1)', '(share a a l1)',
+    ('2g', (24, 115), ['(initialize)', '(move c l2 l1)', '(share a a l1)',
                        '(share b b l1)']),
-    ('4g', (492, 2722), ['(initialize)', '(move a l1 l2)', '(move b l1 l2)',
+    ('4g', (236, 966), ['(initialize)', '(move a l1 l2)', '(move b l1 l2)',
                          '(move d l3 l2)', '(share a a l2)',
                          '(share b b l2)']),
-    ('8g', (14434, 73622), ['(initialize)', '(move a l1 l2)',
+    ('8g', (3739, 13297), ['(initialize)', '(move a l1 l2)',
                              '(move b l1 l2)', '(move d l3 l2)',
                              '(share a a l2)', '(share b b l2)',
                              '(share c c l2)', '(share d d l2)']),
@@ -240,12 +239,61 @@ def test_bfs_plans_and_counts_on_grapevine(goals, counts, plan):
 
 def test_bfs_counts_the_initial_state_when_it_is_a_goal(envelope):
     _, cp = envelope
-    from pdkb.compiler import CompiledProblem
     solved = CompiledProblem(cp.fluents, cp.init, type(cp.goal)((), ()),
                              cp.operators, cp.flavor, cp.report)
     stats = {}
     assert solve_bfs(solved, stats=stats) == []
     assert stats == {'expanded': 0, 'states': 1}
+
+
+def _toy_problem(init, goal, operators):
+    """A compiled problem over fluents ``g``, ``h``, ``x`` and ``y``;
+    ``operators`` maps a name to its precondition and its adds and
+    deletes, each a list of ``(condition, fluent)`` pairs whose condition
+    is ``(pos, neg)`` fluent names."""
+    fluent = {name: lit(Proposition(name)) for name in 'ghxy'}
+
+    def cond(pos=(), neg=()):
+        return CompiledCondition([fluent[n] for n in pos],
+                                 [fluent[n] for n in neg])
+
+    def effects(pairs):
+        return frozenset((cond(*c), fluent[n]) for c, n in pairs)
+
+    ops = [CompiledOperator(name, (), cond(*pre),
+                            ((effects(adds), effects(dels)),))
+           for name, (pre, adds, dels) in operators.items()]
+    return CompiledProblem(fluent.values(), [fluent[n] for n in init],
+                           cond(goal), ops, 'classical', {})
+
+
+def test_bfs_keeps_an_operator_that_blocks_a_harmful_delete():
+    # finish adds h but deletes g unless x holds: only set-x, which adds
+    # x and nothing any goal or precondition names, makes the plan work
+    cp = _toy_problem('g', 'gh', {
+        'set-x': ((), [((), 'x')], []),
+        'finish': ((), [((), 'h')], [(((), 'x'), 'g')]),
+    })
+    packing = Packing(cp.fluents, cp.operators)
+    assert relevant_operators(packing.operators,
+                              packing.condition(cp.goal)) == [0, 1]
+    stats = {}
+    assert [op.name for op in solve_bfs(cp, stats=stats)] == \
+        ['set-x', 'finish']
+    assert stats['pruned'] == 0
+
+
+def test_bfs_drops_an_operator_whose_adds_nothing_needs():
+    cp = _toy_problem('', 'h', {
+        'set-y': ((), [((), 'y')], []),
+        'finish': ((), [((), 'h')], []),
+    })
+    packing = Packing(cp.fluents, cp.operators)
+    assert relevant_operators(packing.operators,
+                              packing.condition(cp.goal)) == [1]
+    stats = {}
+    assert [op.name for op in solve_bfs(cp, stats=stats)] == ['finish']
+    assert stats == {'pruned': 1, 'expanded': 1, 'states': 2}
 
 
 def reference_step(state, op, outcome_index=0):
@@ -462,16 +510,39 @@ def _bfs_outcome(search, cp, max_states):
     return None if plan is None else [op.label for op in plan], stats
 
 
+def _kept(cp):
+    """``cp`` with only the operators ``relevant_operators`` keeps."""
+    packing = Packing(cp.fluents, cp.operators)
+    kept = relevant_operators(packing.operators,
+                              packing.condition(cp.goal))
+    return CompiledProblem(cp.fluents, cp.init, cp.goal,
+                           [cp.operators[idx] for idx in kept],
+                           cp.flavor, cp.report)
+
+
+def _without_pruned(stats):
+    return {key: value for key, value in stats.items() if key != 'pruned'}
+
+
 @pytest.mark.parametrize('name,flavor', _classical_inputs())
 def test_bfs_matches_the_search_without_the_table(name, flavor):
     prob = _BENCHMARK_PROBLEMS[name]()
     cp = compile_problem(prob, ground(prob), flavor=flavor)
-    found = _bfs_outcome(solve_bfs, cp, DEFAULT_STATE_CAP)
-    assert found == _bfs_outcome(reference_bfs, cp, DEFAULT_STATE_CAP)
+    kept = _kept(cp)
+    plan, stats = _bfs_outcome(solve_bfs, cp, DEFAULT_STATE_CAP)
+    assert (plan, _without_pruned(stats)) \
+        == _bfs_outcome(reference_bfs, kept, DEFAULT_STATE_CAP)
     # the state cap raises at the same count with the same stats
-    for cap in (0, found[1]['states'] // 2):
-        assert _bfs_outcome(solve_bfs, cp, cap) \
-            == _bfs_outcome(reference_bfs, cp, cap)
+    for cap in (0, stats['states'] // 2):
+        plan_at_cap, stats_at_cap = _bfs_outcome(solve_bfs, cp, cap)
+        assert (plan_at_cap, _without_pruned(stats_at_cap)) \
+            == _bfs_outcome(reference_bfs, kept, cap)
+    # pruning keeps the search optimal: all operators give a plan of the
+    # same length, or none
+    unpruned, _ = _bfs_outcome(reference_bfs, cp, DEFAULT_STATE_CAP)
+    assert (unpruned is None) == (plan is None)
+    if plan is not None:
+        assert len(unpruned) == len(plan)
 
 
 def _mapping(policy):
