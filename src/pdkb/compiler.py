@@ -24,22 +24,40 @@ Each ``compile_problem`` call does each piece of work once:
   - the fixpoint is semi-naive: ``_derive`` maps each effect to its
     consequences on its own, so ``apply_ancillary`` feeds each round only
     the effects that are new since the last round;
-  - each distinct (base outcomes, awareness) pair is expanded and pruned
-    once, and operators with that pair share the resulting outcome
-    objects. The key is exact: everything else the expansion reads
-    (depth, ``is_ak``, the ``RmlTable``, the fluent set and the prune
-    memo) is fixed for the call, and the name, arguments and
-    precondition pass through untouched (``planner.Packing`` then packs
-    each shared outcome once). In the grapevine domain neither the
-    effect nor the awareness condition of ``share ?a ?as ?l`` and ``fib
-    ?a ?as ?l`` mentions the speaker ``?a``, so the operators for one
-    ``(?as, ?l)`` expand once;
+  - each operator *shape* runs the closure once. ``_shape`` walks a
+    ground action's effects, their conditions and its awareness
+    conditions, and replaces every proposition by (predicate, rank among
+    that predicate's propositions by first occurrence); modalities,
+    polarity, ``delete``, the agents and ``always`` stay. The first
+    operator of a shape is closed by ``apply_ancillary``. Every later one
+    takes that unpruned closure with its own propositions put in
+    (``_instantiate``), and its spawned and truncated counts. This is
+    sound: two actions of one shape differ by an injective renaming of
+    propositions that keeps predicates, and the five rules and the depth
+    cut read a proposition only through equality and the ``is_ak`` of
+    its predicate, so the renaming commutes with the closure and keeps
+    the sizes that ``spawned`` and ``truncated`` count. Pruning reads
+    fluent-table membership, which a renaming need not keep, so
+    ``_prune`` runs on each operator's renamed closure. The 133
+    operators of a four-agent grapevine problem have 5 shapes: ``move``
+    with distinct and with equal locations, ``share``, ``fib`` and
+    ``initialize``;
+  - in front of the shape memo, operators with the same (base outcomes,
+    awareness) pair share one pruned expansion and its outcome objects.
+    That key is exact: everything else the expansion reads (depth,
+    ``is_ak``, the ``RmlTable``, the fluent set and the prune memo) is
+    fixed for the call, and the name, arguments and precondition pass
+    through untouched (``planner.Packing`` then packs each shared outcome
+    once). In the grapevine domain neither the effect nor the awareness
+    condition of ``share ?a ?as ?l`` and ``fib ?a ?as ?l`` mentions the
+    speaker ``?a``, so the operators for one ``(?as, ?l)`` share;
   - emission sorts by fluent rank, the position in ``sorted(fluents)``,
     computed once per emit, and writes each outcome's effects grouped by
     condition: the unconditional ones bare, then one
     ``(when C (and e1 e2 ...))`` per distinct condition, formatted once.
-    Each distinct outcome's text is made once per emit.
-Both memos are locals of their call, so nothing is kept across calls.
+    Each distinct outcome's text is made once per emit and joined into
+    the domain as a line of its own, never copied per operator.
+The memos are locals of their call, so nothing is kept across calls.
 """
 
 import itertools
@@ -47,8 +65,8 @@ import json
 
 from .model import ALWAYS
 from .pekb import PEKB, closure
-from .rml import (BELIEF, RmlSpace, RmlTable, enumerate_rmls, format_rml,
-                  is_regular, lit)
+from .rml import (BELIEF, RML, RmlSpace, RmlTable, enumerate_rmls,
+                  format_rml, is_regular, lit)
 
 CLASSICAL = 'classical'
 FOND = 'fond'
@@ -351,36 +369,135 @@ def _unreduced_style_count(problem):
             + 2 * len(problem.ak_propositions()))
 
 
+def _shape(action):
+    """The shape of a ground action and its propositions in order of first
+    occurrence: its effects, conditions and awareness conditions with each
+    proposition replaced by (predicate, rank among that predicate's
+    propositions by first occurrence). Two actions of one shape differ
+    only by the injective, predicate-keeping renaming that maps the first's
+    propositions to the second's, position by position."""
+    ranks = {}
+    per_predicate = {}
+    order = []
+
+    def token(rml):
+        atom = rml.atom
+        rank = ranks.get(atom)
+        if rank is None:
+            n = per_predicate.get(atom.predicate, 0)
+            per_predicate[atom.predicate] = n + 1
+            rank = ranks[atom] = (atom.predicate, n)
+            order.append(atom)
+        return rml.modalities, rml.negated, rank
+
+    def condition(rmls):
+        return tuple(token(r) for r in sorted(rmls, key=_condition_order))
+
+    outcomes = tuple(
+        tuple((token(ce.effect), ce.delete, condition(ce.condition_pos),
+               condition(ce.condition_neg)) for ce in outcome)
+        for outcome in action.outcomes)
+    awareness = tuple((agent, mu if mu == ALWAYS else token(mu))
+                      for agent, mu in sorted(action.awareness.items()))
+    return (outcomes, awareness), tuple(order)
+
+
+def _condition_order(rml):
+    """What a renaming keeps comes first, so that operators of one shape
+    mostly list their conditions alike; any order is sound."""
+    return (rml.atom.predicate, rml.modalities, rml.negated, rml.atom.args)
+
+
+def _template(closures, props):
+    """Outcome closures with every proposition replaced by its position in
+    ``props``: the distinct RMLs as (modalities, negated, position), the
+    distinct conditions as (pos, neg) tuples of RML indices, and each
+    closure's (adds, dels) as (condition index, RML index) pairs."""
+    rmls = {}
+    conditions = {}
+
+    def number(memo, item):
+        i = memo.get(item)
+        if i is None:
+            i = memo[item] = len(memo)
+        return i
+
+    effects = [tuple(tuple([(number(conditions, c), number(rmls, l))
+                            for c, l in effs]) for effs in closure)
+               for closure in closures]
+    condition_keys = [(tuple([number(rmls, r) for r in c.pos]),
+                       tuple([number(rmls, r) for r in c.neg]))
+                      for c in conditions]
+    position = {p: i for i, p in enumerate(props)}
+    rml_keys = [(r.modalities, r.negated, position[r.atom]) for r in rmls]
+    return rml_keys, condition_keys, effects
+
+
+def _instantiate(template, props, index, table):
+    """A ``_template`` with ``props`` in the proposition positions. Each RML
+    is the fluent-table object found through ``index``, or the
+    ``RmlTable``'s one outside the table."""
+    rml_keys, condition_keys, effects = template
+    rmls = []
+    for modalities, negated, i in rml_keys:
+        key = modalities, negated, props[i]
+        r = index.get(key)
+        rmls.append(r if r is not None else table.intern(RML(*key)))
+    conditions = [CompiledCondition([rmls[i] for i in pos],
+                                    [rmls[i] for i in neg])
+                  for pos, neg in condition_keys]
+    return [tuple(frozenset([(conditions[c], rmls[l]) for c, l in effs])
+                  for effs in closure) for closure in effects]
+
+
 def compile_problem(problem, ground_actions, flavor=None,
                     truncated_ground=0):
     fluents, init, goal, base_ops = encode_base(problem, ground_actions)
     fluent_set = frozenset(fluents)
     table = RmlTable(fluents)
+    index = {(f.modalities, f.negated, f.atom): f for f in fluents}
     counters = {'spawned': 0, 'truncated': 0, 'pruned': 0}
     pruned = {}
     # (base outcomes, awareness) -> (pruned outcomes, that expansion's
     # counts): operators that differ only in name, arguments or
     # precondition share one expansion and its outcome objects
     expansions = {}
+    # shape -> (the first operator's unpruned outcome closures as a
+    # ``_template``, their spawned and truncated counts)
+    shapes = {}
     operators = []
     for action, op in zip(ground_actions, base_ops):
         key = (op.outcomes, frozenset(action.awareness.items()))
         if key not in expansions:
+            shape, props = _shape(action)
+            if shape in shapes:
+                template, spawned, truncated = shapes[shape]
+                closures = _instantiate(template, props, index, table)
+            else:
+                closures = []
+                spawned = 0
+                # a copy that several outcomes cut counts once
+                cut = set()
+                for outcome in op.outcomes:
+                    expanded, outcome_cut = apply_ancillary(
+                        outcome, action.awareness, problem.depth,
+                        problem.is_ak, table)
+                    cut |= outcome_cut
+                    spawned += (sum(map(len, expanded))
+                                - sum(map(len, outcome)))
+                    closures.append(expanded)
+                truncated = len(cut)
+                shapes[shape] = (_template(closures, props), spawned,
+                                 truncated)
             outcomes = []
-            spawned = dropped = 0
-            # a copy that several outcomes cut counts once
-            cut = set()
-            for outcome in op.outcomes:
-                expanded, outcome_cut = apply_ancillary(
-                    outcome, action.awareness, problem.depth, problem.is_ak,
-                    table)
-                cut |= outcome_cut
-                spawned += sum(map(len, expanded)) - sum(map(len, outcome))
+            dropped = 0
+            for expanded in closures:
                 kept, n = _prune(expanded, fluent_set, pruned)
                 dropped += n
                 outcomes.append(kept)
             expansions[key] = tuple(outcomes), {
-                'spawned': spawned, 'pruned': dropped, 'truncated': len(cut)}
+                'spawned': spawned, 'pruned': dropped,
+                'truncated': truncated}
         outcomes, counts = expansions[key]
         for name, n in counts.items():
             counters[name] += n
@@ -503,18 +620,17 @@ def emit_domain(cp, domain_name):
         lines.append('  (:action %s' % operator_symbol(op))
         lines.append('    :parameters ()')
         lines.append('    :precondition %s' % conditions[op.precondition][1])
+        # each effect text is one line of its own, so that no operator
+        # makes a copy of it
         if cp.flavor == FOND and len(op.outcomes) > 1:
-            branches = []
+            lines.append('    :effect (oneof')
             for outcome in op.outcomes:
-                branches.append('    (and\n%s\n    )' % effect_text(outcome))
-            lines.append('    :effect (oneof\n%s\n    )'
-                         % '\n'.join(branches))
+                lines += ['    (and', effect_text(outcome), '    )']
         else:
-            lines.append('    :effect (and\n%s\n    )'
-                         % effect_text(op.outcomes[0]))
-        lines.append('  )')
-    lines.append(')')
-    return '\n'.join(lines) + '\n'
+            lines += ['    :effect (and', effect_text(op.outcomes[0])]
+        lines += ['    )', '  )']
+    lines += [')', '']
+    return '\n'.join(lines)
 
 
 def emit_problem(cp, domain_name, problem_name):
@@ -527,16 +643,15 @@ def emit_problem(cp, domain_name, problem_name):
     lines.append('  )')
     goal_items = ['(%s)' % names[f] for f in sorted(cp.goal.pos)]
     goal_items += ['(not (%s))' % names[f] for f in sorted(cp.goal.neg)]
-    lines.append('  (:goal (and %s))' % ' '.join(goal_items))
-    lines.append(')')
-    return '\n'.join(lines) + '\n'
+    lines += ['  (:goal (and %s))' % ' '.join(goal_items), ')', '']
+    return '\n'.join(lines)
 
 
 def emit_fluent_map(cp):
-    out = []
-    for f in cp.fluents:
-        out.append('%s\t%s' % (fluent_symbol(f), format_rml(f)))
-    return '\n'.join(out) + '\n'
+    out = ['%s\t%s' % (fluent_symbol(f), format_rml(f)) for f in cp.fluents]
+    out.append('')
+    # an empty table is one empty line
+    return '\n'.join(out) or '\n'
 
 
 def emit_report(cp):

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from pdkb import compiler
 from pdkb.compiler import (CompiledCondition, _derive, _prune,
                            apply_ancillary, compile_problem, emit_domain,
                            emit_fluent_map, emit_pddl, emit_problem,
@@ -277,21 +278,13 @@ def test_semi_naive_fixpoint_matches_round_robin(parts, aware):
 
 
 # ---------------------------------------------------------------------------
-# one expansion per distinct (base outcomes, awareness)
+# one closure per operator shape, renamed for the other operators of it
 
 
-@pytest.mark.parametrize('aware', [True, False])
-@pytest.mark.parametrize('parts', [
-    ('envelope', 'envelope.pdkbddl'),
-    ('grapevine', 'prob-4ag-2g-1d.pdkbddl'),
-    ('grapevine', 'prob-4ag-2g-2d.pdkbddl'),
-    ('misc', 'lossy-3ag-2l.pdkbddl'),
-    ('misc', 'coin.pdkbddl'),
-    ('misc', 'ask.pdkbddl'),
-])
-def test_shared_expansions_match_per_operator_ones(parts, aware):
-    prob = load(*parts)
-    actions = ground(prob) if aware else unaware(ground(prob))
+def assert_matches_per_operator(prob, actions):
+    """compile_problem's operators and counts equal expanding and pruning
+    each operator on its own, the reference for the shared and renamed
+    expansions."""
     cp = compile_problem(prob, actions)
     fluents, _, _, base_ops = encode_base(prob, actions)
     fluent_set = frozenset(fluents)
@@ -317,6 +310,107 @@ def test_shared_expansions_match_per_operator_ones(parts, aware):
     assert cp.report['spawned_ancillary_effects'] == counts['spawned']
     assert cp.report['pruned_effects'] == counts['pruned']
     assert cp.report['truncated_effects'] == counts['truncated']
+
+
+@pytest.mark.parametrize('aware', [True, False])
+@pytest.mark.parametrize('parts', [
+    ('envelope', 'envelope.pdkbddl'),
+    ('grapevine', 'prob-4ag-2g-1d.pdkbddl'),
+    ('grapevine', 'prob-4ag-2g-2d.pdkbddl'),
+    ('misc', 'lossy-3ag-2l.pdkbddl'),
+    ('misc', 'coin.pdkbddl'),
+    ('misc', 'ask.pdkbddl'),
+    ('grapevine', 'prob-4ag-8g-1d.pdkbddl'),
+    ('misc', 'lossy-4ag-3l.pdkbddl'),
+    ('envelope', 'envelope-reversed.pdkbddl'),
+    ('misc', 'negation-removal.pdkbddl'),
+    ('misc', 'unsolvable.pdkbddl'),
+])
+def test_shared_expansions_match_per_operator_ones(parts, aware):
+    prob = load(*parts)
+    assert_matches_per_operator(
+        prob, ground(prob) if aware else unaware(ground(prob)))
+
+
+# operators of one shape that a renaming of propositions could confuse:
+# ``tell``'s condition holds two ``here`` atoms, equal when ?a is ?as, and
+# its speaker's secret sits beside the speaker's own modality; ``go`` binds
+# ?l1 and ?l2 equal too; ``watching`` is an awareness atom that no effect
+# mentions; ``flip``'s outcomes share their atoms
+HAZARDS = """
+(define (domain hazards)
+    (:agents a b)
+    (:types loc)
+    (:predicates (secret ?agent) (here ?agent - agent ?l - loc)
+                 (lit ?l - loc) {AK}(watching ?agent - agent ?l - loc))
+    (:action go
+        :derive-condition always
+        :parameters       (?a - agent ?l1 ?l2 - loc)
+        :precondition     (and)
+        :effect           (and (here ?a ?l2) (!here ?a ?l1))
+    )
+    (:action tell
+        :derive-condition (watching $agent$ ?l)
+        :parameters       (?a ?as - agent ?l - loc)
+        :precondition     (and)
+        :effect           (and (when (and (lit ?l) (here ?a ?l) (here ?as ?l)
+                                          [?a](secret ?a))
+                                     [?as](secret ?a))
+                               (when (not (here ?as ?l)) [?a](!secret ?as)))
+    )
+    (:action flip
+        :derive-condition (here $agent$ ?l1)
+        :parameters       (?l1 ?l2 - loc)
+        :precondition     (and)
+        :effect           (oneof (and (lit ?l1) (!lit ?l2))
+                                 (and (!lit ?l1) (lit ?l2) [a](lit ?l1)))
+    )
+)
+(define (problem hazards-1)
+    (:domain hazards)
+    (:objects l1 l2 - loc)
+    (:depth 2)
+    (:task valid_generation)
+    (:init-type complete)
+    (:init (here a l1) (here b l2) (!lit l1) (!lit l2) (watching a l1))
+    (:goal (and [b](secret a)))
+)
+"""
+
+
+def count_closures(monkeypatch):
+    """Count the calls to ``compiler.apply_ancillary`` from here on."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return apply_ancillary(*args)
+
+    monkeypatch.setattr(compiler, 'apply_ancillary', counted)
+    return calls
+
+
+@pytest.mark.parametrize('aware', [True, False])
+def test_renamed_expansions_match_per_operator_ones(monkeypatch, aware):
+    prob = desugar(parse_text(HAZARDS))
+    actions = ground(prob) if aware else unaware(ground(prob))
+    closures = count_closures(monkeypatch)
+    assert_matches_per_operator(prob, actions)
+    # 8 shapes (2 of ``go``, 4 of ``tell``, 2 of ``flip`` with two
+    # outcomes each) run 10 closures for the 24 outcomes of 20 operators;
+    # the other outcomes are renamed closures
+    assert (len(actions), closures[0]) == (20, 10)
+
+
+def test_one_closure_per_operator_shape(monkeypatch):
+    # move with distinct and with equal locations, share, fib and
+    # initialize: 5 shapes among the 61 distinct (base outcomes,
+    # awareness) pairs
+    prob = load('grapevine', 'prob-4ag-2g-2d.pdkbddl')
+    actions = ground(prob)
+    closures = count_closures(monkeypatch)
+    compile_problem(prob, actions)
+    assert closures[0] == 5
 
 
 # two actions with the same effect: anyone may see ``tell``, only those at
