@@ -17,40 +17,44 @@ five in one step, ``_derive``; always-known effects have no consequences:
   awareness       per aware agent, nested-belief copies of adds/deletes
 
 Each ``compile_problem`` call does each piece of work once:
-  - one ``RmlTable`` serves all of the call's operators: it interns every
-    RML, so set and dict hits compare by identity, and memoises
-    ``negate``, ``wrap`` and ``upward_closure``; it is dropped with the
-    call, so nothing is cached across compiles;
+  - one ``RmlTable`` serves all of the call's operators: it interns the
+    RMLs that the rules derive, so set and dict hits compare by identity,
+    and memoises ``negate``, ``wrap`` and ``upward_closure``; it is
+    dropped with the call, so nothing is cached across compiles;
   - the fixpoint is semi-naive: ``_derive`` maps each effect to its
     consequences on its own, so ``apply_ancillary`` feeds each round only
     the effects that are new since the last round;
-  - each operator *shape* runs the closure once. ``_shape`` walks a
-    ground action's effects, their conditions and its awareness
-    conditions, and replaces every proposition by (predicate, rank among
-    that predicate's propositions by first occurrence); modalities,
-    polarity, ``delete``, the agents and ``always`` stay. The first
-    operator of a shape is closed by ``apply_ancillary``. Every later one
-    takes that unpruned closure with its own propositions put in
-    (``_instantiate``), and its spawned and truncated counts. This is
-    sound: two actions of one shape differ by an injective renaming of
-    propositions that keeps predicates, and the five rules and the depth
-    cut read a proposition only through equality and the ``is_ak`` of
-    its predicate, so the renaming commutes with the closure and keeps
-    the sizes that ``spawned`` and ``truncated`` count. Pruning reads
-    fluent-table membership, which a renaming need not keep, so
-    ``_prune`` runs on each operator's renamed closure. The 133
-    operators of a four-agent grapevine problem have 5 shapes: ``move``
-    with distinct and with equal locations, ``share``, ``fib`` and
-    ``initialize``;
-  - in front of the shape memo, operators with the same (base outcomes,
-    awareness) pair share one pruned expansion and its outcome objects.
-    That key is exact: everything else the expansion reads (depth,
-    ``is_ak``, the ``RmlTable``, the fluent set and the prune memo) is
-    fixed for the call, and the name, arguments and precondition pass
-    through untouched (``planner.Packing`` then packs each shared outcome
-    once). In the grapevine domain neither the effect nor the awareness
-    condition of ``share ?a ?as ?l`` and ``fib ?a ?as ?l`` mentions the
-    speaker ``?a``, so the operators for one ``(?as, ?l)`` share;
+  - each operator *shape* runs the closure once, and every operator gets
+    its outcomes one way. ``_shape`` walks a ground action's effects,
+    their conditions and its awareness conditions, and replaces every
+    proposition by (predicate, rank among that predicate's propositions
+    by first occurrence); modalities, polarity, ``delete``, the agents and
+    ``always`` stay. On a shape's first operator ``apply_ancillary``
+    closes each outcome, ``_prune`` drops the effects that never fire,
+    and ``_template`` keeps the result over proposition positions with its
+    spawned, truncated and pruned counts. Every operator, the first
+    included, then takes its outcomes from ``_instantiate`` with its own
+    propositions put in, memoised on (shape, propositions), so identical
+    operators share outcome objects and ``planner.Packing`` and
+    ``emit_domain`` handle each once; each distinct condition is one
+    object for the whole compile. This is sound:
+      * two actions of one shape differ by an injective renaming of
+        propositions that keeps predicates, and the five rules and the
+        depth cut read a proposition only through equality and the
+        ``is_ak`` of its predicate, so the renaming commutes with the
+        closure and keeps the sizes that the counts count;
+      * every RML of an operator's closure is in the fluent table, so
+        ``_instantiate`` finds each there: ``encode_base`` checks the base
+        RMLs; closure, negation, the contrapositive and uncertain firing
+        keep an RML's depth and atom and change only modes and polarity;
+        awareness copies wrap in a known agent's belief and are cut past
+        the depth bound;
+      * pruning tests only whether a condition's positive and negative
+        fluents overlap, which an injective renaming keeps, so pruning
+        the template prunes every operator of the shape.
+    The 133 operators of a four-agent grapevine problem have 5 shapes:
+    ``move`` with distinct and with equal locations, ``share``, ``fib``
+    and ``initialize``;
   - emission sorts by fluent rank, the position in ``sorted(fluents)``,
     computed once per emit, and writes each outcome's effects grouped by
     condition: the unconditional ones bare, then one
@@ -75,7 +79,8 @@ REPORT_VERSION = 1
 
 
 class NonRootRML(Exception):
-    """An initial/goal/effect RML is outside the fluent space."""
+    """An initial, condition, effect or awareness RML is outside the
+    fluent space."""
 
 
 class CompiledCondition:
@@ -149,30 +154,28 @@ def fluent_space(problem):
     regular = enumerate_rmls(RmlSpace(problem.regular_propositions(),
                                       problem.agents, problem.depth))
     ak = [lit(p) for p in problem.ak_propositions()]
-    return tuple(regular) + tuple(sorted(ak))
+    return tuple(regular) + tuple(sorted(ak, key=RML.sort_key))
 
 
-def _split_condition(problem, pos, neg, canonical):
+def _split_condition(pos, neg, canonical):
     cond_pos = set()
-    cond_neg = set()
     for rml in pos:
         fluent = canonical.get(rml)
         if fluent is None:
             raise NonRootRML('condition %s is outside the fluent space'
                              % rml)
         cond_pos.add(fluent)
-    for rml in neg:
-        # negated AK atoms never exist as fluents; requiring their absence
-        # is trivially true, so they are dropped
-        if rml.negated and not is_regular(problem.is_ak, rml):
-            continue
-        cond_neg.add(canonical.get(rml, rml))
+    # an RML outside the table, such as a negated always-known atom, is
+    # never held; requiring its absence is vacuous, so it is dropped
+    cond_neg = [canonical[rml] for rml in neg if rml in canonical]
     return CompiledCondition(cond_pos, cond_neg)
 
 
 def encode_base(problem, ground_actions):
-    """Pre-ancillary compiled problem. Every fluent it mentions is the
-    object in the returned fluent table."""
+    """Pre-ancillary compiled problem. Every RML it mentions is the object
+    in the returned fluent table: an initial RML, a positive condition, an
+    effect or an awareness condition outside the table raises
+    ``NonRootRML``, and a negative condition outside it is dropped."""
     fluents = fluent_space(problem)
     canonical = {f: f for f in fluents}
 
@@ -186,20 +189,23 @@ def encode_base(problem, ground_actions):
         else:
             raise NonRootRML('initial RML %s is outside the fluent space'
                              % rml)
-    goal = _split_condition(problem, problem.goal_pos, problem.goal_neg,
-                            canonical)
+    goal = _split_condition(problem.goal_pos, problem.goal_neg, canonical)
 
     operators = []
     for action in ground_actions:
-        pre = _split_condition(problem, action.precondition_pos,
+        for mu in action.awareness.values():
+            if mu != ALWAYS and mu not in canonical:
+                raise NonRootRML('awareness condition %s is outside the '
+                                 'fluent space' % mu)
+        pre = _split_condition(action.precondition_pos,
                                action.precondition_neg, canonical)
         outcomes = []
         for outcome in action.outcomes:
             adds = set()
             dels = set()
             for ce in outcome:
-                cond = _split_condition(problem, ce.condition_pos,
-                                        ce.condition_neg, canonical)
+                cond = _split_condition(ce.condition_pos, ce.condition_neg,
+                                        canonical)
                 effect = canonical.get(ce.effect)
                 if effect is None:
                     raise NonRootRML('effect %s is outside the fluent space'
@@ -324,35 +330,17 @@ def apply_ancillary(outcome, awareness, depth, is_ak, table):
     return (frozenset(adds), frozenset(dels)), truncated
 
 
-def _pruned_condition(cond, fluent_set):
-    """cond without its vacuous negative conditions (fluents outside the
-    table), or None when it never holds (overlapping pos/neg, impossible
-    pos)."""
-    if cond.pos & cond.neg or not cond.pos <= fluent_set:
-        return None
-    neg = cond.neg & fluent_set
-    if len(neg) == len(cond.neg):
-        return cond
-    return CompiledCondition(cond.pos, neg)
-
-
-def _prune(outcome, fluent_set, pruned):
-    """An (adds, dels) outcome without its never-firing effects and with
-    their vacuous negative conditions trimmed, and the number of effects
-    dropped; ``pruned`` memoises each distinct condition's verdict."""
-    kept = []
-    dropped = 0
-    for effects in outcome:
-        out = set()
-        for cond, l in effects:
-            if cond not in pruned:
-                pruned[cond] = _pruned_condition(cond, fluent_set)
-            if pruned[cond] is None:
-                dropped += 1
-            else:
-                out.add((pruned[cond], l))
-        kept.append(frozenset(out))
-    return tuple(kept), dropped
+def _prune(outcome):
+    """An (adds, dels) outcome without the effects whose condition never
+    holds, because it requires a fluent both held and absent, and the
+    number dropped; the outcome itself when nothing is dropped."""
+    dropped = sum(1 for effects in outcome for cond, _ in effects
+                  if cond.pos & cond.neg)
+    if not dropped:
+        return outcome, 0
+    return tuple(frozenset([(cond, l) for cond, l in effects
+                            if not cond.pos & cond.neg])
+                 for effects in outcome), dropped
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +357,15 @@ def _unreduced_style_count(problem):
             + 2 * len(problem.ak_propositions()))
 
 
-def _shape(action):
+def _shape(action, fluents):
     """The shape of a ground action and its propositions in order of first
     occurrence: its effects, conditions and awareness conditions with each
     proposition replaced by (predicate, rank among that predicate's
-    propositions by first occurrence). Two actions of one shape differ
-    only by the injective, predicate-keeping renaming that maps the first's
-    propositions to the second's, position by position."""
+    propositions by first occurrence). Negative conditions outside
+    ``fluents``, which ``encode_base`` drops, are left out. Two actions of
+    one shape differ only by the injective, predicate-keeping renaming
+    that maps the first's propositions to the second's, position by
+    position."""
     ranks = {}
     per_predicate = {}
     order = []
@@ -391,12 +381,13 @@ def _shape(action):
         return rml.modalities, rml.negated, rank
 
     def condition(rmls):
-        return tuple(token(r) for r in sorted(rmls, key=_condition_order))
+        return tuple([token(r) for r in sorted(rmls, key=_condition_order)])
 
-    outcomes = tuple(
-        tuple((token(ce.effect), ce.delete, condition(ce.condition_pos),
-               condition(ce.condition_neg)) for ce in outcome)
-        for outcome in action.outcomes)
+    outcomes = tuple([
+        tuple([(token(ce.effect), ce.delete, condition(ce.condition_pos),
+                condition([r for r in ce.condition_neg if r in fluents]))
+               for ce in outcome])
+        for outcome in action.outcomes])
     awareness = tuple((agent, mu if mu == ALWAYS else token(mu))
                       for agent, mu in sorted(action.awareness.items()))
     return (outcomes, awareness), tuple(order)
@@ -433,21 +424,22 @@ def _template(closures, props):
     return rml_keys, condition_keys, effects
 
 
-def _instantiate(template, props, index, table):
-    """A ``_template`` with ``props`` in the proposition positions. Each RML
-    is the fluent-table object found through ``index``, or the
-    ``RmlTable``'s one outside the table."""
+def _instantiate(template, props, index, interned):
+    """A ``_template`` with ``props`` in the proposition positions; each
+    RML is the fluent-table object found through ``index``, and each
+    condition the one that ``interned`` keeps for the compile."""
     rml_keys, condition_keys, effects = template
-    rmls = []
-    for modalities, negated, i in rml_keys:
-        key = modalities, negated, props[i]
-        r = index.get(key)
-        rmls.append(r if r is not None else table.intern(RML(*key)))
-    conditions = [CompiledCondition([rmls[i] for i in pos],
-                                    [rmls[i] for i in neg])
-                  for pos, neg in condition_keys]
-    return [tuple(frozenset([(conditions[c], rmls[l]) for c, l in effs])
-                  for effs in closure) for closure in effects]
+    rmls = [index[modalities, negated, props[i]]
+            for modalities, negated, i in rml_keys]
+    conditions = []
+    for pos, neg in condition_keys:
+        cond = CompiledCondition([rmls[i] for i in pos],
+                                 [rmls[i] for i in neg])
+        conditions.append(interned.setdefault(cond, cond))
+    # built from a set, a frozenset's table fits its size; built from a
+    # list, it keeps the slack of its growth, a third more on depth 2
+    return tuple(tuple(frozenset({(conditions[c], rmls[l]) for c, l in effs})
+                       for effs in closure) for closure in effects)
 
 
 def compile_problem(problem, ground_actions, flavor=None,
@@ -457,52 +449,41 @@ def compile_problem(problem, ground_actions, flavor=None,
     table = RmlTable(fluents)
     index = {(f.modalities, f.negated, f.atom): f for f in fluents}
     counters = {'spawned': 0, 'truncated': 0, 'pruned': 0}
-    pruned = {}
-    # (base outcomes, awareness) -> (pruned outcomes, that expansion's
-    # counts): operators that differ only in name, arguments or
-    # precondition share one expansion and its outcome objects
-    expansions = {}
-    # shape -> (the first operator's unpruned outcome closures as a
-    # ``_template``, their spawned and truncated counts)
+    # shape -> (its first operator's pruned outcome closures as a
+    # ``_template``, their spawned, truncated and pruned counts, and
+    # propositions -> outcomes, so that identical operators share one
+    # instantiation and its outcome objects)
     shapes = {}
+    # one object per distinct condition, shared by all operators
+    interned = {}
     operators = []
     for action, op in zip(ground_actions, base_ops):
-        key = (op.outcomes, frozenset(action.awareness.items()))
-        if key not in expansions:
-            shape, props = _shape(action)
-            if shape in shapes:
-                template, spawned, truncated = shapes[shape]
-                closures = _instantiate(template, props, index, table)
-            else:
-                closures = []
-                spawned = 0
-                # a copy that several outcomes cut counts once
-                cut = set()
-                for outcome in op.outcomes:
-                    expanded, outcome_cut = apply_ancillary(
-                        outcome, action.awareness, problem.depth,
-                        problem.is_ak, table)
-                    cut |= outcome_cut
-                    spawned += (sum(map(len, expanded))
-                                - sum(map(len, outcome)))
-                    closures.append(expanded)
-                truncated = len(cut)
-                shapes[shape] = (_template(closures, props), spawned,
-                                 truncated)
-            outcomes = []
-            dropped = 0
-            for expanded in closures:
-                kept, n = _prune(expanded, fluent_set, pruned)
-                dropped += n
-                outcomes.append(kept)
-            expansions[key] = tuple(outcomes), {
-                'spawned': spawned, 'pruned': dropped,
-                'truncated': truncated}
-        outcomes, counts = expansions[key]
+        shape, props = _shape(action, fluent_set)
+        if shape not in shapes:
+            closures = []
+            counts = {'spawned': 0, 'pruned': 0}
+            # a copy that several outcomes cut counts once
+            cut = set()
+            for outcome in op.outcomes:
+                expanded, outcome_cut = apply_ancillary(
+                    outcome, action.awareness, problem.depth, problem.is_ak,
+                    table)
+                cut |= outcome_cut
+                counts['spawned'] += (sum(map(len, expanded))
+                                      - sum(map(len, outcome)))
+                kept, dropped = _prune(expanded)
+                counts['pruned'] += dropped
+                closures.append(kept)
+            counts['truncated'] = len(cut)
+            shapes[shape] = _template(closures, props), counts, {}
+        template, counts, instances = shapes[shape]
+        if props not in instances:
+            instances[props] = _instantiate(template, props, index,
+                                            interned)
         for name, n in counts.items():
             counters[name] += n
         operators.append(CompiledOperator(op.name, op.args, op.precondition,
-                                          outcomes))
+                                          instances[props]))
 
     if flavor is None:
         flavor = CLASSICAL if all(len(op.outcomes) == 1
@@ -559,7 +540,7 @@ class _ConditionText(dict):
 
     def __init__(self, fluents):
         super().__init__()
-        ordered = sorted(fluents)
+        ordered = sorted(fluents, key=RML.sort_key)
         self.rank = {f: i for i, f in enumerate(ordered)}
         self.names = [fluent_symbol(f) for f in ordered]
 
@@ -638,7 +619,7 @@ def emit_problem(cp, domain_name, problem_name):
     lines = ['(define (problem %s)' % problem_name,
              '  (:domain %s)' % domain_name,
              '  (:init']
-    for f in sorted(cp.init):
+    for f in sorted(cp.init, key=RML.sort_key):
         lines.append('    (%s)' % names[f])
     lines.append('  )')
     goal_items = ['(%s)' % names[f] for f in sorted(cp.goal.pos)]

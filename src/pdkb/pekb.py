@@ -37,7 +37,7 @@ class PEKB:
         return self._hash
 
     def __iter__(self):
-        return iter(sorted(self.rmls))
+        return iter(sorted(self.rmls, key=RML.sort_key))
 
     def __len__(self):
         return len(self.rmls)

@@ -548,7 +548,7 @@ _PLAN_LINE = re.compile(r'^\(\s*([^\s()]+)((?:\s+[^\s()]+)*)\s*\)$')
 def parse_plan_file(text, operators):
     """Decode a plan file into ``operators`` (compiled operators or ground
     actions): one ``(name arg ...)`` or ``(name__arg__...)`` step per line,
-    ``;`` starting a comment."""
+    ``;`` starting a comment; the second form takes no arguments."""
     by_symbol = {operator_symbol(op).lower(): op for op in operators}
     by_parts = {(op.name,) + op.args: op for op in operators}
     plan = []
@@ -561,7 +561,9 @@ def parse_plan_file(text, operators):
             raise PlanParseError('line %d: cannot parse %r' % (lineno, raw))
         head = m.group(1).lower()
         args = tuple(m.group(2).lower().split())
-        op = by_parts.get((head,) + args) or by_symbol.get(head)
+        op = by_parts.get((head,) + args)
+        if op is None and not args:
+            op = by_symbol.get(head)
         if op is None:
             raise PlanParseError('line %d: unknown action %r'
                                  % (lineno, line))

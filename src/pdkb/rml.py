@@ -240,7 +240,7 @@ def enumerate_rmls(space):
             for atom in space.propositions:
                 for negated in (False, True):
                     out.append(RML(chain, negated, atom))
-    return sorted(out)
+    return sorted(out, key=RML.sort_key)
 
 
 def format_rml(rml):

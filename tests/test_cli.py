@@ -494,6 +494,7 @@ def test_validate_reads_both_plan_forms(tmp_path, text):
     ('(check bob)\n; aside\n(teleport bob)\n', 3),
     ('(check__carol)\n', 1),
     ('check bob\n', 1),
+    ('(check bob)\n(check__alice bob)\n', 2),
 ])
 def test_validate_names_the_bad_plan_line(tmp_path, text, line):
     result, plan = _validate_plan(tmp_path, text)

@@ -7,12 +7,12 @@ import re
 import pytest
 
 from pdkb import compiler
-from pdkb.compiler import (CompiledCondition, _derive, _prune,
+from pdkb.compiler import (CompiledCondition, NonRootRML, _derive,
                            apply_ancillary, compile_problem, emit_domain,
                            emit_fluent_map, emit_pddl, emit_problem,
                            emit_report, encode_base, fluent_symbol)
 from pdkb.model import ALWAYS, GroundAction, GroundingReport, ground
-from pdkb.parser import desugar, parse_file, parse_text
+from pdkb.parser import ParseError, desugar, parse_file, parse_text
 from pdkb.rml import Proposition, RmlTable, lit, parse_rml, wrap
 
 HERE = os.path.dirname(__file__)
@@ -160,15 +160,33 @@ def test_fluent_map_round_trips():
         assert parse_rml(text) == fluent
 
 
-def test_negated_ak_goal_condition_is_dropped_not_encoded():
-    # negated always-known atoms never appear as fluents, so conditions
-    # requiring their absence are vacuous
-    prob, cp = compiled('grapevine', 'prob-4ag-2g-1d.pdkbddl')
+def parsable_benchmarks():
+    """Every file under ``benchmarks/`` that parses on its own."""
+    found = []
+    for kind in sorted(os.listdir(BENCH)):
+        for name in sorted(os.listdir(os.path.join(BENCH, kind))):
+            try:
+                parse_file(os.path.join(BENCH, kind, name))
+            except ParseError:
+                continue
+            found.append((kind, name))
+    return found
+
+
+@pytest.mark.parametrize('parts', parsable_benchmarks(), ids='/'.join)
+def test_every_compiled_rml_is_the_fluent_table_object(parts):
+    # RMLs outside the table, such as negated always-known atoms, never
+    # appear: requiring their absence is vacuous, so they are dropped
+    _, cp = compiled(*parts)
+    table = {id(f) for f in cp.fluents}
+    rmls = [*cp.init, *cp.goal.pos, *cp.goal.neg]
     for op in cp.operators:
+        rmls += [*op.precondition.pos, *op.precondition.neg]
         for adds, dels in op.outcomes:
-            for c, _ in adds | dels:
-                for f in c.pos | c.neg:
-                    assert f in set(cp.fluents)
+            for c, l in adds | dels:
+                rmls += [*c.pos, *c.neg, l]
+    strays = [r for r in rmls if id(r) not in table]
+    assert not strays, '%d of %d RMLs are copies' % (len(strays), len(rmls))
 
 
 @pytest.mark.parametrize('parts, effects, spawned, pruned, truncated', [
@@ -230,6 +248,59 @@ def test_never_firing_effects_are_pruned():
     assert '(when (and (p) (not (p)))' not in emit_domain(cp, 'one')
 
 
+# the boundary of the fluent table on input that ``validate_model`` would
+# reject: ``zed`` is no object, so no RML over ``near(zed)`` is a fluent;
+# ``other`` has the shape that ``act`` has when its condition is kept
+UNKNOWN_OBJECT = """
+(define (domain edge)
+    (:agents a b)
+    (:types loc)
+    (:predicates (p) (q) (near ?l - loc))
+    (:action act
+        :derive-condition %s
+        :parameters       ()
+        :precondition     (and)
+        :effect           %s
+    )
+    (:action other
+        :derive-condition never
+        :parameters       ()
+        :precondition     (and)
+        :effect           (when (and (p) (not (near l1))) (q))
+    )
+)
+(define (problem edge-1)
+    (:domain edge)
+    (:objects l1 - loc)
+    (:depth 1)
+    (:task valid_generation)
+    (:init-type complete)
+    (:init (!p) (!q) (!near l1))
+    (:goal (and (q)))
+)
+"""
+
+
+def unvalidated(derive_condition, effect):
+    return desugar(parse_text(UNKNOWN_OBJECT % (derive_condition, effect)))
+
+
+def test_awareness_condition_outside_the_table_is_rejected():
+    prob = unvalidated('(near zed)', '(q)')
+    with pytest.raises(NonRootRML, match='awareness condition near'):
+        compile_problem(prob, ground(prob))
+
+
+def test_negative_condition_outside_the_table_is_dropped():
+    prob = unvalidated('never', '(when (and (p) (not (near zed))) (q))')
+    cp = compile_problem(prob, ground(prob))
+    (adds, dels), = cp.operators[0].outcomes
+    assert adds == {(cond(pos=[rml('p')]), rml('q'))}
+    assert dels == {(cond(pos=[rml('p')]), rml('!q')),
+                    (cond(neg=[rml('!p')]), rml('!q'))}
+    assert_matches_per_operator(prob, ground(prob))
+
+
 # ---------------------------------------------------------------------------
 # the semi-naive fixpoint against the round-robin one
 
@@ -281,6 +352,25 @@ def test_semi_naive_fixpoint_matches_round_robin(parts, aware):
 # one closure per operator shape, renamed for the other operators of it
 
 
+def reference_prune(outcome, fluent_set):
+    """An (adds, dels) outcome without the effects whose condition never
+    holds (positive and negative fluents overlap, or a positive one is no
+    fluent) and with the negative conditions that are no fluent trimmed,
+    and the number of effects dropped."""
+    kept = []
+    dropped = 0
+    for effects in outcome:
+        out = set()
+        for cond, l in effects:
+            if cond.pos & cond.neg or not cond.pos <= fluent_set:
+                dropped += 1
+            else:
+                out.add((CompiledCondition(cond.pos, cond.neg & fluent_set),
+                         l))
+        kept.append(frozenset(out))
+    return tuple(kept), dropped
+
+
 def assert_matches_per_operator(prob, actions):
     """compile_problem's operators and counts equal expanding and pruning
     each operator on its own, the reference for the shared and renamed
@@ -300,7 +390,7 @@ def assert_matches_per_operator(prob, actions):
             truncated |= cut
             counts['spawned'] += (sum(map(len, expanded))
                                   - sum(map(len, outcome)))
-            kept, dropped = _prune(expanded, fluent_set, {})
+            kept, dropped = reference_prune(expanded, fluent_set)
             counts['pruned'] += dropped
             expected.append(kept)
         counts['truncated'] += len(truncated)

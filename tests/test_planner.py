@@ -202,6 +202,14 @@ def test_plan_file_parsing(envelope):
         parse_plan_file('check bob', cp.operators)
     with pytest.raises(PlanParseError):
         parse_plan_file('(frobnicate)', cp.operators)
+    # the ``name__arg`` symbol takes no further arguments
+    with pytest.raises(PlanParseError):
+        parse_plan_file('(check__bob alice)', cp.operators)
+    _, coin = compiled('misc', 'coin.pdkbddl')
+    assert [op.label for op in parse_plan_file('(flip)', coin.operators)] \
+        == ['(flip)']
+    with pytest.raises(PlanParseError):
+        parse_plan_file('(flip bogus extra)', coin.operators)
 
 
 def test_plan_validation_names_the_failing_step():
