@@ -25,30 +25,33 @@ Each ``compile_problem`` call does each piece of work once:
     consequences on its own, so ``apply_ancillary`` feeds each round only
     the effects that are new since the last round;
   - each operator *shape* runs the closure once, and every operator gets
-    its outcomes one way. ``_shape`` walks a ground action's effects,
-    their conditions and its awareness conditions, and replaces every
-    proposition by (predicate, rank among that predicate's propositions
-    by first occurrence); modalities, polarity, ``delete``, the agents and
-    ``always`` stay. On a shape's first operator ``apply_ancillary``
-    closes each outcome, ``_prune`` drops the effects that never fire,
-    and ``_template`` keeps the result over proposition positions with its
-    spawned, truncated and pruned counts. Every operator, the first
-    included, then takes its outcomes from ``_instantiate`` with its own
-    propositions put in, memoised on (shape, propositions), so identical
-    operators share outcome objects and ``planner.Packing`` and
-    ``emit_domain`` handle each once; each distinct condition is one
-    object for the whole compile. This is sound:
+    its outcomes one way. ``_shape`` is the one walk over a ground
+    action: it maps every RML of its effects, their conditions and its
+    awareness conditions to the fluent-table object, numbers the
+    propositions by first occurrence, and returns the outcomes over those
+    positions in ``_template``'s format, with the awareness and the
+    predicate of each position; modalities, polarity, ``delete`` and the
+    agents stay. On a shape's first operator ``_instantiate`` of that
+    template gives the base outcomes, ``apply_ancillary`` closes each,
+    ``_prune`` drops the effects that never fire, and ``_template`` keeps
+    the result over proposition positions with its spawned, truncated and
+    pruned counts. Every operator, the first included, then takes its
+    outcomes from ``_instantiate`` with its own propositions put in,
+    memoised on (shape, propositions), so identical operators share
+    outcome objects and ``planner.Packing`` and ``emit_domain`` handle
+    each once; each distinct condition is one object for the whole
+    compile. This is sound:
       * two actions of one shape differ by an injective renaming of
         propositions that keeps predicates, and the five rules and the
         depth cut read a proposition only through equality and the
         ``is_ak`` of its predicate, so the renaming commutes with the
         closure and keeps the sizes that the counts count;
       * every RML of an operator's closure is in the fluent table, so
-        ``_instantiate`` finds each there: ``encode_base`` checks the base
-        RMLs; closure, negation, the contrapositive and uncertain firing
-        keep an RML's depth and atom and change only modes and polarity;
-        awareness copies wrap in a known agent's belief and are cut past
-        the depth bound;
+        ``_instantiate`` finds each there: ``_shape`` checks the base
+        RMLs of every operator; closure, negation, the contrapositive and
+        uncertain firing keep an RML's depth and atom and change only
+        modes and polarity; awareness copies wrap in a known agent's
+        belief and are cut past the depth bound;
       * pruning tests only whether a condition's positive and negative
         fluents overlap, which an injective renaming keeps, so pruning
         the template prunes every operator of the shape.
@@ -157,25 +160,29 @@ def fluent_space(problem):
     return tuple(regular) + tuple(sorted(ak, key=RML.sort_key))
 
 
+def _fluent(canonical, rml, what):
+    """The fluent-table object equal to ``rml``; ``NonRootRML``, naming
+    ``rml`` as ``what``, when the table has none."""
+    fluent = canonical.get(rml)
+    if fluent is None:
+        raise NonRootRML('%s %s is outside the fluent space' % (what, rml))
+    return fluent
+
+
 def _split_condition(pos, neg, canonical):
-    cond_pos = set()
-    for rml in pos:
-        fluent = canonical.get(rml)
-        if fluent is None:
-            raise NonRootRML('condition %s is outside the fluent space'
-                             % rml)
-        cond_pos.add(fluent)
-    # an RML outside the table, such as a negated always-known atom, is
-    # never held; requiring its absence is vacuous, so it is dropped
-    cond_neg = [canonical[rml] for rml in neg if rml in canonical]
-    return CompiledCondition(cond_pos, cond_neg)
+    """Positive and negative condition RMLs as lists of fluent-table
+    objects. A positive one outside the table raises ``NonRootRML``; a
+    negative one outside it, such as a negated always-known atom, is never
+    held, and requiring its absence is vacuous, so it is dropped."""
+    return ([_fluent(canonical, rml, 'condition') for rml in pos],
+            [canonical[rml] for rml in neg if rml in canonical])
 
 
-def encode_base(problem, ground_actions):
-    """Pre-ancillary compiled problem. Every RML it mentions is the object
-    in the returned fluent table: an initial RML, a positive condition, an
-    effect or an awareness condition outside the table raises
-    ``NonRootRML``, and a negative condition outside it is dropped."""
+def encode_base(problem):
+    """The fluent table, the initial state and the goal. Every RML of the
+    state and the goal is the object in the table: an initial RML or a
+    positive goal condition outside it raises ``NonRootRML``, and a negative
+    goal condition outside it is dropped."""
     fluents = fluent_space(problem)
     canonical = {f: f for f in fluents}
 
@@ -189,32 +196,9 @@ def encode_base(problem, ground_actions):
         else:
             raise NonRootRML('initial RML %s is outside the fluent space'
                              % rml)
-    goal = _split_condition(problem.goal_pos, problem.goal_neg, canonical)
-
-    operators = []
-    for action in ground_actions:
-        for mu in action.awareness.values():
-            if mu != ALWAYS and mu not in canonical:
-                raise NonRootRML('awareness condition %s is outside the '
-                                 'fluent space' % mu)
-        pre = _split_condition(action.precondition_pos,
-                               action.precondition_neg, canonical)
-        outcomes = []
-        for outcome in action.outcomes:
-            adds = set()
-            dels = set()
-            for ce in outcome:
-                cond = _split_condition(ce.condition_pos, ce.condition_neg,
-                                        canonical)
-                effect = canonical.get(ce.effect)
-                if effect is None:
-                    raise NonRootRML('effect %s is outside the fluent space'
-                                     % ce.effect)
-                (dels if ce.delete else adds).add((cond, effect))
-            outcomes.append((frozenset(adds), frozenset(dels)))
-        operators.append(CompiledOperator(action.name, action.args, pre,
-                                          tuple(outcomes)))
-    return fluents, init, goal, operators
+    goal = CompiledCondition(*_split_condition(problem.goal_pos,
+                                               problem.goal_neg, canonical))
+    return fluents, init, goal
 
 
 # ---------------------------------------------------------------------------
@@ -357,45 +341,59 @@ def _unreduced_style_count(problem):
             + 2 * len(problem.ak_propositions()))
 
 
-def _shape(action, fluents):
+def _number(memo, item):
+    """``item``'s index in ``memo``, numbering a new item next."""
+    i = memo.get(item)
+    if i is None:
+        i = memo[item] = len(memo)
+    return i
+
+
+def _shape(action, canonical):
     """The shape of a ground action and its propositions in order of first
-    occurrence: its effects, conditions and awareness conditions with each
-    proposition replaced by (predicate, rank among that predicate's
-    propositions by first occurrence). Negative conditions outside
-    ``fluents``, which ``encode_base`` drops, are left out. Two actions of
-    one shape differ only by the injective, predicate-keeping renaming
-    that maps the first's propositions to the second's, position by
-    position."""
-    ranks = {}
-    per_predicate = {}
-    order = []
+    occurrence.
 
-    def token(rml):
-        atom = rml.atom
-        rank = ranks.get(atom)
-        if rank is None:
-            n = per_predicate.get(atom.predicate, 0)
-            per_predicate[atom.predicate] = n + 1
-            rank = ranks[atom] = (atom.predicate, n)
-            order.append(atom)
-        return rml.modalities, rml.negated, rank
+    One walk maps every RML of the action to its object in the fluent
+    table ``canonical``: an awareness condition, a positive condition or an
+    effect outside it raises ``NonRootRML``, and a negative condition
+    outside it, never held, is dropped. The shape is the action's outcomes
+    in ``_template``'s format over the propositions' positions, its
+    awareness as (agent, ``ALWAYS`` or RML index) pairs and the predicate
+    of each position. Two actions of one shape differ only by the
+    injective, predicate-keeping renaming that maps the first's
+    propositions to the second's, position by position."""
+    rmls = {}
+    conditions = {}
 
-    def condition(rmls):
-        return tuple([token(r) for r in sorted(rmls, key=_condition_order)])
+    def number(rml, what):
+        return _number(rmls, _fluent(canonical, rml, what))
 
-    outcomes = tuple([
-        tuple([(token(ce.effect), ce.delete, condition(ce.condition_pos),
-                condition([r for r in ce.condition_neg if r in fluents]))
-               for ce in outcome])
-        for outcome in action.outcomes])
-    awareness = tuple((agent, mu if mu == ALWAYS else token(mu))
-                      for agent, mu in sorted(action.awareness.items()))
-    return (outcomes, awareness), tuple(order)
+    awareness = tuple([(agent, mu if mu == ALWAYS
+                        else number(mu, 'awareness condition'))
+                       for agent, mu in action.awareness.items()])
+    outcomes = []
+    for outcome in action.outcomes:
+        effects = ([], [])
+        for ce in outcome:
+            pos, neg = _split_condition(
+                sorted(ce.condition_pos, key=_condition_order),
+                sorted(ce.condition_neg, key=_condition_order), canonical)
+            c = (tuple(sorted([_number(rmls, f) for f in pos])),
+                 tuple(sorted([_number(rmls, f) for f in neg])))
+            effects[ce.delete].append((_number(conditions, c),
+                                       number(ce.effect, 'effect')))
+        outcomes.append(tuple(map(tuple, effects)))
+    atoms = {}
+    rml_keys = tuple([(f.modalities, f.negated, _number(atoms, f.atom))
+                      for f in rmls])
+    template = rml_keys, tuple(conditions), tuple(outcomes)
+    return ((template, awareness, tuple([p.predicate for p in atoms])),
+            tuple(atoms))
 
 
 def _condition_order(rml):
     """What a renaming keeps comes first, so that operators of one shape
-    mostly list their conditions alike; any order is sound."""
+    mostly number their conditions alike; any order is sound."""
     return (rml.atom.predicate, rml.modalities, rml.negated, rml.atom.args)
 
 
@@ -406,18 +404,11 @@ def _template(closures, props):
     closure's (adds, dels) as (condition index, RML index) pairs."""
     rmls = {}
     conditions = {}
-
-    def number(memo, item):
-        i = memo.get(item)
-        if i is None:
-            i = memo[item] = len(memo)
-        return i
-
-    effects = [tuple(tuple([(number(conditions, c), number(rmls, l))
+    effects = [tuple(tuple([(_number(conditions, c), _number(rmls, l))
                             for c, l in effs]) for effs in closure)
                for closure in closures]
-    condition_keys = [(tuple([number(rmls, r) for r in c.pos]),
-                       tuple([number(rmls, r) for r in c.neg]))
+    condition_keys = [(tuple([_number(rmls, r) for r in c.pos]),
+                       tuple([_number(rmls, r) for r in c.neg]))
                       for c in conditions]
     position = {p: i for i, p in enumerate(props)}
     rml_keys = [(r.modalities, r.negated, position[r.atom]) for r in rmls]
@@ -444,8 +435,8 @@ def _instantiate(template, props, index, interned):
 
 def compile_problem(problem, ground_actions, flavor=None,
                     truncated_ground=0):
-    fluents, init, goal, base_ops = encode_base(problem, ground_actions)
-    fluent_set = frozenset(fluents)
+    fluents, init, goal = encode_base(problem)
+    canonical = {f: f for f in fluents}
     table = RmlTable(fluents)
     index = {(f.modalities, f.negated, f.atom): f for f in fluents}
     counters = {'spawned': 0, 'truncated': 0, 'pruned': 0}
@@ -457,14 +448,17 @@ def compile_problem(problem, ground_actions, flavor=None,
     # one object per distinct condition, shared by all operators
     interned = {}
     operators = []
-    for action, op in zip(ground_actions, base_ops):
-        shape, props = _shape(action, fluent_set)
+    for action in ground_actions:
+        pre = CompiledCondition(*_split_condition(
+            action.precondition_pos, action.precondition_neg, canonical))
+        shape, props = _shape(action, canonical)
         if shape not in shapes:
             closures = []
             counts = {'spawned': 0, 'pruned': 0}
             # a copy that several outcomes cut counts once
             cut = set()
-            for outcome in op.outcomes:
+            base, _, _ = shape
+            for outcome in _instantiate(base, props, index, interned):
                 expanded, outcome_cut = apply_ancillary(
                     outcome, action.awareness, problem.depth, problem.is_ak,
                     table)
@@ -482,7 +476,7 @@ def compile_problem(problem, ground_actions, flavor=None,
                                             interned)
         for name, n in counts.items():
             counters[name] += n
-        operators.append(CompiledOperator(op.name, op.args, op.precondition,
+        operators.append(CompiledOperator(action.name, action.args, pre,
                                           instances[props]))
 
     if flavor is None:

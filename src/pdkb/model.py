@@ -293,39 +293,39 @@ def ground(problem, report=None):
 
 def _check_symbols(problem, rml, location, diagnostics, bound=()):
     """Unknown names, wrong arity, constant arguments that are no object
-    of their type, and variables outside ``bound``."""
+    of their type, and variables outside ``bound`` (variable -> type) or
+    of another type than their slot."""
+    def error(message):
+        diagnostics.append(Diagnostic('error', location, message))
+
+    def check(term, typ, unknown):
+        if term in bound and bound[term] != typ:
+            error('%s is of type %s, not %s, in %s'
+                  % (term, bound[term], typ, rml))
+        elif not term.startswith('?') and term != AGENT_VAR \
+                and term not in problem.objects_of_type(typ):
+            error(unknown)
+
     for term in [agent for _, agent in rml.modalities] + list(rml.atom.args):
         if (term.startswith('?') or term == AGENT_VAR) and term not in bound:
-            diagnostics.append(Diagnostic(
-                'error', location, 'unbound variable %s in %s' % (term, rml)))
+            error('unbound variable %s in %s' % (term, rml))
     entry = problem.predicates.get(rml.atom.predicate)
     if entry is None:
-        diagnostics.append(Diagnostic(
-            'error', location, 'unknown predicate %s' % rml.atom.predicate))
+        error('unknown predicate %s' % rml.atom.predicate)
         return
     arg_types, ak = entry
     if len(arg_types) != len(rml.atom.args):
-        diagnostics.append(Diagnostic(
-            'error', location,
-            'predicate %s expects %d arguments, got %d'
-            % (rml.atom.predicate, len(arg_types), len(rml.atom.args))))
+        error('predicate %s expects %d arguments, got %d'
+              % (rml.atom.predicate, len(arg_types), len(rml.atom.args)))
     else:
         for arg, typ in zip(rml.atom.args, arg_types):
-            if not arg.startswith('?') and arg != AGENT_VAR \
-                    and arg not in problem.objects_of_type(typ):
-                diagnostics.append(Diagnostic(
-                    'error', location, 'unknown object %s of type %s in %s'
-                    % (arg, typ, rml)))
+            check(arg, typ, 'unknown object %s of type %s in %s'
+                  % (arg, typ, rml))
     if ak and rml.modalities:
-        diagnostics.append(Diagnostic(
-            'error', location,
-            'always-known atom %s may not appear under belief modalities'
-            % rml.atom))
+        error('always-known atom %s may not appear under belief modalities'
+              % rml.atom)
     for _, agent in rml.modalities:
-        if not agent.startswith('?') and agent != AGENT_VAR \
-                and agent not in problem.agents:
-            diagnostics.append(Diagnostic(
-                'error', location, 'unknown agent %s' % agent))
+        check(agent, 'agent', 'unknown agent %s' % agent)
 
 
 def validate_model(problem):
@@ -346,15 +346,15 @@ def validate_model(problem):
     check_bounded(problem.goal_pos + problem.goal_neg, 'goal')
     for schema in problem.schemas:
         loc = 'action %s' % schema.name
-        params = {var for var, _ in schema.parameters}
+        params = dict(schema.parameters)
         check_bounded(schema.precondition_pos + schema.precondition_neg, loc,
                      params)
         if schema.derive_condition not in (ALWAYS, NEVER):
             _check_symbols(problem, schema.derive_condition, loc,
-                           diagnostics, params | {AGENT_VAR})
+                           diagnostics, {**params, AGENT_VAR: 'agent'})
         for outcome in schema.outcomes:
             for tpl in outcome:
-                bound = params | {var for var, _ in tpl.quantified}
+                bound = {**params, **dict(tpl.quantified)}
                 for c in (tpl.effect,) + tpl.condition_pos + tpl.condition_neg:
                     _check_symbols(problem, c, loc, diagnostics, bound)
                 # constraint: AK-changing effects may only watch AK atoms

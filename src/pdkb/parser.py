@@ -157,14 +157,6 @@ class Ast:
     def __init__(self, units):
         self.units = list(units)
 
-    def signature(self):
-        """Position-free structural form, for round-trip comparison."""
-        def strip(node):
-            if isinstance(node, list):
-                return tuple(strip(x) for x in node)
-            return (node.kind, node.value)
-        return tuple(strip(u) for u in self.units)
-
 
 def parse(tokens):
     trees = _build_trees(tokens)
@@ -184,21 +176,6 @@ def parse_text(text, filename='<string>'):
     if any(t.kind == 'include' for t in tokens):
         raise ParseError('includes require file-based parsing')
     return parse(tokens)
-
-
-def pretty_print(ast):
-    """Serialize back to parseable text (canonical layout)."""
-    def emit(node):
-        if isinstance(node, list):
-            return '(%s)' % ' '.join(emit(x) for x in node)
-        if node.kind == 'modal':
-            mode, agent = node.value
-            return '[%s]' % agent if mode == BELIEF else '<%s>' % agent
-        if node.kind == 'ak':
-            return '{AK}'
-        return node.value
-    return '\n'.join('(%s)' % ' '.join(emit(x) for x in unit)
-                     for unit in ast.units)
 
 
 # ---------------------------------------------------------------------------

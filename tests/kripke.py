@@ -11,7 +11,7 @@ from the satisfaction clauses.
 import itertools
 from functools import lru_cache
 
-from .rml import BELIEF
+from pdkb.rml import BELIEF, RmlSpace, enumerate_rmls
 
 _COST_CAP = 5_000_000
 
@@ -56,8 +56,6 @@ def _mask_table(props, agents, max_worlds):
     """All achievable truth masks over the full depth-2 RML space of the
     signature, at the pointed world of a serial model with at most
     max_worlds worlds. Returns (rml index tuple, frozenset of masks)."""
-    from .rml import RmlSpace, enumerate_rmls
-
     rmls = tuple(enumerate_rmls(RmlSpace(props, agents, 2)))
     valuations = [frozenset(c) for r in range(len(props) + 1)
                   for c in itertools.combinations(props, r)]

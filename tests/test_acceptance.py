@@ -14,7 +14,7 @@ import time
 import pytest
 
 from pdkb.compiler import CompiledCondition, apply_ancillary, compile_problem
-from pdkb.kripke import oracle_entails
+from kripke import oracle_entails
 from pdkb.model import ALWAYS, ground
 from pdkb.parser import desugar, parse_file, parse_text
 from pdkb.pekb import (PEKB, closure, entails, erase, is_consistent, negkb,

@@ -457,6 +457,38 @@ def test_unbound_variables_and_deep_preconditions_are_diagnostics(
     assert _last_line(result) == message
 
 
+ILL_TYPED = """
+(define (domain d) (:agents a b) (:types loc thing)
+  (:predicates (at ?l - loc) (q ?x - agent))
+  (:action act :derive-condition %s :parameters (?x - thing)
+               :precondition (and) :effect %s))
+(define (problem p) (:domain d) (:objects l1 - loc t1 - thing) (:depth 1)
+  (:task valid_generation) (:init-type complete) (:init ) (:goal (at l1)))
+"""
+
+
+@pytest.mark.parametrize('command', ['compile', 'solve'])
+@pytest.mark.parametrize('derive, effect, message', [
+    ('never', '(at ?x)',
+     'error at action act: ?x is of type thing, not loc, in at(?x)'),
+    ('never', '(forall ?y - thing (at ?y))',
+     'error at action act: ?y is of type thing, not loc, in at(?y)'),
+    ('never', '(and [?x](at l1))',
+     'error at action act: ?x is of type thing, not agent, in B_?x at(l1)'),
+    ('(at $agent$)', '(q a)',
+     'error at action act: $agent$ is of type agent, not loc, '
+     'in at($agent$)'),
+])
+def test_ill_typed_variables_are_diagnostics(tmp_path, command, derive,
+                                             effect, message):
+    path = tmp_path / 'bad.pdkbddl'
+    path.write_text(ILL_TYPED % (derive, effect), encoding='utf-8')
+    result = _invoke([command, str(path), '--out', str(tmp_path / 'out')])
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert isinstance(result.exception, SystemExit)
+    assert _last_line(result) == message
+
+
 # ---------------------------------------------------------------------------
 # plan files: validate --plan reads what solve writes and what an external
 # planner writes

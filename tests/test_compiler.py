@@ -7,10 +7,11 @@ import re
 import pytest
 
 from pdkb import compiler
-from pdkb.compiler import (CompiledCondition, NonRootRML, _derive,
-                           apply_ancillary, compile_problem, emit_domain,
-                           emit_fluent_map, emit_pddl, emit_problem,
-                           emit_report, encode_base, fluent_symbol)
+from pdkb.compiler import (CompiledCondition, CompiledOperator, NonRootRML,
+                           _derive, apply_ancillary, compile_problem,
+                           emit_domain, emit_fluent_map, emit_pddl,
+                           emit_problem, emit_report, encode_base,
+                           fluent_symbol)
 from pdkb.model import ALWAYS, GroundAction, GroundingReport, ground
 from pdkb.parser import ParseError, desugar, parse_file, parse_text
 from pdkb.rml import Proposition, RmlTable, lit, parse_rml, wrap
@@ -291,6 +292,43 @@ def test_awareness_condition_outside_the_table_is_rejected():
         compile_problem(prob, ground(prob))
 
 
+# ``go``'s parameter is a ``thing`` in a ``loc`` slot, which
+# ``validate_model`` would reject: ``l1`` is both, so ``(go l1)`` is in the
+# fluent table, and ``(go t2)``, of the same shape, is not
+LATER_OPERATOR_OUTSIDE = """
+(define (domain moves)
+    (:agents a)
+    (:types loc thing)
+    (:predicates (at ?l - loc))
+    (:action go
+        :derive-condition always
+        :parameters       (?x - thing)
+        :precondition     (and)
+        :effect           (and (at ?x))
+    )
+)
+(define (problem moves-1)
+    (:domain moves)
+    (:objects l1 - loc l1 t2 - thing)
+    (:depth 1)
+    (:task valid_generation)
+    (:init-type complete)
+    (:init (at l1))
+    (:goal (and (at l1)))
+)
+"""
+
+
+def test_every_operator_of_a_shape_is_checked_against_the_table():
+    prob = desugar(parse_text(LATER_OPERATOR_OUTSIDE))
+    actions = ground(prob)
+    assert [a.label for a in actions] == ['(go l1)', '(go t2)']
+    compile_problem(prob, actions[:1])
+    with pytest.raises(NonRootRML,
+                       match=r'effect at\(t2\) is outside the fluent space'):
+        compile_problem(prob, actions)
+
+
 def test_negative_condition_outside_the_table_is_dropped():
     prob = unvalidated('never', '(when (and (p) (not (near zed))) (q))')
     cp = compile_problem(prob, ground(prob))
@@ -321,6 +359,34 @@ def round_robin_ancillary(outcome, awareness, depth, is_ak, table):
     return (frozenset(adds), frozenset(dels)), truncated
 
 
+def base_operators(prob, actions):
+    """Each ground action encoded on its own as a pre-ancillary operator
+    over the fluent table, without operator shapes: the reference for the
+    compiler's shape walk. A negative condition outside the table is
+    dropped."""
+    fluents, _, _ = encode_base(prob)
+    canonical = {f: f for f in fluents}
+
+    def split(pos, neg):
+        return CompiledCondition([canonical[r] for r in pos],
+                                 [canonical[r] for r in neg if r in canonical])
+
+    operators = []
+    for action in actions:
+        outcomes = []
+        for outcome in action.outcomes:
+            adds, dels = set(), set()
+            for ce in outcome:
+                (dels if ce.delete else adds).add(
+                    (split(ce.condition_pos, ce.condition_neg),
+                     canonical[ce.effect]))
+            outcomes.append((frozenset(adds), frozenset(dels)))
+        pre = split(action.precondition_pos, action.precondition_neg)
+        operators.append(CompiledOperator(action.name, action.args, pre,
+                                          tuple(outcomes)))
+    return operators
+
+
 def unaware(actions):
     """The ground actions with empty awareness maps, which make no
     awareness copies."""
@@ -340,7 +406,7 @@ def unaware(actions):
 def test_semi_naive_fixpoint_matches_round_robin(parts, aware):
     prob = load(*parts)
     actions = ground(prob) if aware else unaware(ground(prob))
-    _, _, _, base_ops = encode_base(prob, actions)
+    base_ops = base_operators(prob, actions)
     for action, op in zip(actions, base_ops):
         for outcome in op.outcomes:
             args = (outcome, action.awareness, prob.depth, prob.is_ak)
@@ -376,7 +442,8 @@ def assert_matches_per_operator(prob, actions):
     each operator on its own, the reference for the shared and renamed
     expansions."""
     cp = compile_problem(prob, actions)
-    fluents, _, _, base_ops = encode_base(prob, actions)
+    fluents, _, _ = encode_base(prob)
+    base_ops = base_operators(prob, actions)
     fluent_set = frozenset(fluents)
     counts = {'spawned': 0, 'truncated': 0, 'pruned': 0}
     assert len(cp.operators) == len(base_ops)
@@ -538,7 +605,7 @@ SAME_EFFECT_OTHER_AWARENESS = """
 def test_awareness_is_part_of_the_expansion_key():
     prob = desugar(parse_text(SAME_EFFECT_OTHER_AWARENESS))
     actions = ground(prob)
-    _, _, _, base_ops = encode_base(prob, actions)
+    base_ops = base_operators(prob, actions)
     assert [a.name for a in actions] == ['tell', 'whisper']
     assert base_ops[0].outcomes == base_ops[1].outcomes
     tell, whisper = compile_problem(prob, actions).operators

@@ -8,9 +8,9 @@ import pytest
 
 from pdkb.model import ALWAYS, GroundingReport, ground, validate_model
 from pdkb.parser import (IncludeCycle, ParseError, SemanticError, desugar,
-                         parse_file, parse_text, pretty_print)
+                         parse_file, parse_text)
 from pdkb.pekb import PEKB, closure
-from pdkb.rml import format_rml, lit, parse_rml
+from pdkb.rml import BELIEF, format_rml, lit, parse_rml
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -42,11 +42,35 @@ ALL_BENCHMARKS = [
 # parsing
 
 
+def pretty_print(ast):
+    """Serialize back to parseable text (canonical layout)."""
+    def emit(node):
+        if isinstance(node, list):
+            return '(%s)' % ' '.join(emit(x) for x in node)
+        if node.kind == 'modal':
+            mode, agent = node.value
+            return '[%s]' % agent if mode == BELIEF else '<%s>' % agent
+        if node.kind == 'ak':
+            return '{AK}'
+        return node.value
+    return '\n'.join('(%s)' % ' '.join(emit(x) for x in unit)
+                     for unit in ast.units)
+
+
+def signature(ast):
+    """Position-free structural form, for round-trip comparison."""
+    def strip(node):
+        if isinstance(node, list):
+            return tuple(strip(x) for x in node)
+        return (node.kind, node.value)
+    return tuple(strip(u) for u in ast.units)
+
+
 @pytest.mark.parametrize('parts', ALL_BENCHMARKS, ids=lambda p: p[-1])
 def test_round_trip(parts):
     ast = parse_file(bench(*parts))
     again = parse_text(pretty_print(ast))
-    assert ast.signature() == again.signature()
+    assert signature(ast) == signature(again)
 
 
 def test_include_cycle_detected(tmp_path):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pdkb.kripke import ScaleExceeded, oracle_consistent, oracle_entails
+from kripke import ScaleExceeded, oracle_consistent, oracle_entails
 from pdkb.pekb import PEKB, closure, entails, is_consistent
 from pdkb.rml import (BELIEF, POSSIBLE, Proposition, RmlSpace, enumerate_rmls,
                       lit, wrap)
