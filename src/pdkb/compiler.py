@@ -171,9 +171,11 @@ def _fluent(canonical, rml, what):
 
 def _split_condition(pos, neg, canonical):
     """Positive and negative condition RMLs as lists of fluent-table
-    objects. A positive one outside the table raises ``NonRootRML``; a
-    negative one outside it, such as a negated always-known atom, is never
-    held, and requiring its absence is vacuous, so it is dropped."""
+    objects. A positive one outside the table raises ``NonRootRML``. The
+    parser has already moved negated always-known atoms to the other side,
+    so a negative one outside the table comes only from unvalidated input,
+    such as an unknown object: it is never held, and requiring its absence
+    is vacuous, so it is dropped."""
     return ([_fluent(canonical, rml, 'condition') for rml in pos],
             [canonical[rml] for rml in neg if rml in canonical])
 
@@ -182,20 +184,12 @@ def encode_base(problem):
     """The fluent table, the initial state and the goal. Every RML of the
     state and the goal is the object in the table: an initial RML or a
     positive goal condition outside it raises ``NonRootRML``, and a negative
-    goal condition outside it is dropped."""
+    goal condition outside it is dropped. The parser drops ``(!ak)`` from
+    the initial state, so no initial RML is a negated always-known atom."""
     fluents = fluent_space(problem)
     canonical = {f: f for f in fluents}
-
-    init = set()
-    for rml in closure(PEKB(problem.initial)):
-        fluent = canonical.get(rml)
-        if fluent is not None:
-            init.add(fluent)
-        elif rml.negated and not is_regular(problem.is_ak, rml):
-            continue
-        else:
-            raise NonRootRML('initial RML %s is outside the fluent space'
-                             % rml)
+    init = {_fluent(canonical, rml, 'initial RML')
+            for rml in closure(PEKB(problem.initial))}
     goal = CompiledCondition(*_split_condition(problem.goal_pos,
                                                problem.goal_neg, canonical))
     return fluents, init, goal

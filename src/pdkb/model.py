@@ -331,6 +331,13 @@ def _check_symbols(problem, rml, location, diagnostics, bound=()):
 def validate_model(problem):
     """Well-formedness diagnostics; errors make the problem unusable."""
     diagnostics = list(problem.warnings)
+    seen = set()
+    for name, _ in problem.objects:
+        if name in seen:
+            diagnostics.append(Diagnostic(
+                'error', 'problem',
+                'object %s is declared more than once' % name))
+        seen.add(name)
 
     def check_bounded(rmls, location, bound=()):
         # effects deeper than the bound are truncated at grounding; init,

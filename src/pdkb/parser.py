@@ -7,7 +7,8 @@ The language is a PDDL-like s-expression format with belief prefixes
 
 Includes are spliced into the token stream before tree building, with each
 token keeping its own file/line/column so diagnostics point at the real
-source. Symbols are case-insensitive and normalized to lower case.
+source. Tree building folds markers into the element they prefix. Symbols
+are case-insensitive and normalized to lower case.
 """
 
 import bisect
@@ -17,6 +18,7 @@ import re
 from .model import (ALWAYS, ASSESSMENT, GENERATION, NEVER, Diagnostic,
                     EffectTemplate, EpistemicActionSchema, RPMEPProblem,
                     UnknownSymbol, _bindings, subst_rml)
+from .pekb import is_consistent
 from .rml import BELIEF, POSSIBLE, Proposition, RML
 
 
@@ -131,8 +133,29 @@ def tokenize_file(path, _stack=None):
     return out
 
 
+def _fold(items):
+    """Fold each run of belief or ``{AK}`` markers into one list with the
+    element it prefixes: ``[a] <b> (p)`` becomes ``[[a], <b>, (p)]``. Only
+    such a folded node begins with a marker."""
+    out, run = [], []
+    for item in items:
+        if isinstance(item, Token) and item.kind in ('modal', 'ak'):
+            run.append(item)
+        elif run:
+            run.append(item)
+            out.append(run)
+            run = []
+        else:
+            out.append(item)
+    if run:
+        raise ParseError('dangling %s marker' % (
+            '{AK}' if run[0].kind == 'ak' else 'belief'), run[0].pos)
+    return out
+
+
 def _build_trees(tokens):
-    """Nest the token stream into lists on parentheses."""
+    """Nest the token stream into lists on parentheses, folding markers
+    into the element they prefix as each list closes."""
     stack = [[]]
     for token in tokens:
         if token.kind == 'lp':
@@ -140,13 +163,13 @@ def _build_trees(tokens):
         elif token.kind == 'rp':
             if len(stack) == 1:
                 raise ParseError('unbalanced )', token.pos)
-            done = stack.pop()
+            done = _fold(stack.pop())
             stack[-1].append(done)
         else:
             stack[-1].append(token)
     if len(stack) > 1:
         raise ParseError('missing )', tokens[-1].pos if tokens else None)
-    return stack[0]
+    return _fold(stack[0])
 
 
 class Ast:
@@ -255,24 +278,6 @@ class _Literal:
         self.negated_outer = negated_outer
 
 
-def _attach_modals(items):
-    """Fold runs of belief markers into the element they prefix."""
-    out = []
-    pending = []
-    for item in items:
-        if isinstance(item, Token) and item.kind == 'modal':
-            pending.append(item)
-        else:
-            if pending:
-                out.append(pending + [item])
-                pending = []
-            else:
-                out.append(item)
-    if pending:
-        raise ParseError('dangling belief marker', pending[0].pos)
-    return out
-
-
 def _walk(node, effect=False, mods=(), quant=(), cond_pos=(), cond_neg=()):
     """Flatten a formula into (quantifiers, when_pos, when_neg, literal)
     tuples.
@@ -284,8 +289,6 @@ def _walk(node, effect=False, mods=(), quant=(), cond_pos=(), cond_neg=()):
     ``when`` reads as an atom.
     """
     if isinstance(node, Token):
-        if node.kind == 'modal':
-            raise ParseError('belief marker must prefix a formula', node.pos)
         raise ParseError('expected an effect formula' if effect
                          else 'expected a formula', node.pos)
     items = list(node)
@@ -304,7 +307,7 @@ def _walk(node, effect=False, mods=(), quant=(), cond_pos=(), cond_neg=()):
             return _walk(head, effect, mods, quant, cond_pos, cond_neg)
         raise ParseError('cannot parse formula', _pos(node))
     if word == 'and':
-        return [t for child in _attach_modals(items[1:])
+        return [t for child in items[1:]
                 for t in _walk(child, effect, mods, quant, cond_pos,
                                cond_neg)]
     if word == 'forall':
@@ -315,11 +318,11 @@ def _walk(node, effect=False, mods=(), quant=(), cond_pos=(), cond_neg=()):
             typ = _field(rest, 1, 'type name')
             rest = rest[2:]
         quant += ((var, typ),)
-        return [t for child in _attach_modals(rest)
+        return [t for child in rest
                 for t in _walk(child, effect, mods, quant, cond_pos,
                                cond_neg)]
     if word == 'not':
-        args = _attach_modals(items[1:])
+        args = items[1:]
         if len(args) != 1:
             raise ParseError('(not ...) takes one formula', head.pos)
         out = []
@@ -330,7 +333,7 @@ def _walk(node, effect=False, mods=(), quant=(), cond_pos=(), cond_neg=()):
             out.append((q, pos, neg, _Literal(literal.rml, True)))
         return out
     if word == 'when' and effect:
-        args = _attach_modals(items[1:])
+        args = items[1:]
         if len(args) != 2:
             raise ParseError('(when cond effect)', head.pos)
         pos, neg = _condition(args[0], 'when conditions', head.pos)
@@ -351,8 +354,17 @@ def _condition(node, where, pos):
     return pos_rmls, neg_rmls
 
 
-def _section_map(body, allowed_multi=()):
-    """Group (:key ...) children of a define body."""
+_KNOWN = {
+    'domain': {':agents', ':types', ':constants', ':predicates', ':action'},
+    'problem': {':domain', ':objects', ':projection', ':task', ':init-type',
+                ':init', ':goal', ':plan', ':depth'},
+    'action': {':parameters', ':precondition', ':effect',
+               ':derive-condition'}}
+
+
+def _section_map(body, kind, allowed_multi=()):
+    """Group the (:key ...) children of a domain or problem body; a key
+    outside ``_KNOWN[kind]`` is an error."""
     sections = {}
     for item in body:
         if not isinstance(item, list) or not item \
@@ -360,17 +372,13 @@ def _section_map(body, allowed_multi=()):
                 or not item[0].value.startswith(':'):
             raise ParseError('expected a (:section ...)', _pos(item))
         key = item[0].value
+        if key not in _KNOWN[kind]:
+            raise ParseError('unknown %s section %s' % (kind, key),
+                             item[0].pos)
         if key in sections and key not in allowed_multi:
             raise ParseError('duplicate %s' % key, item[0].pos)
         sections.setdefault(key, []).append(item)
     return sections
-
-
-_KNOWN_DOMAIN = {':agents', ':types', ':constants', ':predicates', ':action'}
-_KNOWN_ACTION = {':parameters', ':precondition', ':effect',
-                 ':derive-condition'}
-_KNOWN_PROBLEM = {':domain', ':objects', ':projection', ':task', ':init-type',
-                  ':init', ':goal', ':plan', ':depth'}
 
 
 def _parse_action(tree):
@@ -379,7 +387,7 @@ def _parse_action(tree):
     it = iter(tree[2:])
     for node in it:
         key = _sym(node, 'action field')
-        if key not in _KNOWN_ACTION:
+        if key not in _KNOWN['action']:
             raise ParseError('unknown field %s in action %s' % (key, name),
                              node.pos)
         if key in fields:
@@ -413,7 +421,7 @@ def _parse_action(tree):
         branches = [effect]
         if isinstance(effect, list) and effect \
                 and isinstance(effect[0], Token) and effect[0].value == 'oneof':
-            branches = _attach_modals(effect[1:])
+            branches = effect[1:]
         outcomes_raw = [_walk(b, effect=True) for b in branches]
     return name, parameters, pre_pos, pre_neg, derive_condition, outcomes_raw
 
@@ -444,33 +452,28 @@ def desugar(ast):
                                         'no (define (domain ...)) found')])
 
     domain_name = _field(domain_tree[1], 1, 'domain name')
-    sections = _section_map(domain_tree[2:], allowed_multi=(':action',))
-    for key in sections:
-        if key not in _KNOWN_DOMAIN:
-            raise ParseError('unknown domain section %s' % key,
-                             _pos(sections[key][0]))
+    sections = _section_map(domain_tree[2:], 'domain',
+                            allowed_multi=(':action',))
     agents = tuple(_sym(t, 'agent name')
                    for t in sections.get(':agents', [[None]])[0][1:])
     types = tuple(_sym(t, 'type name')
                   for t in sections.get(':types', [[None]])[0][1:])
 
+    constants = tuple(_typed_list(
+        sections.get(':constants', [[None]])[0][1:], 'object'))
+
     predicates = {}
-    pred_section = sections.get(':predicates', [[None]])[0][1:]
-    idx = 0
-    while idx < len(pred_section):
-        node = pred_section[idx]
-        ak = False
-        if isinstance(node, Token) and node.kind == 'ak':
-            ak = True
-            idx += 1
-            node = pred_section[idx] if idx < len(pred_section) else None
+    for node in sections.get(':predicates', [[None]])[0][1:]:
+        ak = isinstance(node, list) and bool(node) \
+            and isinstance(node[0], Token) and node[0].kind == 'ak'
+        if ak:
+            node = node[1]
         if not isinstance(node, list) or not node:
             raise ParseError('expected (predicate ...) declaration',
                              _pos(node) if node else _pos(domain_tree))
         name = _sym(node[0], 'predicate name')
         params = _typed_list(node[1:], 'object')
         predicates[name] = (tuple(t for _, t in params), ak)
-        idx += 1
 
     schemas = []
     for action_tree in sections.get(':action', []):
@@ -490,7 +493,7 @@ def desugar(ast):
 
     # problem side
     problem_name = 'anonymous'
-    objects = ()
+    objects = constants
     depth = 1
     task = GENERATION
     plan = None
@@ -498,11 +501,7 @@ def desugar(ast):
     goal_pos, goal_neg = (), ()
     if problem_tree is not None:
         problem_name = _field(problem_tree[1], 1, 'problem name')
-        psections = _section_map(problem_tree[2:])
-        for key in psections:
-            if key not in _KNOWN_PROBLEM:
-                raise ParseError('unknown problem section %s' % key,
-                                 _pos(psections[key][0]))
+        psections = _section_map(problem_tree[2:], 'problem')
         if ':domain' in psections:
             declared = _field(psections[':domain'][0], 1, 'domain name')
             if declared != domain_name:
@@ -511,8 +510,8 @@ def desugar(ast):
                     'problem references domain %s, found %s'
                     % (declared, domain_name)))
         if ':objects' in psections:
-            objects = tuple(_typed_list(psections[':objects'][0][1:],
-                                        'object'))
+            objects += tuple(_typed_list(psections[':objects'][0][1:],
+                                         'object'))
         if ':depth' in psections:
             word = _field(psections[':depth'][0], 1, 'depth')
             try:
@@ -546,8 +545,17 @@ def desugar(ast):
                               objects, predicates, (), (), (), (), depth,
                               task)
         if ':init' in psections:
-            initial = tuple(r for _, r in _expand_ground(
-                helper, psections[':init'][0][1:], allow_negative=False))
+            literals = [r for _, r in _expand_ground(
+                helper, psections[':init'][0][1:], allow_negative=False)]
+            if not is_consistent(literals):
+                clash = next(r for i, r in enumerate(literals)
+                             if not is_consistent(literals[:i + 1]))
+                raise SemanticError([Diagnostic(
+                    'error', 'init', 'inconsistent initial state: %s '
+                    'contradicts the literals before it' % clash)])
+            # complete initialisation already makes an absent always-known
+            # atom false, so (!ak) is dropped
+            initial, _ = _lower_condition(predicates, literals, ())
         if ':goal' in psections:
             goal_literals = _expand_ground(helper, psections[':goal'][0][1:],
                                            allow_negative=True)
@@ -562,22 +570,18 @@ def desugar(ast):
 
 
 def _lower_condition(predicates, pos_literals, neg_literals):
-    """Route negated AK atoms to the negative side as positive atoms."""
-    pos, neg = [], []
-    for rml in pos_literals:
-        entry = predicates.get(rml.atom.predicate)
-        if entry and entry[1] and rml.negated and not rml.modalities:
-            neg.append(RML((), False, rml.atom))
-        else:
-            pos.append(rml)
-    for rml in neg_literals:
-        entry = predicates.get(rml.atom.predicate)
-        if entry and entry[1] and rml.negated and not rml.modalities:
-            # (not (!ak)): the atom must be present
-            pos.append(RML((), False, rml.atom))
-        else:
-            neg.append(rml)
-    return tuple(pos), tuple(neg)
+    """The (present, absent) sides of a condition, goal or initial state.
+    An always-known atom is held only positively, so (!ak) moves to the
+    absent side as ak, and (not (!ak)) to the present side."""
+    sides = ([], [])
+    for side, literals in enumerate((pos_literals, neg_literals)):
+        for rml in literals:
+            entry = predicates.get(rml.atom.predicate)
+            if entry and entry[1] and rml.negated and not rml.modalities:
+                sides[1 - side].append(RML((), False, rml.atom))
+            else:
+                sides[side].append(rml)
+    return tuple(sides[0]), tuple(sides[1])
 
 
 def _lower_effect(predicates, quant, cond_pos, cond_neg, literal, pos):
@@ -601,7 +605,7 @@ def _expand_ground(problem, nodes, allow_negative):
     """Expand init/goal formulas (foralls over declared sets) to ground
     literals; returns (negated_outer, RML) pairs."""
     out = []
-    for node in _attach_modals(nodes):
+    for node in nodes:
         for quant, _, _, literal in _walk(node):
             for binding in _bindings(problem, quant):
                 try:

@@ -81,41 +81,28 @@ def prime(p):
     return PEKB(out)
 
 
-def _group(rmls):
-    """Split into the propositional part and per-agent (possible, belief)
-    inner RML lists, stripping the leading modality."""
-    gamma = []
-    agents = {}
-    for rml in rmls:
-        if rml.depth == 0:
-            gamma.append(rml)
-        else:
-            mode, agent = rml.modalities[0]
-            inner = RML(rml.modalities[1:], rml.negated, rml.atom)
-            psis, chis = agents.setdefault(agent, ([], []))
-            (psis if mode == POSSIBLE else chis).append(inner)
-    return gamma, agents
-
-
-def _inconsistent(rmls):
-    gamma, agents = _group(rmls)
-    lits = {(r.negated, r.atom) for r in gamma}
-    for negated, atom in lits:
-        if (not negated, atom) in lits:
-            return True
-    for psis, chis in agents.values():
-        if _inconsistent(chis):
-            return True
-        for psi in psis:
-            if _inconsistent(chis + [psi]):
-                return True
-    return False
-
-
 def is_consistent(p):
-    """Pairwise-recursive satisfiability test for a PEKB under KD_n."""
-    rmls = p.rmls if isinstance(p, PEKB) else set(p)
-    return not _inconsistent(list(rmls))
+    """Satisfiability of a PEKB under KD_n. A set of RMLs is consistent
+    exactly when each pair of its members is, and two RMLs contradict each
+    other when they share the atom and the agent sequence, have opposite
+    polarities, and at no position both have a P modality."""
+    rmls = p.rmls if isinstance(p, PEKB) else p
+    shapes = {}   # modalities -> (agent sequence, bitmask of P positions)
+    masks = {}
+    for rml in rmls:
+        mods = rml.modalities
+        if mods not in shapes:
+            shapes[mods] = (tuple([agent for _, agent in mods]), sum(
+                [1 << i for i, (mode, _) in enumerate(mods)
+                 if mode == POSSIBLE]))
+        agents, mask = shapes[mods]
+        masks.setdefault((rml.negated, rml.atom, agents), set()).add(mask)
+    for (negated, atom, agents), possible in masks.items():
+        if negated:
+            for other in masks.get((False, atom, agents), ()):
+                if any(not mask & other for mask in possible):
+                    return False
+    return True
 
 
 def _entails_rml(p_rmls, query):

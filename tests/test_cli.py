@@ -181,6 +181,47 @@ def test_solve_verifies_a_strong_cyclic_policy(tmp_path):
     assert report['verdict'] == 'StrongValid'
 
 
+SURFACE = """
+(define (domain d) (:agents a) (:types loc) (:constants home - loc)
+  (:predicates {AK}(lit) {AK}(at ?l - loc) (p) (q))
+%s)
+(define (problem x) (:domain d) (:objects %s) (:depth 1)
+  (:init %s) (:goal %s))
+"""
+
+
+@pytest.mark.parametrize('actions, init, goal, classification', [
+    # a belief marker prefixes an action field directly
+    ('(:action tell :derive-condition always :effect [a](p))', '',
+     '[a](p)', None),
+    ('(:action tell :derive-condition always :effect (p))'
+     '(:action use :derive-condition always :precondition <a>(p)'
+     ' :effect (q))', '', '(q)', None),
+    # (!lit) in a complete initial state says what its absence says
+    ('(:action flip :effect (oneof (and (lit)) (and (!lit))))', '(!lit)',
+     '(lit)', 'StrongCyclic'),
+    ('(:action flip :effect (oneof (and (lit)) (and (!lit))))'
+     '(:action look :derive-condition always :precondition (lit)'
+     ' :effect [a](p))', '(!lit)', '[a](p)', 'StrongCyclic'),
+    # a domain constant is an object of the problem
+    ('(:action go :parameters (?l - loc) :effect (at ?l))', '(at l1)',
+     '(at home)', None),
+], ids=['prefixed-effect', 'prefixed-precondition', 'negated-ak-init',
+        'negated-ak-init-prefixed-effect', 'constant'])
+def test_surface_forms_solve_and_verify(tmp_path, actions, init, goal,
+                                        classification):
+    path = tmp_path / 'surface.pdkbddl'
+    path.write_text(SURFACE % (actions, 'l1 - loc', init, goal),
+                    encoding='utf-8')
+    result = _invoke(['solve', str(path), '--out', str(tmp_path / 'out')])
+    with open(tmp_path / 'out' / 'solve-report.json',
+              encoding='utf-8') as handle:
+        report = json.load(handle)
+    assert result.exit_code == EXIT_OK, result.output
+    assert report['verdict'] == 'StrongValid'
+    assert report.get('policy_classification') == classification
+
+
 @pytest.mark.xfail(strict=True, reason='after (check bob) the compiled step '
                    'keeps P_alice B_bob !secret, which the semantic step '
                    'erases, so the Strong 2-state policy verifies Invalid')
@@ -483,6 +524,45 @@ def test_ill_typed_variables_are_diagnostics(tmp_path, command, derive,
                                              effect, message):
     path = tmp_path / 'bad.pdkbddl'
     path.write_text(ILL_TYPED % (derive, effect), encoding='utf-8')
+    result = _invoke([command, str(path), '--out', str(tmp_path / 'out')])
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert isinstance(result.exception, SystemExit)
+    assert _last_line(result) == message
+
+
+@pytest.mark.parametrize('text, position, message', [
+    ('(define (domain x) (:predicates (p) {AK}))', (1, 36),
+     'dangling {AK} marker'),
+    ('(define (domain x) (:action a :effect (and (p) {AK})))', (1, 47),
+     'dangling {AK} marker'),
+    ('(define (domain x) (:action a :effect (and (p) [a])))', (1, 47),
+     'dangling belief marker'),
+])
+def test_dangling_marker_is_a_positioned_diagnostic(tmp_path, text,
+                                                    position, message):
+    test_malformed_input_is_a_positioned_diagnostic(tmp_path, text,
+                                                    position, message)
+
+
+@pytest.mark.parametrize('command', ['compile', 'solve'])
+@pytest.mark.parametrize('objects, init, message', [
+    ('home - loc', '', 'error at problem: object home is declared more '
+     'than once'),
+    ('l1 l1 - loc', '', 'error at problem: object l1 is declared more '
+     'than once'),
+    ('', '(p) (!p)', 'error at init: inconsistent initial state: !p '
+     'contradicts the literals before it'),
+    ('', '(lit) (!lit)', 'error at init: inconsistent initial state: !lit '
+     'contradicts the literals before it'),
+    ('', '[a](p) <a>(!p)', 'error at init: inconsistent initial state: '
+     'P_a !p contradicts the literals before it'),
+], ids=['constant-and-object', 'object-twice', 'init-clash',
+        'ak-init-clash', 'belief-init-clash'])
+def test_duplicate_objects_and_inconsistent_init_are_diagnostics(
+        tmp_path, command, objects, init, message):
+    path = tmp_path / 'bad.pdkbddl'
+    path.write_text(SURFACE % ('(:action go :effect (p))', objects, init,
+                               '(p)'), encoding='utf-8')
     result = _invoke([command, str(path), '--out', str(tmp_path / 'out')])
     assert result.exit_code == EXIT_DIAGNOSTICS
     assert isinstance(result.exception, SystemExit)

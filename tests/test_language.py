@@ -46,7 +46,11 @@ def pretty_print(ast):
     """Serialize back to parseable text (canonical layout)."""
     def emit(node):
         if isinstance(node, list):
-            return '(%s)' % ' '.join(emit(x) for x in node)
+            text = ' '.join(emit(x) for x in node)
+            # markers folded with the element they prefix: no parentheses
+            if node and getattr(node[0], 'kind', None) in ('modal', 'ak'):
+                return text
+            return '(%s)' % text
         if node.kind == 'modal':
             mode, agent = node.value
             return '[%s]' % agent if mode == BELIEF else '<%s>' % agent
@@ -152,6 +156,30 @@ def test_negated_belief_precondition_lands_on_the_negative_side():
     prob = load('misc', 'negation-removal.pdkbddl')
     check = [s for s in prob.schemas if s.name == 'check'][0]
     assert parse_rml('P_a !p') in check.precondition_neg
+
+
+MARKED = """
+(define (domain d) (:agents a) (:types loc) (:constants home - loc)
+  (:predicates {AK}(lit) (p) (q))
+  (:action act :precondition %s :effect %s))
+(define (problem x) (:domain d) (:objects l1 - loc) (:init %s) (:goal (q)))
+"""
+
+
+def test_a_marker_prefixes_an_action_field_as_it_does_a_conjunct():
+    bare = desugar(parse_text(MARKED % ('<a>(p)', '[a](q)', '')))
+    wrapped = desugar(parse_text(MARKED % ('(and <a>(p))', '(and [a](q))',
+                                           '')))
+    (act,), (wrapped_act,) = bare.schemas, wrapped.schemas
+    assert act.precondition_pos == (parse_rml('P_a p'),)
+    assert repr(act.outcomes) == repr(wrapped_act.outcomes)
+    assert act.outcomes[0][0].effect == parse_rml('B_a q')
+
+
+def test_init_lowers_negated_always_known_atoms_and_reads_constants():
+    prob = desugar(parse_text(MARKED % ('(p)', '(q)', '(p) (!lit)')))
+    assert prob.initial == (parse_rml('p'),)
+    assert prob.objects == (('home', 'loc'), ('l1', 'loc'))
 
 
 # ---------------------------------------------------------------------------
