@@ -21,7 +21,7 @@ from .compiler import FOND, compile_problem, emit_pddl
 from .model import GroundingReport, ground, validate_model
 from .parser import (IncludeCycle, ParseError, SemanticError, desugar,
                      parse_file)
-from .pekb import PEKB, closure, entails, is_consistent, prime
+from .pekb import PEKB, InconsistentBase, closure, entails, prime
 from .rml import RmlSyntaxError, format_rml, parse_rml
 
 EXIT_OK = 0
@@ -347,9 +347,10 @@ def cmd_query(state_path, query_text):
                 if part.strip()]
     except RmlSyntaxError as exc:
         return _diagnose(str(exc))
-    if not is_consistent(base):
+    try:
+        verdict = entails(base, rmls)
+    except InconsistentBase:
         return _diagnose('belief base is inconsistent')
-    verdict = entails(base, rmls)
     print('true' if verdict else 'false')
     return EXIT_OK if verdict else EXIT_FALSE
 

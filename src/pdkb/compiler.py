@@ -70,7 +70,7 @@ The memos are locals of their call, so nothing is kept across calls.
 import itertools
 import json
 
-from .model import ALWAYS
+from .model import ALWAYS, GroundAction
 from .pekb import PEKB, closure
 from .rml import (BELIEF, RML, RmlSpace, RmlTable, enumerate_rmls,
                   format_rml, is_regular, lit)
@@ -126,11 +126,7 @@ class CompiledOperator:
         self.precondition = precondition
         self.outcomes = tuple(outcomes)
 
-    @property
-    def label(self):
-        if self.args:
-            return '(%s %s)' % (self.name, ' '.join(self.args))
-        return '(%s)' % self.name
+    label = GroundAction.label
 
     def __repr__(self):
         return 'CompiledOperator%s' % self.label
@@ -603,16 +599,14 @@ def emit_domain(cp, domain_name):
 
 
 def emit_problem(cp, domain_name, problem_name):
-    names = {f: fluent_symbol(f) for f in cp.fluents}
+    conditions = _ConditionText(cp.fluents)
     lines = ['(define (problem %s)' % problem_name,
              '  (:domain %s)' % domain_name,
              '  (:init']
-    for f in sorted(cp.init, key=RML.sort_key):
-        lines.append('    (%s)' % names[f])
+    for i in sorted([conditions.rank[f] for f in cp.init]):
+        lines.append('    (%s)' % conditions.names[i])
     lines.append('  )')
-    goal_items = ['(%s)' % names[f] for f in sorted(cp.goal.pos)]
-    goal_items += ['(not (%s))' % names[f] for f in sorted(cp.goal.neg)]
-    lines += ['  (:goal (and %s))' % ' '.join(goal_items), ')', '']
+    lines += ['  (:goal %s)' % conditions[cp.goal][1], ')', '']
     return '\n'.join(lines)
 
 

@@ -302,6 +302,9 @@ def _walk(node, effect=False, mods=(), quant=(), cond_pos=(), cond_neg=()):
     word = head.value if isinstance(head, Token) and head.kind == 'sym' \
         else None
     if word is None:
+        if isinstance(head, Token) and head.kind == 'ak':
+            raise ParseError('misplaced {AK} marker: only a :predicates '
+                             'declaration takes it', head.pos)
         # a bare nested list, e.g. ((p))
         if len(items) == 1:
             return _walk(head, effect, mods, quant, cond_pos, cond_neg)

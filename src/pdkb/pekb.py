@@ -1,11 +1,14 @@
 """Proper epistemic knowledge bases and their update machinery.
 
 A PEKB is a finite set of RMLs. Internally we keep PEKBs deductively
-(upward) closed; prime reduction (``prime``) is a presentation operation.
+(upward) closed, and the closure answers every question: a consistent
+base entails an RML exactly when its closure holds it, and a progression
+step is one erasure followed by a union. Prime reduction (``prime``) is a
+presentation operation.
 """
 
-from .rml import (BELIEF, POSSIBLE, RML, downward_closure, is_regular,
-                  negate, upward_closure)
+from .rml import (POSSIBLE, RML, downward_closure, is_regular, negate,
+                  upward_closure)
 
 
 class InconsistentBase(Exception):
@@ -83,9 +86,12 @@ def prime(p):
 
 def is_consistent(p):
     """Satisfiability of a PEKB under KD_n. A set of RMLs is consistent
-    exactly when each pair of its members is, and two RMLs contradict each
-    other when they share the atom and the agent sequence, have opposite
-    polarities, and at no position both have a P modality."""
+    exactly when each pair of its members is, and two RMLs r1 and r2
+    contradict each other when they share the atom and the agent sequence,
+    have opposite polarities, and at no position both have a P modality.
+    Then negate(r1) has r2's polarity and a B only where r1 has a P, where
+    r2 has a B, so it is in closure(r2): an upward-closed set is consistent
+    exactly when no member's negation is a member."""
     rmls = p.rmls if isinstance(p, PEKB) else p
     shapes = {}   # modalities -> (agent sequence, bitmask of P positions)
     masks = {}
@@ -105,42 +111,26 @@ def is_consistent(p):
     return True
 
 
-def _entails_rml(p_rmls, query):
-    if query.depth == 0:
-        return query in p_rmls
-    mode, agent = query.modalities[0]
-    inner = RML(query.modalities[1:], query.negated, query.atom)
-    for rml in p_rmls:
-        if rml.depth == 0 or rml.modalities[0][1] != agent:
-            continue
-        rml_mode = rml.modalities[0][0]
-        if mode == BELIEF and rml_mode != BELIEF:
-            continue
-        stripped = RML(rml.modalities[1:], rml.negated, rml.atom)
-        if _entails_rml({stripped}, inner):
-            return True
-    return False
-
-
 def entails(p, query):
-    """Structural KD_n entailment of a conjunction of RMLs.
-
-    query may be a single RML or any iterable of RMLs.
-    """
-    if isinstance(p, PEKB):
-        if not is_consistent(p):
-            raise InconsistentBase('entailment from an inconsistent base')
-        rmls = p.rmls
-    else:
-        rmls = set(p)
+    """KD_n entailment of a conjunction of RMLs (one RML or any iterable of
+    them) from a base p, a PEKB or any iterable of RMLs: each query RML must
+    be in ``closure(p)``. Raises ``InconsistentBase`` when p is inconsistent,
+    whatever its kind."""
+    p = p if isinstance(p, PEKB) else PEKB(p)
+    if not is_consistent(p):
+        raise InconsistentBase('entailment from an inconsistent base')
+    closed = closure(p).rmls
     if isinstance(query, RML):
         query = [query]
-    return all(_entails_rml(rmls, q) for q in query)
+    return all(q in closed for q in query)
 
 
 def erase(p, q):
     """Belief erasure: the upward closure of p minus the downward closure
-    of q. The result is upward closed; apply prime() for presentation."""
+    of q; apply prime() for presentation. The result is upward closed: if
+    r is kept and r entails s, then s is in closure(p), and s entailing a
+    member of q would make r entail it too, so s is kept. Hence erasing a
+    and then b is erasing a | b."""
     down = set()
     q_rmls = q.rmls if isinstance(q, PEKB) else q
     for rml in q_rmls:
@@ -149,16 +139,10 @@ def erase(p, q):
 
 
 def update(p, q):
-    """Belief update: erase the negation of q, then conjoin q."""
+    """Belief update: erase the negation of q, then join q's closure."""
     q = q if isinstance(q, PEKB) else PEKB(q)
     if not is_consistent(q):
         raise InconsistentUpdate('update argument is inconsistent')
-    return _conjoin(p, q)
-
-
-def _conjoin(p, q):
-    """``update`` without its consistency check, for callers that have
-    checked ``q`` themselves."""
     return PEKB(erase(p, negkb(q)).rmls | closure(q).rmls, closed=True)
 
 
@@ -216,34 +200,35 @@ def progress(p, outcome, is_ak):
     effects) applied to a closed consistent PEKB state.
 
     Adds, deletes, and uncertain-firing deletes are all evaluated against
-    the pre-state; the result is (p erase (R u U)) update Q. R and U hold
-    the bare fired literals: erase itself discards everything that entails
-    them, and nothing weaker, so deleting a belief leaves the matching
-    possibility in place. An add fires uncertainly while its condition is
-    not believed false (``ConditionalEffect.uncertain``): an always-known
-    atom (``is_ak(atom)``) in its positive condition must be in p.
+    the pre-state. The step is (p erase (R u U)) update Q, Q the closed
+    adds: as erasures compose (``erase``), one erasure of R u U u -Q joined
+    with Q, where the loop below is the update's consistency check on the
+    closed Q (``is_consistent``). R, U and -Q are given by bare literals,
+    the fired ones, negated for U and -Q, as erase discards everything that
+    entails them and nothing weaker: deleting a belief keeps the matching
+    possibility, and r entails negate(e) just when e entails negate(r).
+    An add fires uncertainly while its condition is not believed false
+    (``ConditionalEffect.uncertain``): an always-known atom
+    (``is_ak(atom)``) in its positive condition must be in p.
     """
     p = closure(p)
     if not outcome:
-        # nothing fires, so the erase and the update below return p as is
+        # nothing fires, so the erasure and the union below return p as is
         return p
     adds = set()
-    removes = set()
-    uncertain = set()
+    erased = set()
     for ce in outcome:
         if ce.delete:
             if ce.fires(p):
-                removes.add(ce.effect)
+                erased.add(ce.effect)
         else:
             if ce.fires(p):
                 adds |= upward_closure(ce.effect)
+                erased.add(negate(ce.effect))
             if ce.uncertain(p, is_ak):
-                uncertain.add(negate(ce.effect))
+                erased.add(negate(ce.effect))
     for rml in adds:
         if negate(rml) in adds:
             raise InconsistentResult(
                 'simultaneous effects add %s and its negation' % rml)
-    q = PEKB(adds, closed=True)
-    if not is_consistent(q):
-        raise InconsistentResult('added effects are jointly inconsistent')
-    return _conjoin(erase(p, PEKB(removes | uncertain)), q)
+    return PEKB(erase(p, erased).rmls | adds, closed=True)

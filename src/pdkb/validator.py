@@ -99,13 +99,17 @@ def precondition_holds(state, action):
             and not any(r in state for r in action.precondition_neg))
 
 
+def _step(state, action, outcome, depth, is_ak):
+    """The progression of ``state`` by one outcome of a ground action, its
+    awareness copies included: the one semantic step."""
+    expanded = expand_outcome(outcome, action.awareness, depth, is_ak)
+    return progress(state, expanded, is_ak)
+
+
 def successors(state, action, depth, is_ak):
     """All progression results of a ground action, one per outcome."""
-    out = []
-    for outcome in action.outcomes:
-        expanded = expand_outcome(outcome, action.awareness, depth, is_ak)
-        out.append(progress(state, expanded, is_ak))
-    return out
+    return [_step(state, action, outcome, depth, is_ak)
+            for outcome in action.outcomes]
 
 
 def goal_holds(problem, state):
@@ -317,10 +321,10 @@ def _random_state(rng, pool, max_size=4):
 def crosscheck_progression(problem, n_cases, seed):
     """Random (state, action, outcome) triples through both pipelines.
 
-    Semantic side: progress on the outcome with its awareness copies, as
-    ``successors`` does. Compiled side: the operator compiled as ``pdkb
-    compile`` compiles it, applied to the projected state. Reports every
-    divergence with a greedily minimized state.
+    Semantic side: ``_step``, the progression by the outcome and its
+    awareness copies that ``successors`` takes. Compiled side: the operator
+    compiled as ``pdkb compile`` compiles it, applied to the projected
+    state. Reports every divergence with a greedily minimized state.
     """
     import random  # only this harness draws random cases
     ground_actions = ground(problem)
@@ -335,10 +339,9 @@ def crosscheck_progression(problem, n_cases, seed):
     def run_case(state, a_idx, o_idx):
         """(semantic projection, compiled successor) or None if skipped."""
         action = ground_actions[a_idx]
-        effects = expand_outcome(action.outcomes[o_idx], action.awareness,
-                                 problem.depth, problem.is_ak)
         try:
-            sem = progress(state, effects, problem.is_ak)
+            sem = _step(state, action, action.outcomes[o_idx], problem.depth,
+                        problem.is_ak)
         except InconsistentResult:
             return None
         packed = packing.encode(_compiled_state(state, fluent_set))

@@ -97,6 +97,14 @@ def test_singleton_is_consistent(r):
     assert is_consistent(PEKB([r]))
 
 
+@given(_bases)
+def test_closed_set_is_consistent_exactly_without_a_negated_member(base):
+    # progress checks its closed adds for consistency this way
+    c = closure(base)
+    assert is_consistent(c) == is_consistent(base)
+    assert is_consistent(c) == (not any(negate(r) in c for r in c.rmls))
+
+
 # ---------------------------------------------------------------------------
 # entailment
 
@@ -129,6 +137,12 @@ def test_conjunctive_queries_distribute():
 def test_entailment_from_inconsistent_base_is_rejected():
     with pytest.raises(InconsistentBase):
         entails(PEKB([lit(P), lit(P, True)]), lit(Q))
+
+
+def test_entailment_from_an_inconsistent_plain_set_is_rejected():
+    # one rule for every kind of base, not False for a list
+    with pytest.raises(InconsistentBase):
+        entails([lit(P), lit(P, True)], lit(Q))
 
 
 @given(_bases, _rmls)
@@ -167,6 +181,12 @@ def test_erase_result_never_entails_erased_rmls(base, q):
 def test_erase_result_is_upward_closed(base, q):
     out = erase(base, q)
     assert closure(out) == out
+
+
+@given(_bases, _bases, _bases)
+def test_erasures_compose(base, a, b):
+    # progress erases R, U and the negated adds in one call on this ground
+    assert erase(erase(base, a), b) == erase(base, a.rmls | b.rmls)
 
 
 # ---------------------------------------------------------------------------
@@ -281,3 +301,30 @@ def test_an_empty_outcome_leaves_the_state_as_it_was(base):
     # the erase-then-update step with nothing to erase or add
     full = update(erase(base, PEKB()), PEKB())
     assert progress(base, [], no_ak).rmls == full.rmls == closure(base).rmls
+
+
+def p_is_ak(atom):
+    return atom == P
+
+
+_effects = st.builds(ConditionalEffect, st.frozensets(_rmls, max_size=2),
+                     _rmls, st.booleans(), st.frozensets(_rmls, max_size=1))
+
+
+@given(_bases, st.frozensets(_effects, max_size=4),
+       st.sampled_from([no_ak, p_is_ak]))
+def test_progress_is_erase_then_update(base, outcome, is_ak):
+    # the paper's step, (p erase (R u U)) update Q, with R, U and Q read off
+    # the outcome against the pre-state
+    p = closure(base)
+    removed = {ce.effect for ce in outcome if ce.delete and ce.fires(p)}
+    uncertain = {negate(ce.effect) for ce in outcome
+                 if not ce.delete and ce.uncertain(p, is_ak)}
+    added = [ce.effect for ce in outcome if not ce.delete and ce.fires(p)]
+    try:
+        expected = update(erase(p, removed | uncertain), added)
+    except InconsistentUpdate:
+        with pytest.raises(InconsistentResult):
+            progress(p, outcome, is_ak)
+        return
+    assert progress(p, outcome, is_ak) == expected

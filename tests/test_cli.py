@@ -269,6 +269,13 @@ def test_query_answers_false_with_exit_one(tmp_path):
     assert result.output.strip() == 'false'
 
 
+def test_query_on_an_inconsistent_base_is_a_diagnostic(tmp_path):
+    kb = _belief_base(tmp_path, 'B_a p\nP_a !p\n')
+    result = _invoke(['query', kb, 'B_a p'])
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert _last_line(result) == 'error: belief base is inconsistent'
+
+
 def test_query_syntax_error_is_a_diagnostic(tmp_path):
     kb = _belief_base(tmp_path, 'B_a p\n')
     result = _invoke(['query', kb, 'B_a (p'])
@@ -542,6 +549,19 @@ def test_dangling_marker_is_a_positioned_diagnostic(tmp_path, text,
                                                     position, message):
     test_malformed_input_is_a_positioned_diagnostic(tmp_path, text,
                                                     position, message)
+
+
+@pytest.mark.parametrize('text, position', [
+    ('(define (domain x) (:action a :effect (and {AK}(p))))', (1, 43)),
+    ('(define (domain x) (:action a :effect {AK}(p)))', (1, 38)),
+    ('(define (domain x) (:predicates (p))) '
+     '(define (problem y) (:domain x) (:goal {AK}(p)))', (1, 77)),
+], ids=['in-and', 'whole-effect', 'goal'])
+def test_misplaced_ak_marker_is_named_at_its_position(tmp_path, text,
+                                                      position):
+    test_malformed_input_is_a_positioned_diagnostic(
+        tmp_path, text, position,
+        'misplaced {AK} marker: only a :predicates declaration takes it')
 
 
 @pytest.mark.parametrize('command', ['compile', 'solve'])
