@@ -150,9 +150,9 @@ class CompiledProblem:
 
 def fluent_space(problem):
     """The ordered fluent table: regular RMLs then AK atoms."""
-    regular = enumerate_rmls(RmlSpace(problem.regular_propositions(),
+    regular = enumerate_rmls(RmlSpace(problem.regular_propositions,
                                       problem.agents, problem.depth))
-    ak = [lit(p) for p in problem.ak_propositions()]
+    ak = [lit(p) for p in problem.ak_propositions]
     return tuple(regular) + tuple(sorted(ak, key=RML.sort_key))
 
 
@@ -327,8 +327,8 @@ def _unreduced_style_count(problem):
     the report for comparison)."""
     n = len(problem.agents)
     seqs = sum((2 * n) ** k for k in range(problem.depth + 1))
-    return (2 * len(problem.regular_propositions()) * seqs
-            + 2 * len(problem.ak_propositions()))
+    return (2 * len(problem.regular_propositions) * seqs
+            + 2 * len(problem.ak_propositions))
 
 
 def _number(memo, item):
@@ -472,7 +472,7 @@ def compile_problem(problem, ground_actions, flavor=None,
     if flavor is None:
         flavor = CLASSICAL if all(len(op.outcomes) == 1
                                   for op in operators) else FOND
-    n_ak = len(problem.ak_propositions())
+    n_ak = len(problem.ak_propositions)
     report = {
         'version': REPORT_VERSION,
         'flavor': flavor,

@@ -131,11 +131,20 @@ class GroundAction:
 
 
 class RPMEPProblem:
-    """A ground-able planning problem over nested-belief fluents."""
+    """A ground-able planning problem over nested-belief fluents.
+
+    Construction enumerates every ground proposition once, ordered by
+    predicate name and then by argument tuple: ``regular_propositions``
+    and ``ak_propositions`` hold the regular and the always-known ones.
+    They depend only on the agents, the objects and the predicates, which
+    must not change after construction; ``depth``, the initial state and
+    the goal may.
+    """
 
     __slots__ = ('domain_name', 'problem_name', 'agents', 'types',
                  'objects', 'predicates', 'schemas', 'initial', 'goal_pos',
-                 'goal_neg', 'depth', 'task', 'plan', 'warnings')
+                 'goal_neg', 'depth', 'task', 'plan', 'warnings',
+                 'regular_propositions', 'ak_propositions')
 
     def __init__(self, domain_name, problem_name, agents, types, objects,
                  predicates, schemas, initial, goal_pos, goal_neg, depth,
@@ -157,6 +166,13 @@ class RPMEPProblem:
         self.task = task
         self.plan = tuple(plan) if plan is not None else None
         self.warnings = tuple(warnings)
+        sides = ([], [])
+        for name in sorted(self.predicates):
+            arg_types, ak = self.predicates[name]
+            sides[bool(ak)].extend(
+                Proposition(name, args)
+                for args in product(*map(self.objects_of_type, arg_types)))
+        self.regular_propositions, self.ak_propositions = map(tuple, sides)
 
     def objects_of_type(self, typ):
         if typ == 'agent':
@@ -166,18 +182,6 @@ class RPMEPProblem:
     def is_ak(self, atom):
         entry = self.predicates.get(atom.predicate)
         return entry is not None and entry[1]
-
-    def regular_propositions(self):
-        return tuple(p for p in self._all_propositions() if not self.is_ak(p))
-
-    def ak_propositions(self):
-        return tuple(p for p in self._all_propositions() if self.is_ak(p))
-
-    def _all_propositions(self):
-        return tuple(Proposition(name, args)
-                     for name in sorted(self.predicates)
-                     for args in product(*map(self.objects_of_type,
-                                              self.predicates[name][0])))
 
 
 def _subst_term(term, binding):

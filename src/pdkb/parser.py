@@ -264,23 +264,10 @@ def _atom_template(tree):
     return negated, Proposition(name, args)
 
 
-class _Literal:
-    """A parsed formula literal: an RML template with an outer `not` flag.
-
-    For AK predicates the polarity is later folded into presence/absence
-    (conditions) or add/delete (effects) instead of the RML itself.
-    """
-
-    __slots__ = ('rml', 'negated_outer')
-
-    def __init__(self, rml, negated_outer):
-        self.rml = rml
-        self.negated_outer = negated_outer
-
-
 def _walk(node, effect=False, mods=(), quant=(), cond_pos=(), cond_neg=()):
-    """Flatten a formula into (quantifiers, when_pos, when_neg, literal)
-    tuples.
+    """Flatten a formula into (quantifiers, when_pos, when_neg, negated, rml)
+    literals: ``negated`` is an outer ``not`` and ``rml`` the RML template
+    under it, whose own polarity is the ``(!p)`` shorthand's.
 
     Handles ``and``, ``forall ?v [- type]``, ``not``, stacked belief
     markers and, in an effect outside any belief marker or ``not``,
@@ -328,13 +315,10 @@ def _walk(node, effect=False, mods=(), quant=(), cond_pos=(), cond_neg=()):
         args = items[1:]
         if len(args) != 1:
             raise ParseError('(not ...) takes one formula', head.pos)
-        out = []
-        for q, pos, neg, literal in _walk(args[0], False, mods, quant,
-                                          cond_pos, cond_neg):
-            if literal.negated_outer:
-                raise ParseError('nested (not (not ...))', head.pos)
-            out.append((q, pos, neg, _Literal(literal.rml, True)))
-        return out
+        literals = _walk(args[0], False, mods, quant, cond_pos, cond_neg)
+        if any(negated for _, _, _, negated, _ in literals):
+            raise ParseError('nested (not (not ...))', head.pos)
+        return [(q, pos, neg, True, rml) for q, pos, neg, _, rml in literals]
     if word == 'when' and effect:
         args = items[1:]
         if len(args) != 2:
@@ -343,17 +327,16 @@ def _walk(node, effect=False, mods=(), quant=(), cond_pos=(), cond_neg=()):
         return _walk(args[1], True, mods, quant, cond_pos + tuple(pos),
                      cond_neg + tuple(neg))
     negated, atom = _atom_template(items)
-    return [(quant, cond_pos, cond_neg,
-             _Literal(RML(mods, negated, atom), False))]
+    return [(quant, cond_pos, cond_neg, False, RML(mods, negated, atom))]
 
 
 def _condition(node, where, pos):
     """(positive, negative) RML templates of a formula without forall."""
     pos_rmls, neg_rmls = [], []
-    for quant, _, _, literal in _walk(node):
+    for quant, _, _, negated, rml in _walk(node):
         if quant:
             raise ParseError('forall not allowed in %s' % where, pos)
-        (neg_rmls if literal.negated_outer else pos_rmls).append(literal.rml)
+        (neg_rmls if negated else pos_rmls).append(rml)
     return pos_rmls, neg_rmls
 
 
@@ -384,7 +367,10 @@ def _section_map(body, kind, allowed_multi=()):
     return sections
 
 
-def _parse_action(tree):
+def _parse_action(tree, predicates):
+    """The action's ``EpistemicActionSchema``: its precondition and its
+    effects are lowered (``_lower_condition``, ``_lower_effect``) against
+    ``predicates`` as they are read."""
     name = _field(tree, 1, 'action name')
     fields = {}
     it = iter(tree[2:])
@@ -414,19 +400,22 @@ def _parse_action(tree):
                              _pos(derive))
         derive_condition = RML((), False, atom)
     parameters = _typed_list(fields.get(':parameters') or [], 'object')
-    pre_pos, pre_neg = [], []
+    pre_pos, pre_neg = (), ()
     if fields.get(':precondition') is not None:
-        pre_pos, pre_neg = _condition(fields[':precondition'],
-                                      'preconditions', _pos(tree))
-    outcomes_raw = [[]]
+        pre_pos, pre_neg = _lower_condition(predicates, *_condition(
+            fields[':precondition'], 'preconditions', _pos(tree)))
+    walked = [[]]
     effect = fields.get(':effect')
     if effect is not None:
         branches = [effect]
         if isinstance(effect, list) and effect \
                 and isinstance(effect[0], Token) and effect[0].value == 'oneof':
             branches = effect[1:]
-        outcomes_raw = [_walk(b, effect=True) for b in branches]
-    return name, parameters, pre_pos, pre_neg, derive_condition, outcomes_raw
+        walked = [_walk(b, effect=True) for b in branches]
+    outcomes = [[_lower_effect(predicates, *literal, _pos(tree))
+                 for literal in branch] for branch in walked]
+    return EpistemicActionSchema(name, parameters, pre_pos, pre_neg,
+                                 derive_condition, outcomes)
 
 
 def desugar(ast):
@@ -478,21 +467,8 @@ def desugar(ast):
         params = _typed_list(node[1:], 'object')
         predicates[name] = (tuple(t for _, t in params), ak)
 
-    schemas = []
-    for action_tree in sections.get(':action', []):
-        name, parameters, pre_pos, pre_neg, derive, outcomes_raw = \
-            _parse_action(action_tree)
-        outcomes = []
-        for branch in outcomes_raw:
-            templates = []
-            for quant, cond_pos, cond_neg, literal in branch:
-                templates.append(_lower_effect(predicates, quant, cond_pos,
-                                               cond_neg, literal,
-                                               _pos(action_tree)))
-            outcomes.append(tuple(templates))
-        pre_pos, pre_neg = _lower_condition(predicates, pre_pos, pre_neg)
-        schemas.append(EpistemicActionSchema(
-            name, parameters, pre_pos, pre_neg, derive, outcomes))
+    schemas = [_parse_action(tree, predicates)
+               for tree in sections.get(':action', [])]
 
     # problem side
     problem_name = 'anonymous'
@@ -500,8 +476,7 @@ def desugar(ast):
     depth = 1
     task = GENERATION
     plan = None
-    initial = ()
-    goal_pos, goal_neg = (), ()
+    psections = {}
     if problem_tree is not None:
         problem_name = _field(problem_tree[1], 1, 'problem name')
         psections = _section_map(problem_tree[2:], 'problem')
@@ -544,32 +519,26 @@ def desugar(ast):
                                      _pos(step))
                 plan.append(tuple(_sym(s, 'plan symbol') for s in step))
 
-        helper = RPMEPProblem(domain_name, problem_name, agents, types,
-                              objects, predicates, (), (), (), (), depth,
-                              task)
-        if ':init' in psections:
-            literals = [r for _, r in _expand_ground(
-                helper, psections[':init'][0][1:], allow_negative=False)]
-            if not is_consistent(literals):
-                clash = next(r for i, r in enumerate(literals)
-                             if not is_consistent(literals[:i + 1]))
-                raise SemanticError([Diagnostic(
-                    'error', 'init', 'inconsistent initial state: %s '
-                    'contradicts the literals before it' % clash)])
-            # complete initialisation already makes an absent always-known
-            # atom false, so (!ak) is dropped
-            initial, _ = _lower_condition(predicates, literals, ())
-        if ':goal' in psections:
-            goal_literals = _expand_ground(helper, psections[':goal'][0][1:],
-                                           allow_negative=True)
-            goal_pos, goal_neg = _lower_condition(
-                predicates,
-                [r for neg, r in goal_literals if not neg],
-                [r for neg, r in goal_literals if neg])
-
-    return RPMEPProblem(domain_name, problem_name, agents, types, objects,
-                        predicates, schemas, initial, goal_pos, goal_neg,
-                        depth, task, plan=plan, warnings=warnings)
+    problem = RPMEPProblem(domain_name, problem_name, agents, types,
+                           objects, predicates, schemas, (), (), (), depth,
+                           task, plan=plan, warnings=warnings)
+    if ':init' in psections:
+        literals, _ = _expand_ground(problem, psections[':init'][0][1:],
+                                     allow_negative=False)
+        if not is_consistent(literals):
+            clash = next(r for i, r in enumerate(literals)
+                         if not is_consistent(literals[:i + 1]))
+            raise SemanticError([Diagnostic(
+                'error', 'init', 'inconsistent initial state: %s '
+                'contradicts the literals before it' % clash)])
+        # complete initialisation already makes an absent always-known
+        # atom false, so (!ak) is dropped
+        problem.initial, _ = _lower_condition(predicates, literals, ())
+    if ':goal' in psections:
+        problem.goal_pos, problem.goal_neg = _lower_condition(
+            predicates, *_expand_ground(problem, psections[':goal'][0][1:],
+                                        allow_negative=True))
+    return problem
 
 
 def _lower_condition(predicates, pos_literals, neg_literals):
@@ -587,10 +556,8 @@ def _lower_condition(predicates, pos_literals, neg_literals):
     return tuple(sides[0]), tuple(sides[1])
 
 
-def _lower_effect(predicates, quant, cond_pos, cond_neg, literal, pos):
+def _lower_effect(predicates, quant, cond_pos, cond_neg, delete, rml, pos):
     cond_pos, cond_neg = _lower_condition(predicates, cond_pos, cond_neg)
-    rml = literal.rml
-    delete = literal.negated_outer
     entry = predicates.get(rml.atom.predicate)
     if entry and entry[1] and not rml.modalities:
         # AK atoms have no negative fluent: (!ak) deletes the positive atom
@@ -606,20 +573,21 @@ def _lower_effect(predicates, quant, cond_pos, cond_neg, literal, pos):
 
 def _expand_ground(problem, nodes, allow_negative):
     """Expand init/goal formulas (foralls over declared sets) to ground
-    literals; returns (negated_outer, RML) pairs."""
-    out = []
+    RMLs; returns the (positive, negative) lists, negative being those
+    under an outer ``not``."""
+    sides = ([], [])
     for node in nodes:
-        for quant, _, _, literal in _walk(node):
+        for quant, _, _, negated, template in _walk(node):
             for binding in _bindings(problem, quant):
                 try:
-                    rml = subst_rml(literal.rml, binding)
+                    rml = subst_rml(template, binding)
                 except UnknownSymbol as exc:
                     raise SemanticError([Diagnostic(
                         'error', 'goal' if allow_negative else 'init',
                         str(exc))])
-                if literal.negated_outer and not allow_negative:
+                if negated and not allow_negative:
                     raise SemanticError([Diagnostic(
                         'error', 'init',
                         'negative literal %s not allowed here' % rml)])
-                out.append((literal.negated_outer, rml))
-    return out
+                sides[negated].append(rml)
+    return sides

@@ -229,6 +229,10 @@ def progress(p, outcome, is_ak):
                 erased.add(negate(ce.effect))
     for rml in adds:
         if negate(rml) in adds:
+            # the first clashing RML in sort order, so that the message
+            # does not depend on the set's hash order
+            clash = min((r for r in adds if negate(r) in adds),
+                        key=RML.sort_key)
             raise InconsistentResult(
-                'simultaneous effects add %s and its negation' % rml)
+                'simultaneous effects add %s and its negation' % clash)
     return PEKB(erase(p, erased).rmls | adds, closed=True)

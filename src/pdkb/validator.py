@@ -11,7 +11,7 @@ and the planner's packed ``successor``, and reports any divergence.
 from .compiler import aware_copies, compile_problem
 from .model import ground
 from .pekb import (PEKB, ConditionalEffect, InconsistentResult, closure,
-                   is_consistent, progress)
+                   is_consistent, prime, progress)
 from .planner import Packing, ResourceLimit, successor
 from .rml import RmlTable, format_rml
 
@@ -360,13 +360,14 @@ def crosscheck_progression(problem, n_cases, seed):
         sem_proj, comp_succ = pair
         if sem_proj == comp_succ:
             continue
-        # greedy minimization: drop state RMLs while the divergence holds
-        core = state
-        for rml in sorted(state.rmls):
-            smaller = PEKB(core.rmls - {rml}, closed=True)
+        # greedy minimization: drop prime members of the state while the
+        # closure of the rest still diverges, so the core is a closed state
+        kept, core = prime(state).rmls, state
+        for rml in sorted(kept):
+            smaller = closure(PEKB(kept - {rml}))
             trial = run_case(smaller, a_idx, o_idx)
             if trial is not None and trial[0] != trial[1]:
-                core = smaller
+                kept, core = kept - {rml}, smaller
         final = run_case(core, a_idx, o_idx)
         divergences.append({
             'case': case,

@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
 import types
 
@@ -19,6 +21,7 @@ HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
 COIN = os.path.join(BENCH, 'misc', 'coin.pdkbddl')
 ENVELOPE = os.path.join(BENCH, 'envelope', 'envelope.pdkbddl')
+SRC = os.path.join(HERE, '..', 'src')
 
 
 def _invoke(args):
@@ -246,6 +249,59 @@ def test_solve_exits_invalid_on_a_policy_that_never_reaches_the_goal(
     result, report = _solve_report(tmp_path, 'misc', 'ask.pdkbddl')
     assert result.exit_code == EXIT_INVALID
     assert report['verdict'] == 'Invalid'
+
+
+def test_solve_exits_unsolvable_when_no_plan_exists(tmp_path):
+    result, report = _solve_report(tmp_path, 'misc', 'unsolvable.pdkbddl')
+    assert result.exit_code == EXIT_UNSOLVABLE
+    assert report['result'] == 'Unsolvable'
+
+
+def test_solve_from_a_goal_state_is_an_empty_strong_policy(tmp_path):
+    path = tmp_path / 'at-goal.pdkbddl'
+    path.write_text(SURFACE % ('(:action flip :effect (oneof (and (lit)) '
+                               '(and (!lit))))', '', '(lit)', '(lit)'),
+                    encoding='utf-8')
+    result = _invoke(['solve', str(path), '--out', str(tmp_path / 'out')])
+    with open(tmp_path / 'out' / 'solve-report.json',
+              encoding='utf-8') as handle:
+        report = json.load(handle)
+    assert result.exit_code == EXIT_OK, result.output
+    assert report['solver'] == 'and-or'
+    assert report['policy_classification'] == 'Strong'
+    assert report['policy_size'] == 0
+    assert report['states_generated'] == 1
+    assert report['verdict'] == 'StrongValid'
+
+
+def _compile_report(tmp_path, *args):
+    result = _invoke(['compile'] + list(args)
+                     + ['--out', str(tmp_path / 'out')])
+    assert result.exit_code == EXIT_OK, result.output
+    with open(tmp_path / 'out' / 'compile-report.json',
+              encoding='utf-8') as handle:
+        return json.load(handle)
+
+
+def test_compile_truncates_effects_past_the_depth_bound(tmp_path):
+    # at depth 1 grounding drops the depth-2 effect and the effect under a
+    # depth-2 when-condition; no awareness copy adds a truncation
+    path = tmp_path / 'deep.pdkbddl'
+    path.write_text("""
+(define (domain d) (:agents a b) (:predicates (p) (q))
+  (:action act :effect (and [a][b](p) (when [a][b](q) (p)) (q))))
+(define (problem x) (:domain d) (:depth 1) (:init ) (:goal (q)))
+""", encoding='utf-8')
+    report = _compile_report(tmp_path, str(path))
+    assert report['truncated_effects'] == 2
+
+
+def test_depth_override_recompiles_at_the_given_depth(tmp_path):
+    report = _compile_report(
+        tmp_path, os.path.join(BENCH, 'grapevine', 'prob-4ag-2g-1d.pdkbddl'),
+        '--depth-override', '2')
+    assert report['depth'] == 2
+    assert (report['fluents'], report['operators']) == (478, 133)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +549,9 @@ UNBOUND_OR_DEEP = """
      'error at goal: unknown object zz of type agent in B_b q(zz)'),
     ('(and)', '(when (q zz) (q ?x))', '(q a)',
      'error at action act: unknown object zz of type agent in q(zz)'),
+    ('(and)', '(zz)', '(q a)', 'error at action act: unknown predicate zz'),
+    ('(and)', '(q a b)', '(q a)',
+     'error at action act: predicate q expects 1 arguments, got 2'),
 ])
 def test_unbound_variables_and_deep_preconditions_are_diagnostics(
         tmp_path, pre, effect, goal, message):
@@ -503,6 +562,22 @@ def test_unbound_variables_and_deep_preconditions_are_diagnostics(
     assert result.exit_code == EXIT_DIAGNOSTICS
     assert isinstance(result.exception, SystemExit)
     assert _last_line(result) == message
+
+
+def test_an_always_known_effect_under_a_regular_condition_is_a_diagnostic(
+        tmp_path):
+    path = tmp_path / 'bad.pdkbddl'
+    path.write_text("""
+(define (domain d) (:agents a) (:predicates {AK}(k) (p ?x - agent))
+  (:action act :effect (when (p a) (k))))
+(define (problem x) (:domain d) (:init ) (:goal (k)))
+""", encoding='utf-8')
+    result = _invoke(['compile', str(path), '--out', str(tmp_path / 'out')])
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert isinstance(result.exception, SystemExit)
+    assert _last_line(result) == ('error at action act: effect on '
+                                  'always-known k conditioned on regular '
+                                  'p(a)')
 
 
 ILL_TYPED = """
@@ -634,3 +709,56 @@ def test_validate_names_the_bad_plan_line(tmp_path, text, line):
     assert isinstance(result.exception, SystemExit)
     assert _last_line(result).startswith('error: %s: line %d: '
                                          % (plan, line))
+
+
+def test_validate_writes_its_report_into_the_output_directory(tmp_path):
+    result = _invoke(['validate', ENVELOPE, '--out', str(tmp_path / 'out')])
+    assert result.exit_code == EXIT_OK
+    assert _last_line(result) == 'verdict: StrongValid'
+    assert '"verdict"' not in result.output
+    with open(tmp_path / 'out' / 'validate-report.json',
+              encoding='utf-8') as handle:
+        report = json.load(handle)
+    assert report['verdict'] == 'StrongValid'
+    assert [step['action'] for step in report['witness']['steps']] == [
+        '(check bob)', '(check alice)']
+
+
+def test_the_contradiction_message_does_not_depend_on_the_hash_seed(
+        tmp_path):
+    # (p) and (!p) added by one step: each process must name the same RML
+    path = tmp_path / 'clash.pdkbddl'
+    path.write_text("""
+(define (domain d) (:agents a) (:predicates (p))
+  (:action both :effect (and (p) (!p))))
+(define (problem x) (:domain d) (:task valid_assessment) (:init ) (:goal (p))
+  (:plan (both)))
+""", encoding='utf-8')
+    env = dict(os.environ)
+    env['PYTHONPATH'] = os.pathsep.join(
+        [SRC] + ([env['PYTHONPATH']] if env.get('PYTHONPATH') else []))
+    failures = set()
+    for seed in range(8):
+        env['PYTHONHASHSEED'] = str(seed)
+        proc = subprocess.run(
+            [sys.executable, '-m', 'pdkb.cli', 'validate', str(path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        failures.add(json.loads(proc.stdout)['witness']['failure'])
+    assert failures == {'step 0: simultaneous effects add p and its negation'}
+
+
+# ---------------------------------------------------------------------------
+# belief-base closure
+
+
+@pytest.mark.parametrize('flags, lines', [
+    ([], ['B_a p', 'P_a p', 'B_a B_b q', 'B_a P_b q', 'P_a B_b q',
+          'P_a P_b q']),
+    (['--prime'], ['B_a p', 'B_a B_b q']),
+], ids=['closed', 'prime'])
+def test_closure_prints_the_closed_or_the_prime_form(tmp_path, flags, lines):
+    kb = _belief_base(tmp_path, 'B_a p\nB_a B_b q\n')
+    result = _invoke(['closure'] + flags + [kb])
+    assert result.exit_code == EXIT_OK
+    assert result.output.splitlines() == lines

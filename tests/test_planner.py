@@ -150,6 +150,19 @@ def test_unsolvable_has_no_policy():
     assert solve_andor(cp) is None
 
 
+def test_a_goal_initial_state_needs_an_empty_policy():
+    prob = desugar(parse_text("""
+(define (domain d) (:agents a) (:predicates {AK}(lit))
+  (:action flip :effect (oneof (and (lit)) (and (!lit)))))
+(define (problem x) (:domain d) (:init (lit)) (:goal (lit)))
+"""))
+    stats = {}
+    policy = solve_andor(compile_problem(prob, ground(prob)), stats=stats)
+    assert policy.classification == 'Strong'
+    assert policy.mapping == {}
+    assert stats['states'] == 1
+
+
 # ---------------------------------------------------------------------------
 # external adapter
 

@@ -9,7 +9,7 @@ from pdkb.compiler import (CompiledCondition, CompiledOperator,
                            apply_ancillary, compile_problem)
 from pdkb.model import ALWAYS, ground
 from pdkb.pekb import PEKB, ConditionalEffect, closure, progress
-from pdkb.parser import desugar, parse_file
+from pdkb.parser import desugar, parse_file, parse_text
 from pdkb import validator as validator_mod
 from pdkb.planner import apply, applicable, solve_andor
 from pdkb.rml import RmlTable, parse_rml
@@ -100,6 +100,22 @@ def test_sequential_plans_cannot_cover_both_branches(ask):
     assert result.verdict == INVALID
 
 
+# both effects fire at once, so the one step contradicts itself
+CLASH = """
+(define (domain d) (:agents a) (:predicates (p))
+  (:action both :effect (and (p) (!p))))
+(define (problem x) (:domain d) (:task valid_assessment) (:init ) (:goal (p))
+  (:plan (both)))
+"""
+
+
+def test_an_inconsistent_step_fails_the_plan():
+    result = assess_plan(desugar(parse_text(CLASH)))
+    assert result.verdict == INVALID
+    assert result.witness.failure == ('step 0: simultaneous effects add p '
+                                      'and its negation')
+
+
 # ---------------------------------------------------------------------------
 # policy verification
 
@@ -164,6 +180,15 @@ def test_partial_policy_is_invalid_with_witness(ask):
     result = verify_policy(ask, policy)
     assert result.verdict == INVALID
     assert 'undefined' in result.witness.failure
+
+
+def test_an_inconsistent_step_fails_the_policy():
+    prob = desugar(parse_text(CLASH))
+    init = closure(PEKB(prob.initial))
+    result = verify_policy(prob, {state_key(init): ('both',)})
+    assert result.verdict == INVALID
+    assert result.witness.failure == ('simultaneous effects add p and its '
+                                      'negation')
 
 
 def test_looping_policy_that_never_exits_is_invalid():
@@ -305,6 +330,16 @@ def test_check_bob_steps_alike_when_alice_doubts_bob(envelope):
                             envelope.is_ak)
     compiled = apply(_compiled_state(state, fluent_set), cp.operators[idx])
     assert compiled == _compiled_state(semantic, fluent_set)
+
+
+def test_crosscheck_reports_closed_states(envelope):
+    # the envelope divergence above gives divergent cases to minimise; each
+    # reported core must be a state, so it equals its own closure
+    report = crosscheck_progression(envelope, 500, seed=11)
+    assert report['divergences']
+    for divergence in report['divergences']:
+        state = PEKB(map(parse_rml, divergence['state']))
+        assert closure(state) == state, divergence['state']
 
 
 def walk_compiled_and_semantic(prob, actions, cp, seed):
