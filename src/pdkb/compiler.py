@@ -19,28 +19,28 @@ five in one step, ``_derive``; always-known effects have no consequences:
 Each ``compile_problem`` call does each piece of work once:
   - one ``RmlTable`` serves all of the call's operators: it interns the
     RMLs that the rules derive, so set and dict hits compare by identity,
-    and memoises ``negate``, ``wrap`` and ``upward_closure``; it is
-    dropped with the call, so nothing is cached across compiles;
+    and memoises ``negate``, ``wrap`` and ``upward_closure``;
   - the fixpoint is semi-naive: ``_derive`` maps each effect to its
     consequences on its own, so ``apply_ancillary`` feeds each round only
     the effects that are new since the last round;
-  - each operator *shape* runs the closure once, and every operator gets
-    its outcomes one way. ``_shape`` is the one walk over a ground
-    action: it maps every RML of its effects, their conditions and its
-    awareness conditions to the fluent-table object, numbers the
-    propositions by first occurrence, and returns the outcomes over those
-    positions in ``_template``'s format, with the awareness and the
-    predicate of each position; modalities, polarity, ``delete`` and the
-    agents stay. On a shape's first operator ``_instantiate`` of that
-    template gives the base outcomes, ``apply_ancillary`` closes each,
-    ``_prune`` drops the effects that never fire, and ``_template`` keeps
-    the result over proposition positions with its spawned, truncated and
-    pruned counts. Every operator, the first included, then takes its
-    outcomes from ``_instantiate`` with its own propositions put in,
-    memoised on (shape, propositions), so identical operators share
-    outcome objects and ``planner.Packing`` and ``emit_domain`` handle
-    each once; each distinct condition is one object for the whole
-    compile. This is sound:
+  - each operator *shape* runs the closure once, and each distinct
+    (outcomes, awareness) pair of the ground actions, which
+    ``model.ground`` shares between bindings, is walked and instantiated
+    once. ``_shape`` is the one walk over a ground action: it maps every
+    RML of its effects, their conditions and its awareness conditions to
+    the fluent-table object, numbers the propositions by first
+    occurrence, and returns the outcomes over those positions in
+    ``_template``'s format, with the awareness and the predicate of each
+    position; modalities, polarity, ``delete`` and the agents stay. On a
+    shape's first pair ``_instantiate`` of that template gives the base
+    outcomes, ``apply_ancillary`` closes each, ``_prune`` drops the
+    effects that never fire, and ``_template`` keeps the result over
+    proposition positions with its spawned, truncated and pruned counts.
+    Every pair, the first included, then takes its outcomes from
+    ``_instantiate`` with its own propositions put in, so identical
+    operators share outcome objects and ``planner.Packing`` and
+    ``emit_domain`` handle each once; each distinct condition is one
+    object for the whole compile. This is sound:
       * two actions of one shape differ by an injective renaming of
         propositions that keeps predicates, and the five rules and the
         depth cut read a proposition only through equality and the
@@ -48,16 +48,16 @@ Each ``compile_problem`` call does each piece of work once:
         closure and keeps the sizes that the counts count;
       * every RML of an operator's closure is in the fluent table, so
         ``_instantiate`` finds each there: ``_shape`` checks the base
-        RMLs of every operator; closure, negation, the contrapositive and
+        RMLs of every pair; closure, negation, the contrapositive and
         uncertain firing keep an RML's depth and atom and change only
         modes and polarity; awareness copies wrap in a known agent's
         belief and are cut past the depth bound;
       * pruning tests only whether a condition's positive and negative
         fluents overlap, which an injective renaming keeps, so pruning
         the template prunes every operator of the shape.
-    The 133 operators of a four-agent grapevine problem have 5 shapes:
-    ``move`` with distinct and with equal locations, ``share``, ``fib``
-    and ``initialize``;
+    The 133 operators of a four-agent grapevine problem have 61 pairs
+    and 5 shapes: ``move`` with distinct and with equal locations,
+    ``share``, ``fib`` and ``initialize``;
   - emission sorts by fluent rank, the position in ``sorted(fluents)``,
     computed once per emit, and writes each outcome's effects grouped by
     condition: the unconditional ones bare, then one
@@ -430,44 +430,42 @@ def compile_problem(problem, ground_actions, flavor=None,
     table = RmlTable(fluents)
     index = {(f.modalities, f.negated, f.atom): f for f in fluents}
     counters = {'spawned': 0, 'truncated': 0, 'pruned': 0}
-    # shape -> (its first operator's pruned outcome closures as a
-    # ``_template``, their spawned, truncated and pruned counts, and
-    # propositions -> outcomes, so that identical operators share one
-    # instantiation and its outcome objects)
-    shapes = {}
-    # one object per distinct condition, shared by all operators
-    interned = {}
+    # shape -> (its first pair's pruned closures as a ``_template``, their
+    # counts); (outcomes, awareness) -> (outcomes, counts); condition ->
+    # its one object, shared by all operators
+    shapes, instances, interned = {}, {}, {}
     operators = []
     for action in ground_actions:
         pre = CompiledCondition(*_split_condition(
             action.precondition_pos, action.precondition_neg, canonical))
-        shape, props = _shape(action, canonical)
-        if shape not in shapes:
-            closures = []
-            counts = {'spawned': 0, 'pruned': 0}
-            # a copy that several outcomes cut counts once
-            cut = set()
-            base, _, _ = shape
-            for outcome in _instantiate(base, props, index, interned):
-                expanded, outcome_cut = apply_ancillary(
-                    outcome, action.awareness, problem.depth, problem.is_ak,
-                    table)
-                cut |= outcome_cut
-                counts['spawned'] += (sum(map(len, expanded))
-                                      - sum(map(len, outcome)))
-                kept, dropped = _prune(expanded)
-                counts['pruned'] += dropped
-                closures.append(kept)
-            counts['truncated'] = len(cut)
-            shapes[shape] = _template(closures, props), counts, {}
-        template, counts, instances = shapes[shape]
-        if props not in instances:
-            instances[props] = _instantiate(template, props, index,
-                                            interned)
+        key = action.outcomes, tuple(action.awareness.items())
+        if key not in instances:
+            shape, props = _shape(action, canonical)
+            if shape not in shapes:
+                closures = []
+                counts = {'spawned': 0, 'pruned': 0}
+                # a copy that several outcomes cut counts once
+                cut = set()
+                for outcome in _instantiate(shape[0], props, index, interned):
+                    expanded, outcome_cut = apply_ancillary(
+                        outcome, action.awareness, problem.depth,
+                        problem.is_ak, table)
+                    cut |= outcome_cut
+                    counts['spawned'] += (sum(map(len, expanded))
+                                          - sum(map(len, outcome)))
+                    kept, dropped = _prune(expanded)
+                    counts['pruned'] += dropped
+                    closures.append(kept)
+                counts['truncated'] = len(cut)
+                shapes[shape] = _template(closures, props), counts
+            template, counts = shapes[shape]
+            instances[key] = (_instantiate(template, props, index, interned),
+                              counts)
+        outcomes, counts = instances[key]
         for name, n in counts.items():
             counters[name] += n
         operators.append(CompiledOperator(action.name, action.args, pre,
-                                          instances[props]))
+                                          outcomes))
 
     if flavor is None:
         flavor = CLASSICAL if all(len(op.outcomes) == 1

@@ -10,7 +10,7 @@ a negated AK atom in a condition means the atom must be absent, and a
 negated AK effect is a delete.
 """
 
-from itertools import product
+from itertools import chain, product
 
 from .pekb import ConditionalEffect
 from .rml import Proposition, RML
@@ -193,6 +193,10 @@ def _subst_term(term, binding):
     return term
 
 
+def _terms(rml):
+    return [agent for _, agent in rml.modalities] + list(rml.atom.args)
+
+
 def subst_rml(template, binding):
     """Instantiate a template RML under a variable binding."""
     mods = tuple((mode, _subst_term(agent, binding))
@@ -203,27 +207,6 @@ def subst_rml(template, binding):
     return RML(mods, template.negated, atom)
 
 
-def _substituter():
-    """``subst_rml`` for one grounding, memoised on the template and the
-    values of its variables."""
-    variables = {}
-    memo = {}
-
-    def subst(template, binding):
-        if template not in variables:
-            variables[template] = [
-                term for term in [agent for _, agent in template.modalities]
-                + list(template.atom.args)
-                if term.startswith('?') or term == AGENT_VAR]
-        key = template, tuple([_subst_term(name, binding)
-                               for name in variables[template]])
-        if key not in memo:
-            memo[key] = subst_rml(template, binding)
-        return memo[key]
-
-    return subst
-
-
 def _bindings(problem, parameters):
     """Every binding of the typed variables, the first varying slowest."""
     names = [var for var, _ in parameters]
@@ -231,17 +214,17 @@ def _bindings(problem, parameters):
             product(*[problem.objects_of_type(typ) for _, typ in parameters])]
 
 
-def _instantiate_effects(problem, templates, binding, truncated, subst):
+def _instantiate_effects(problem, templates, binding, truncated):
     effects = []
     for tpl in templates:
         for ext in _bindings(problem, tpl.quantified):
             full = dict(binding, **ext)
-            effect = subst(tpl.effect, full)
+            effect = subst_rml(tpl.effect, full)
             if effect.depth > problem.depth:
                 truncated.append(effect)
                 continue
-            pos = tuple(subst(c, full) for c in tpl.condition_pos)
-            neg = tuple(subst(c, full) for c in tpl.condition_neg)
+            pos = tuple(subst_rml(c, full) for c in tpl.condition_pos)
+            neg = tuple(subst_rml(c, full) for c in tpl.condition_neg)
             if any(c.depth > problem.depth for c in pos + neg):
                 truncated.append(effect)
                 continue
@@ -259,36 +242,55 @@ class GroundingReport:
         self.truncated_effects = 0
 
 
+def _read_parameters(schema):
+    """The parameters in a modality or argument slot of the derive
+    condition, an effect or a when-condition. This is sound: bindings that
+    agree on them substitute these templates alike, and the depth cut
+    reads only the results, so they ground the same awareness, outcomes
+    and truncated count; a quantified variable that shadows one only
+    makes the key finer."""
+    mu = schema.derive_condition
+    templates = [mu] if isinstance(mu, RML) else []
+    for tpl in chain(*schema.outcomes):
+        templates += (tpl.effect,) + tpl.condition_pos + tpl.condition_neg
+    read = {term for rml in templates for term in _terms(rml)}
+    return [var for var, _ in schema.parameters if var in read]
+
+
 def ground(problem, report=None):
-    """All ground actions of the problem, in deterministic order."""
+    """All ground actions of the problem, in deterministic order. The
+    bindings of a schema that agree on its ``_read_parameters`` share one
+    grounding of the awareness and the outcomes, objects included, and
+    its truncated count, which ``report`` adds once per action."""
     if report is None:
         report = GroundingReport()
     actions = []
-    subst = _substituter()
     for schema in problem.schemas:
+        read = _read_parameters(schema)
+        shared = {}
         for binding in _bindings(problem, schema.parameters):
-            pre_pos = tuple(subst(c, binding)
+            pre_pos = tuple(subst_rml(c, binding)
                             for c in schema.precondition_pos)
-            pre_neg = tuple(subst(c, binding)
+            pre_neg = tuple(subst_rml(c, binding)
                             for c in schema.precondition_neg)
             for c in pre_pos + pre_neg:
                 if c.depth > problem.depth:
                     raise DepthExceeded(
                         'precondition %s of %s exceeds depth %d'
                         % (c, schema.name, problem.depth))
-            awareness = {}
-            if schema.derive_condition == ALWAYS:
-                awareness = {agent: ALWAYS for agent in problem.agents}
-            elif schema.derive_condition != NEVER:
-                for agent in problem.agents:
-                    full = dict(binding, **{AGENT_VAR: agent})
-                    awareness[agent] = subst(schema.derive_condition, full)
-            truncated = []
-            outcomes = tuple(
-                _instantiate_effects(problem, out, binding, truncated,
-                                     subst)
-                for out in schema.outcomes)
-            report.truncated_effects += len(truncated)
+            key = tuple([binding[var] for var in read])
+            if key not in shared:
+                mu = schema.derive_condition
+                awareness = {agent: mu if mu == ALWAYS else subst_rml(
+                    mu, dict(binding, **{AGENT_VAR: agent}))
+                    for agent in problem.agents if mu != NEVER}
+                truncated = []
+                outcomes = tuple(
+                    _instantiate_effects(problem, out, binding, truncated)
+                    for out in schema.outcomes)
+                shared[key] = awareness, outcomes, len(truncated)
+            awareness, outcomes, truncated = shared[key]
+            report.truncated_effects += truncated
             args = tuple(binding[var] for var, _ in schema.parameters)
             actions.append(GroundAction(schema.name, args, pre_pos, pre_neg,
                                         awareness, outcomes))
@@ -310,7 +312,7 @@ def _check_symbols(problem, rml, location, diagnostics, bound=()):
                 and term not in problem.objects_of_type(typ):
             error(unknown)
 
-    for term in [agent for _, agent in rml.modalities] + list(rml.atom.args):
+    for term in _terms(rml):
         if (term.startswith('?') or term == AGENT_VAR) and term not in bound:
             error('unbound variable %s in %s' % (term, rml))
     entry = problem.predicates.get(rml.atom.predicate)
@@ -335,12 +337,14 @@ def _check_symbols(problem, rml, location, diagnostics, bound=()):
 def validate_model(problem):
     """Well-formedness diagnostics; errors make the problem unusable."""
     diagnostics = list(problem.warnings)
+
+    def error(location, message):
+        diagnostics.append(Diagnostic('error', location, message))
+
     seen = set()
     for name, _ in problem.objects:
         if name in seen:
-            diagnostics.append(Diagnostic(
-                'error', 'problem',
-                'object %s is declared more than once' % name))
+            error('problem', 'object %s is declared more than once' % name)
         seen.add(name)
 
     def check_bounded(rmls, location, bound=()):
@@ -349,9 +353,8 @@ def validate_model(problem):
         for rml in rmls:
             _check_symbols(problem, rml, location, diagnostics, bound)
             if rml.depth > problem.depth:
-                diagnostics.append(Diagnostic(
-                    'error', location, '%s exceeds depth bound %d'
-                    % (rml, problem.depth)))
+                error(location, '%s exceeds depth bound %d'
+                      % (rml, problem.depth))
 
     check_bounded(problem.initial, 'init')
     check_bounded(problem.goal_pos + problem.goal_neg, 'goal')
@@ -369,16 +372,15 @@ def validate_model(problem):
                 for c in (tpl.effect,) + tpl.condition_pos + tpl.condition_neg:
                     _check_symbols(problem, c, loc, diagnostics, bound)
                 # constraint: AK-changing effects may only watch AK atoms
-                eff_pred = problem.predicates.get(tpl.effect.atom.predicate)
-                if eff_pred and eff_pred[1]:
+                if problem.is_ak(tpl.effect.atom):
                     for c in tpl.condition_pos + tpl.condition_neg:
                         c_pred = problem.predicates.get(c.atom.predicate)
                         if c_pred and not c_pred[1]:
-                            diagnostics.append(Diagnostic(
-                                'error', loc,
-                                'effect on always-known %s conditioned on '
-                                'regular %s' % (tpl.effect.atom, c)))
+                            error(loc, 'effect on always-known %s conditioned '
+                                  'on regular %s' % (tpl.effect.atom, c))
     if problem.task == ASSESSMENT and problem.plan is None:
-        diagnostics.append(Diagnostic(
-            'error', 'problem', 'assessment task without a (:plan ...)'))
+        error('problem', 'assessment task without a (:plan ...)')
+    if problem.depth < 0:
+        error('problem', 'depth bound must be non-negative, not %d'
+              % problem.depth)
     return diagnostics

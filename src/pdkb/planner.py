@@ -79,7 +79,7 @@ import os
 import re
 from collections import deque, namedtuple
 
-from .compiler import emit_domain, emit_problem, operator_symbol
+from .compiler import emit_pddl, operator_symbol
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -382,30 +382,28 @@ def solve_bfs(cp, max_states=DEFAULT_STATE_CAP, stats=None):
     seen = {init: None}
     frontier = deque([init])
     expanded = 0
-    while frontier:
-        state = frontier.popleft()
-        expanded += 1
-        # first outcomes only, as emit_domain writes the classical flavor;
-        # a zero delta is a self-loop
-        fresh = [succ for run_mask, usable in table
-                 for _, (mask, deltas), _ in usable[state & run_mask]
-                 if (delta := deltas[state & mask])
-                 and (succ := state ^ delta) not in seen]
-        for succ in dict.fromkeys(fresh):
-            seen[succ] = state
-            if succ & goal_pos == goal_pos and not succ & goal_neg:
-                stats['expanded'] = expanded
-                stats['states'] = len(seen)
-                return _plan(operators, table, seen, succ)
-            if len(seen) > max_states:
-                stats['expanded'] = expanded
-                stats['states'] = len(seen)
-                raise ResourceLimit('state cap %d exceeded' % max_states,
-                                    stats)
-            frontier.append(succ)
-    stats['expanded'] = expanded
-    stats['states'] = len(seen)
-    return None
+    try:
+        while frontier:
+            state = frontier.popleft()
+            expanded += 1
+            # first outcomes only, as emit_domain writes the classical
+            # flavor; a zero delta is a self-loop
+            fresh = [succ for run_mask, usable in table
+                     for _, (mask, deltas), _ in usable[state & run_mask]
+                     if (delta := deltas[state & mask])
+                     and (succ := state ^ delta) not in seen]
+            for succ in dict.fromkeys(fresh):
+                seen[succ] = state
+                if succ & goal_pos == goal_pos and not succ & goal_neg:
+                    return _plan(operators, table, seen, succ)
+                if len(seen) > max_states:
+                    raise ResourceLimit('state cap %d exceeded' % max_states,
+                                        stats)
+                frontier.append(succ)
+        return None
+    finally:
+        stats['expanded'] = expanded
+        stats['states'] = len(seen)
 
 
 def _plan(operators, table, parents, state):
@@ -602,16 +600,11 @@ def solve_external(cp, command_template, timeout=None,
             raise PlannerFailure('command template must contain %s'
                                  % placeholder)
     with tempfile.TemporaryDirectory(prefix='pdkb-ext-') as workdir:
-        domain_path = os.path.join(workdir, 'domain.pddl')
-        problem_path = os.path.join(workdir, 'problem.pddl')
+        paths = emit_pddl(cp, workdir, domain_name, problem_name)
         plan_path = os.path.join(workdir, 'plan.txt')
-        with open(domain_path, 'w', encoding='utf-8') as handle:
-            handle.write(emit_domain(cp, domain_name))
-        with open(problem_path, 'w', encoding='utf-8') as handle:
-            handle.write(emit_problem(cp, domain_name, problem_name))
         command = (command_template
-                   .replace('{domain}', domain_path)
-                   .replace('{problem}', problem_path)
+                   .replace('{domain}', paths['domain.pddl'])
+                   .replace('{problem}', paths['problem.pddl'])
                    .replace('{plan}', plan_path))
         try:
             proc = subprocess.run(command, shell=True, capture_output=True,

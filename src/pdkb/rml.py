@@ -210,9 +210,6 @@ class RmlSpace:
         self.agents = tuple(sorted(set(intern(str(a)) for a in agents)))
         self.depth_bound = depth_bound
 
-    def __iter__(self):
-        return iter(enumerate_rmls(self))
-
     def __contains__(self, rml):
         return (rml.depth <= self.depth_bound
                 and rml.atom in set(self.propositions)

@@ -334,7 +334,8 @@ def crosscheck_progression(problem, n_cases, seed):
     pool = sorted(fluent_set)
     rng = random.Random(seed)
     divergences = []
-    skipped = 0
+    # a problem without actions has no case to draw, so all are skipped
+    skipped = 0 if ground_actions else n_cases
 
     def run_case(state, a_idx, o_idx):
         """(semantic projection, compiled successor) or None if skipped."""
@@ -349,7 +350,7 @@ def crosscheck_progression(problem, n_cases, seed):
         return (_compiled_state(sem, fluent_set),
                 packing.decode(successor(packed, outcome)))
 
-    for case in range(n_cases):
+    for case in range(n_cases - skipped):
         state = _random_state(rng, pool)
         a_idx = rng.randrange(len(ground_actions))
         o_idx = rng.randrange(len(ground_actions[a_idx].outcomes))

@@ -580,6 +580,27 @@ def test_an_always_known_effect_under_a_regular_condition_is_a_diagnostic(
                                   'p(a)')
 
 
+@pytest.mark.parametrize('command', ['compile', 'solve'])
+@pytest.mark.parametrize('source', ['file', 'override'])
+def test_a_negative_depth_is_a_diagnostic(tmp_path, command, source):
+    # in the file, no init or goal RML lies past the bound to report it;
+    # on coin, the goal does, and the depth is still reported last
+    if source == 'file':
+        path = tmp_path / 'negative.pdkbddl'
+        path.write_text("""
+(define (domain d) (:agents a) (:predicates (p)) (:action act :effect (p)))
+(define (problem x) (:domain d) (:depth -1) (:init ) (:goal (and)))
+""", encoding='utf-8')
+        args = [str(path)]
+    else:
+        args = [COIN, '--depth-override', '-1']
+    result = _invoke([command] + args + ['--out', str(tmp_path / 'out')])
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    assert isinstance(result.exception, SystemExit)
+    assert _last_line(result) == ('error at problem: depth bound must be '
+                                  'non-negative, not -1')
+
+
 ILL_TYPED = """
 (define (domain d) (:agents a b) (:types loc thing)
   (:predicates (at ?l - loc) (q ?x - agent))

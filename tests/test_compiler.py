@@ -535,15 +535,16 @@ HAZARDS = """
 """
 
 
-def count_closures(monkeypatch):
-    """Count the calls to ``compiler.apply_ancillary`` from here on."""
+def count_calls(monkeypatch, name):
+    """Count the calls to ``compiler.<name>`` from here on."""
     calls = [0]
+    function = getattr(compiler, name)
 
     def counted(*args):
         calls[0] += 1
-        return apply_ancillary(*args)
+        return function(*args)
 
-    monkeypatch.setattr(compiler, 'apply_ancillary', counted)
+    monkeypatch.setattr(compiler, name, counted)
     return calls
 
 
@@ -551,7 +552,7 @@ def count_closures(monkeypatch):
 def test_renamed_expansions_match_per_operator_ones(monkeypatch, aware):
     prob = desugar(parse_text(HAZARDS))
     actions = ground(prob) if aware else unaware(ground(prob))
-    closures = count_closures(monkeypatch)
+    closures = count_calls(monkeypatch, 'apply_ancillary')
     assert_matches_per_operator(prob, actions)
     # 8 shapes (2 of ``go``, 4 of ``tell``, 2 of ``flip`` with two
     # outcomes each) run 10 closures for the 24 outcomes of 20 operators;
@@ -565,9 +566,86 @@ def test_one_closure_per_operator_shape(monkeypatch):
     # awareness) pairs
     prob = load('grapevine', 'prob-4ag-2g-2d.pdkbddl')
     actions = ground(prob)
-    closures = count_closures(monkeypatch)
+    closures = count_calls(monkeypatch, 'apply_ancillary')
     compile_problem(prob, actions)
     assert closures[0] == 5
+
+
+def test_one_walk_per_distinct_ground_action(monkeypatch):
+    # ``_shape`` and ``_instantiate`` run once per distinct (outcomes,
+    # awareness) pair, not once per operator
+    prob = load('grapevine', 'prob-4ag-2g-1d.pdkbddl')
+    actions = ground(prob)
+    walks = count_calls(monkeypatch, '_shape')
+    compile_problem(prob, actions)
+    assert (len(actions), walks[0]) == (133, 61)
+
+
+# ---------------------------------------------------------------------------
+# one grounding per value of the parameters that the effects read
+
+
+def shares_outcomes(first, second):
+    return all(x is y for x, y in zip(first.outcomes, second.outcomes))
+
+
+def test_bindings_the_effects_cannot_tell_apart_share_their_outcomes():
+    # share's acting agent ?a is read only by its precondition
+    prob = load('grapevine', 'prob-4ag-2g-1d.pdkbddl')
+    actions = ground(prob)
+    by_label = {a.label: a for a in actions}
+    assert shares_outcomes(by_label['(share a b l1)'],
+                           by_label['(share c b l1)'])
+    assert not shares_outcomes(by_label['(share a b l1)'],
+                               by_label['(share a c l1)'])
+    assert len({id(o) for a in actions for o in a.outcomes}) == 61
+    cp = compile_problem(prob, actions)
+    ops = {op.label: op for op in cp.operators}
+    assert ops['(share a b l1)'].outcomes is ops['(share c b l1)'].outcomes
+
+
+READ_PARAMETER = """
+(define (domain d) (:agents a b) (:types loc)
+  (:predicates (p) (q ?l - loc) {AK}(at ?ag - agent ?l - loc))
+  (:action act :derive-condition %s :parameters (?ag - agent ?l - loc)
+               :precondition (and) :effect %s))
+(define (problem x) (:domain d) (:objects l1 l2 - loc) (:depth 1)
+  (:init ) (:goal (p)))
+"""
+
+
+@pytest.mark.parametrize('derive, effect, read', [
+    ('never', '(when (q ?l) (p))', 1),
+    ('never', '[?ag](p)', 0),
+    ('(at $agent$ ?l)', '(p)', 1),
+], ids=['when-condition', 'modality', 'derive-condition'])
+def test_a_parameter_the_effects_read_keeps_its_bindings_apart(
+        derive, effect, read):
+    prob = desugar(parse_text(READ_PARAMETER % (derive, effect)))
+    actions = {a.args: a for a in ground(prob)}
+    assert len(actions) == 4
+    for args, action in actions.items():
+        for other_args, other in actions.items():
+            if other_args[read] != args[read]:
+                assert (action.outcomes, action.awareness) != \
+                    (other.outcomes, other.awareness), (args, other_args)
+            else:
+                assert shares_outcomes(action, other), (args, other_args)
+                assert action.awareness == other.awareness
+
+
+def test_a_shared_grounding_counts_its_truncated_effects_per_action():
+    prob = desugar(parse_text("""
+(define (domain d) (:agents a b) (:predicates (p) (q))
+  (:action act :parameters (?x - agent) :precondition [?x](q)
+               :effect (and [a][b](p) (p))))
+(define (problem x) (:domain d) (:depth 1) (:init ) (:goal (p)))
+"""))
+    report = GroundingReport()
+    first, second = ground(prob, report)
+    assert first.precondition_pos != second.precondition_pos
+    assert shares_outcomes(first, second)
+    assert report.truncated_effects == 2
 
 
 # two actions with the same effect: anyone may see ``tell``, only those at

@@ -304,6 +304,16 @@ def test_crosscheck_finds_no_divergence_on_grapevine():
     assert report['cases'] == 200
 
 
+def test_crosscheck_skips_every_case_of_a_problem_without_actions():
+    prob = desugar(parse_text("""
+(define (domain d) (:agents a) (:predicates (p)))
+(define (problem x) (:domain d) (:init (p)) (:goal (p)))
+"""))
+    report = crosscheck_progression(prob, 20, seed=1)
+    assert (report['cases'], report['skipped']) == (20, 20)
+    assert report['divergences'] == []
+
+
 # the depth-2 awareness divergence: bob's own awareness copy of his new
 # belief turns, by uncertain firing, into a delete that never changes a
 # state, and alice's awareness copy of that delete adds back what the
