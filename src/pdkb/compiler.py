@@ -39,8 +39,7 @@ Each ``compile_problem`` call does each piece of work once:
     Every pair, the first included, then takes its outcomes from
     ``_instantiate`` with its own propositions put in, so identical
     operators share outcome objects and ``planner.Packing`` and
-    ``emit_domain`` handle each once; each distinct condition is one
-    object for the whole compile. This is sound:
+    ``emit_domain`` handle each once. This is sound:
       * two actions of one shape differ by an injective renaming of
         propositions that keeps predicates, and the five rules and the
         depth cut read a proposition only through equality and the
@@ -58,13 +57,14 @@ Each ``compile_problem`` call does each piece of work once:
     The 133 operators of a four-agent grapevine problem have 61 pairs
     and 5 shapes: ``move`` with distinct and with equal locations,
     ``share``, ``fib`` and ``initialize``;
-  - emission sorts by fluent rank, the position in ``sorted(fluents)``,
-    computed once per emit, and writes each outcome's effects grouped by
-    condition: the unconditional ones bare, then one
-    ``(when C (and e1 e2 ...))`` per distinct condition, formatted once.
-    Each distinct outcome's text is made once per emit and joined into
-    the domain as a line of its own, never copied per operator.
-The memos are locals of their call, so nothing is kept across calls.
+  - emission sorts by fluent rank, the position in ``sorted(fluents)``;
+    the first emit of a compiled problem makes the ranks and the fluent
+    symbols and keeps them on it for every emitter. Each outcome's
+    effects are grouped by condition: the unconditional ones bare, then
+    one ``(when C (and e1 e2 ...))`` per distinct condition. Each distinct
+    outcome's text is made once per ``emit_domain`` and joined into the
+    domain as a line of its own, never copied per operator.
+The memos are locals of their call; only the emission order is kept.
 """
 
 import itertools
@@ -133,7 +133,8 @@ class CompiledOperator:
 
 
 class CompiledProblem:
-    __slots__ = ('fluents', 'init', 'goal', 'operators', 'flavor', 'report')
+    __slots__ = ('fluents', 'init', 'goal', 'operators', 'flavor', 'report',
+                 '_order')
 
     def __init__(self, fluents, init, goal, operators, flavor, report):
         self.fluents = tuple(fluents)
@@ -142,6 +143,7 @@ class CompiledProblem:
         self.operators = tuple(operators)
         self.flavor = flavor
         self.report = report
+        self._order = None  # made by the first ``_emission_order``
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +407,15 @@ def _template(closures, props):
     return rml_keys, condition_keys, effects
 
 
-def _instantiate(template, props, index, interned):
+def _instantiate(template, props, index):
     """A ``_template`` with ``props`` in the proposition positions; each
-    RML is the fluent-table object found through ``index``, and each
-    condition the one that ``interned`` keeps for the compile."""
+    RML is the fluent-table object found through ``index``."""
     rml_keys, condition_keys, effects = template
     rmls = [index[modalities, negated, props[i]]
             for modalities, negated, i in rml_keys]
-    conditions = []
-    for pos, neg in condition_keys:
-        cond = CompiledCondition([rmls[i] for i in pos],
-                                 [rmls[i] for i in neg])
-        conditions.append(interned.setdefault(cond, cond))
+    conditions = [CompiledCondition([rmls[i] for i in pos],
+                                    [rmls[i] for i in neg])
+                  for pos, neg in condition_keys]
     # built from a set, a frozenset's table fits its size; built from a
     # list, it keeps the slack of its growth, a third more on depth 2
     return tuple(tuple(frozenset({(conditions[c], rmls[l]) for c, l in effs})
@@ -431,9 +430,8 @@ def compile_problem(problem, ground_actions, flavor=None,
     index = {(f.modalities, f.negated, f.atom): f for f in fluents}
     counters = {'spawned': 0, 'truncated': 0, 'pruned': 0}
     # shape -> (its first pair's pruned closures as a ``_template``, their
-    # counts); (outcomes, awareness) -> (outcomes, counts); condition ->
-    # its one object, shared by all operators
-    shapes, instances, interned = {}, {}, {}
+    # counts); (outcomes, awareness) -> (outcomes, counts)
+    shapes, instances = {}, {}
     operators = []
     for action in ground_actions:
         pre = CompiledCondition(*_split_condition(
@@ -446,7 +444,7 @@ def compile_problem(problem, ground_actions, flavor=None,
                 counts = {'spawned': 0, 'pruned': 0}
                 # a copy that several outcomes cut counts once
                 cut = set()
-                for outcome in _instantiate(shape[0], props, index, interned):
+                for outcome in _instantiate(shape[0], props, index):
                     expanded, outcome_cut = apply_ancillary(
                         outcome, action.awareness, problem.depth,
                         problem.is_ak, table)
@@ -459,8 +457,7 @@ def compile_problem(problem, ground_actions, flavor=None,
                 counts['truncated'] = len(cut)
                 shapes[shape] = _template(closures, props), counts
             template, counts = shapes[shape]
-            instances[key] = (_instantiate(template, props, index, interned),
-                              counts)
+            instances[key] = _instantiate(template, props, index), counts
         outcomes, counts = instances[key]
         for name, n in counts.items():
             counters[name] += n
@@ -512,44 +509,42 @@ def operator_symbol(op):
     return '__'.join((op.name,) + op.args)
 
 
-class _ConditionText(dict):
-    """Each distinct condition's sort key and PDDL text, made once per emit.
-
-    A fluent's rank is its position in ``sorted(fluents)``, so ordering by
-    ranks is ordering by ``RML.sort_key``; ``names`` holds the fluent
-    symbols by rank.
-    """
-
-    def __init__(self, fluents):
-        super().__init__()
-        ordered = sorted(fluents, key=RML.sort_key)
-        self.rank = {f: i for i, f in enumerate(ordered)}
-        self.names = [fluent_symbol(f) for f in ordered]
-
-    def __missing__(self, cond):
-        pos = sorted([self.rank[f] for f in cond.pos])
-        neg = sorted([self.rank[f] for f in cond.neg])
-        items = ['(%s)' % self.names[i] for i in pos]
-        items += ['(not (%s))' % self.names[i] for i in neg]
-        out = self[cond] = ((pos, neg), '(and %s)' % ' '.join(items))
-        return out
+def _emission_order(cp):
+    """Each fluent's rank, its position in ``sorted(cp.fluents)``, and the
+    fluent symbols by rank, so that ordering by ranks is ordering by
+    ``RML.sort_key``. The first emit of ``cp`` makes them and keeps them
+    on it; compiling and solving never do."""
+    if cp._order is None:
+        ordered = sorted(cp.fluents, key=RML.sort_key)
+        cp._order = ({f: i for i, f in enumerate(ordered)},
+                     [fluent_symbol(f) for f in ordered])
+    return cp._order
 
 
-def _emit_effects(outcome, conditions):
+def _condition_text(cond, rank, names):
+    """A condition's sort key, its positive then its negative fluent ranks,
+    and its PDDL text."""
+    pos = sorted([rank[f] for f in cond.pos])
+    neg = sorted([rank[f] for f in cond.neg])
+    items = ['(%s)' % names[i] for i in pos]
+    items += ['(not (%s))' % names[i] for i in neg]
+    return (pos, neg), '(and %s)' % ' '.join(items)
+
+
+def _emit_effects(outcome, rank, names):
     """An (adds, dels) outcome's effects as PDDL lines, grouped by
     condition in condition-rank order: the unconditional ones bare, then one
     ``(when C (and ...))`` per distinct condition. Each group lists deletes
     then adds, each by literal rank."""
     adds, dels = outcome
-    rank = conditions.rank
-    names = conditions.names
     groups = {}
     for kind, effects in enumerate((dels, adds)):
         for cond, l in effects:
             groups.setdefault(cond, []).append((kind, rank[l]))
     lines = []
     for ((pos, neg), text), members in sorted(
-            (conditions[cond], members) for cond, members in groups.items()):
+            (_condition_text(cond, rank, names), members)
+            for cond, members in groups.items()):
         body = [('(%s)' if kind else '(not (%s))') % names[i]
                 for kind, i in sorted(members)]
         if pos or neg:
@@ -560,14 +555,14 @@ def _emit_effects(outcome, conditions):
 
 
 def emit_domain(cp, domain_name):
-    conditions = _ConditionText(cp.fluents)
+    rank, names = _emission_order(cp)
     # operators that share an expansion share its outcome objects, so each
     # distinct outcome is formatted once and then found by identity
     texts = {}
 
     def effect_text(outcome):
         if outcome not in texts:
-            texts[outcome] = _emit_effects(outcome, conditions)
+            texts[outcome] = _emit_effects(outcome, rank, names)
         return texts[outcome]
 
     reqs = ':strips :negative-preconditions :conditional-effects'
@@ -577,12 +572,13 @@ def emit_domain(cp, domain_name):
              '  (:requirements %s)' % reqs,
              '  (:predicates']
     for f in cp.fluents:
-        lines.append('    (%s)' % fluent_symbol(f))
+        lines.append('    (%s)' % names[rank[f]])
     lines.append('  )')
     for op in cp.operators:
         lines.append('  (:action %s' % operator_symbol(op))
         lines.append('    :parameters ()')
-        lines.append('    :precondition %s' % conditions[op.precondition][1])
+        lines.append('    :precondition %s'
+                     % _condition_text(op.precondition, rank, names)[1])
         # each effect text is one line of its own, so that no operator
         # makes a copy of it
         if cp.flavor == FOND and len(op.outcomes) > 1:
@@ -597,19 +593,21 @@ def emit_domain(cp, domain_name):
 
 
 def emit_problem(cp, domain_name, problem_name):
-    conditions = _ConditionText(cp.fluents)
+    rank, names = _emission_order(cp)
     lines = ['(define (problem %s)' % problem_name,
              '  (:domain %s)' % domain_name,
              '  (:init']
-    for i in sorted([conditions.rank[f] for f in cp.init]):
-        lines.append('    (%s)' % conditions.names[i])
+    for i in sorted([rank[f] for f in cp.init]):
+        lines.append('    (%s)' % names[i])
     lines.append('  )')
-    lines += ['  (:goal %s)' % conditions[cp.goal][1], ')', '']
+    lines += ['  (:goal %s)' % _condition_text(cp.goal, rank, names)[1],
+              ')', '']
     return '\n'.join(lines)
 
 
 def emit_fluent_map(cp):
-    out = ['%s\t%s' % (fluent_symbol(f), format_rml(f)) for f in cp.fluents]
+    rank, names = _emission_order(cp)
+    out = ['%s\t%s' % (names[rank[f]], format_rml(f)) for f in cp.fluents]
     out.append('')
     # an empty table is one empty line
     return '\n'.join(out) or '\n'

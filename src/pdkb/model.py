@@ -349,10 +349,11 @@ def validate_model(problem):
 
     def check_bounded(rmls, location, bound=()):
         # effects deeper than the bound are truncated at grounding; init,
-        # goal and preconditions must lie within it
+        # goal and preconditions must lie within it, unless the bound is
+        # negative, which is then the one error named
         for rml in rmls:
             _check_symbols(problem, rml, location, diagnostics, bound)
-            if rml.depth > problem.depth:
+            if rml.depth > problem.depth >= 0:
                 error(location, '%s exceeds depth bound %d'
                       % (rml, problem.depth))
 

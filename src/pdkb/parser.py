@@ -133,43 +133,41 @@ def tokenize_file(path, _stack=None):
     return out
 
 
-def _fold(items):
-    """Fold each run of belief or ``{AK}`` markers into one list with the
-    element it prefixes: ``[a] <b> (p)`` becomes ``[[a], <b>, (p)]``. Only
-    such a folded node begins with a marker."""
-    out, run = [], []
-    for item in items:
-        if isinstance(item, Token) and item.kind in ('modal', 'ak'):
-            run.append(item)
-        elif run:
-            run.append(item)
-            out.append(run)
-            run = []
-        else:
-            out.append(item)
+def _dangling(run):
+    """A ``ParseError`` at the first marker of a run that prefixes no
+    element, if ``run`` is one."""
     if run:
         raise ParseError('dangling %s marker' % (
             '{AK}' if run[0].kind == 'ak' else 'belief'), run[0].pos)
-    return out
 
 
 def _build_trees(tokens):
-    """Nest the token stream into lists on parentheses, folding markers
-    into the element they prefix as each list closes."""
-    stack = [[]]
+    """Nest the token stream into lists on parentheses. A run of belief or
+    ``{AK}`` markers folds into one list with the element it prefixes as
+    that element is appended: ``[a] <b> (p)`` becomes ``[[a], <b>, (p)]``.
+    Only such a folded node begins with a marker."""
+    stack = [([], [])]  # (elements, pending marker run) per open list
     for token in tokens:
         if token.kind == 'lp':
-            stack.append([])
-        elif token.kind == 'rp':
-            if len(stack) == 1:
-                raise ParseError('unbalanced )', token.pos)
-            done = _fold(stack.pop())
-            stack[-1].append(done)
+            stack.append(([], []))
+        elif token.kind in ('modal', 'ak'):
+            stack[-1][1].append(token)
         else:
-            stack[-1].append(token)
+            node = token
+            if token.kind == 'rp':
+                if len(stack) == 1:
+                    raise ParseError('unbalanced )', token.pos)
+                node, run = stack.pop()
+                _dangling(run)
+            items, run = stack[-1]
+            if run:
+                node = run + [node]
+                run.clear()
+            items.append(node)
     if len(stack) > 1:
         raise ParseError('missing )', tokens[-1].pos if tokens else None)
-    return _fold(stack[0])
+    _dangling(stack[0][1])
+    return stack[0][0]
 
 
 class Ast:

@@ -326,14 +326,14 @@ def expand(table, state):
 def applicable(state, op):
     """Whether an operator applies at a frozenset state. The benchmark's
     policy replay still steps frozensets; this goes once that replay runs
-    on packed states (ROADMAP items 1 and 2)."""
+    on packed states (ROADMAP item 8, after item 1)."""
     return op.precondition.satisfied(state)
 
 
 def apply(state, op, outcome_index=0):
     """Successor of a frozenset state under an applicable operator, by the
     packed rule over a numbering of the state's and the operator's own
-    literals. It goes with ``applicable`` (ROADMAP items 1 and 2)."""
+    literals. It goes with ``applicable`` (ROADMAP item 8)."""
     if not applicable(state, op):
         raise PreconditionViolated('%s not applicable' % op.label)
     literals = set(state) | op.precondition.pos | op.precondition.neg

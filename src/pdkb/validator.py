@@ -206,7 +206,7 @@ def assess_plan(problem, plan=None, ground_actions=None):
 def state_key(state):
     """Policy lookup key of a PEKB state: its closure's RML set. The
     benchmark still keys its policies by it; it goes with the frozenset
-    step layer (ROADMAP items 1 and 2)."""
+    step layer (ROADMAP item 8, after item 1)."""
     return closure(state).rmls
 
 

@@ -583,8 +583,8 @@ def test_an_always_known_effect_under_a_regular_condition_is_a_diagnostic(
 @pytest.mark.parametrize('command', ['compile', 'solve'])
 @pytest.mark.parametrize('source', ['file', 'override'])
 def test_a_negative_depth_is_a_diagnostic(tmp_path, command, source):
-    # in the file, no init or goal RML lies past the bound to report it;
-    # on coin, the goal does, and the depth is still reported last
+    # in the file, no init or goal RML lies past the bound; on coin, the
+    # goal does, and the bound is still the error reported
     if source == 'file':
         path = tmp_path / 'negative.pdkbddl'
         path.write_text("""
@@ -599,6 +599,20 @@ def test_a_negative_depth_is_a_diagnostic(tmp_path, command, source):
     assert isinstance(result.exception, SystemExit)
     assert _last_line(result) == ('error at problem: depth bound must be '
                                   'non-negative, not -1')
+
+
+@pytest.mark.parametrize('parts', [('misc', 'coin.pdkbddl'),
+                                   ('grapevine', 'prob-4ag-2g-1d.pdkbddl')])
+def test_a_negative_depth_is_the_one_error_named(tmp_path, parts):
+    # every goal, init and precondition RML lies past a negative bound;
+    # none is named, only the bound
+    result = _invoke(['compile', os.path.join(BENCH, *parts),
+                      '--depth-override', '-1', '--out', str(tmp_path)])
+    assert result.exit_code == EXIT_DIAGNOSTICS
+    errors = [line for line in result.output.splitlines()
+              if line.startswith('error')]
+    assert errors == ['error at problem: depth bound must be non-negative, '
+                      'not -1']
 
 
 ILL_TYPED = """
@@ -643,6 +657,24 @@ def test_ill_typed_variables_are_diagnostics(tmp_path, command, derive,
 ])
 def test_dangling_marker_is_a_positioned_diagnostic(tmp_path, text,
                                                     position, message):
+    test_malformed_input_is_a_positioned_diagnostic(tmp_path, text,
+                                                    position, message)
+
+
+@pytest.mark.parametrize('text, position, message', [
+    ('(define (domain x))\n)', (2, 0), 'unbalanced )'),
+    # the last token is where the parentheses run out
+    ('(define (domain x)\n  (:predicates (p))', (2, 18), 'missing )'),
+    ('(define (domain x)) [a]', (1, 20), 'dangling belief marker'),
+    # a run of markers is named at its first
+    ('(define (domain x) (:predicates (p) [a] <b>))', (1, 36),
+     'dangling belief marker'),
+    # a stray ) is found before a dangling marker at the top level
+    ('(define (domain x)) [a] )', (1, 24), 'unbalanced )'),
+], ids=['unbalanced', 'missing', 'after-last-list', 'run-two-deep',
+        'unbalanced-first'])
+def test_tree_building_errors_are_positioned_diagnostics(tmp_path, text,
+                                                         position, message):
     test_malformed_input_is_a_positioned_diagnostic(tmp_path, text,
                                                     position, message)
 

@@ -7,11 +7,11 @@ import re
 import pytest
 
 from pdkb import compiler
-from pdkb.compiler import (CompiledCondition, CompiledOperator, NonRootRML,
-                           _derive, apply_ancillary, compile_problem,
-                           emit_domain, emit_fluent_map, emit_pddl,
-                           emit_problem, emit_report, encode_base,
-                           fluent_symbol)
+from pdkb.compiler import (CompiledCondition, CompiledOperator,
+                           CompiledProblem, NonRootRML, _derive,
+                           apply_ancillary, compile_problem, emit_domain,
+                           emit_fluent_map, emit_pddl, emit_problem,
+                           emit_report, encode_base, fluent_symbol)
 from pdkb.model import ALWAYS, GroundAction, GroundingReport, ground
 from pdkb.parser import ParseError, desugar, parse_file, parse_text
 from pdkb.rml import Proposition, RmlTable, lit, parse_rml, wrap
@@ -159,6 +159,37 @@ def test_fluent_map_round_trips():
     for line, fluent in zip(lines, cp.fluents):
         symbol, text = line.split('\t')
         assert parse_rml(text) == fluent
+
+
+def test_each_fluent_symbol_is_formatted_once_per_compiled_problem(
+        monkeypatch):
+    prob, cp = compiled('grapevine', 'prob-4ag-2g-2d.pdkbddl')
+    calls = count_calls(monkeypatch, 'fluent_symbol')
+    for _ in range(2):
+        emit_domain(cp, prob.domain_name)
+        emit_problem(cp, prob.domain_name, prob.problem_name)
+        emit_fluent_map(cp)
+    assert calls[0] == len(cp.fluents) == 478
+
+
+def test_a_hand_built_problem_emits_in_table_and_rank_orders():
+    # the fluent table is out of ``RML.sort_key`` order: ``fluents.map``
+    # and ``:predicates`` keep the table's order, while ``:init`` and the
+    # goal list the fluents by rank, x !x y B_a x P_b q(c)
+    y, bx, not_x, x, pbq = map(rml, ['y', 'B_a x', '!x', 'x', 'P_b q(c)'])
+    op = CompiledOperator('act', (), cond(), (
+        (frozenset({(cond(), y)}), frozenset({(cond(), not_x)})),))
+    cp = CompiledProblem([y, bx, not_x, x, pbq], [bx, y, x],
+                         cond([pbq, y], [bx, not_x]), [op], 'classical', {})
+    assert emit_fluent_map(cp) == ('y\ty\nb_a_x\tB_a x\nnot_x\t!x\nx\tx\n'
+                                   'p_b_q__c\tP_b q(c)\n')
+    assert emit_problem(cp, 'd', 'p') == (
+        '(define (problem p)\n  (:domain d)\n  (:init\n'
+        '    (x)\n    (y)\n    (b_a_x)\n  )\n'
+        '  (:goal (and (y) (p_b_q__c) (not (not_x)) (not (b_a_x))))\n)\n')
+    predicates = emit_domain(cp, 'd').split('(:predicates\n')[1]
+    assert predicates.startswith('    (y)\n    (b_a_x)\n    (not_x)\n'
+                                 '    (x)\n    (p_b_q__c)\n  )\n')
 
 
 def parsable_benchmarks():
