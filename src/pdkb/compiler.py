@@ -23,40 +23,50 @@ Each ``compile_problem`` call does each piece of work once:
   - the fixpoint is semi-naive: ``_derive`` maps each effect to its
     consequences on its own, so ``apply_ancillary`` feeds each round only
     the effects that are new since the last round;
-  - each operator *shape* runs the closure once, and each distinct
-    (outcomes, awareness) pair of the ground actions, which
-    ``model.ground`` shares between bindings, is walked and instantiated
-    once. ``_shape`` is the one walk over a ground action: it maps every
-    RML of its effects, their conditions and its awareness conditions to
-    the fluent-table object, numbers the propositions by first
-    occurrence, and returns the outcomes over those positions in
-    ``_template``'s format, with the awareness and the predicate of each
-    position; modalities, polarity, ``delete`` and the agents stay. On a
-    shape's first pair ``_instantiate`` of that template gives the base
-    outcomes, ``apply_ancillary`` closes each, ``_prune`` drops the
-    effects that never fire, and ``_template`` keeps the result over
-    proposition positions with its spawned, truncated and pruned counts.
-    Every pair, the first included, then takes its outcomes from
-    ``_instantiate`` with its own propositions put in, so identical
-    operators share outcome objects and ``planner.Packing`` and
-    ``emit_domain`` handle each once. This is sound:
+  - each operator *shape* runs the closure once, and each binding
+    pattern of ``model.ground`` is walked once. ``_shape`` is the one
+    walk over a ground action: it maps every RML of its effects, their
+    conditions and its awareness conditions to the fluent-table object,
+    numbers the propositions by first occurrence, and returns the
+    outcomes over those positions in ``_template``'s format, with the
+    awareness and the predicate of each position; modalities, polarity,
+    ``delete`` and the agents stay. It walks only the first grounding of
+    each pattern (``Grounding.first``); every other grounding of the
+    pattern maps that walk's propositions through ``Grounding.rename``,
+    so none of its RMLs is built. On a shape's first pattern
+    ``_instantiate`` of that template gives the base outcomes,
+    ``apply_ancillary`` closes each, ``_prune`` drops the effects that
+    never fire, and ``_template`` keeps the result over proposition
+    positions with its spawned, truncated and pruned counts. Every
+    grounding, the first included, then takes its outcomes from
+    ``_instantiate`` with its own propositions put in, once per distinct
+    (shape, propositions), so identical operators share outcome objects
+    and ``planner.Packing`` and ``emit_domain`` handle each once. This is
+    sound:
       * two actions of one shape differ by an injective renaming of
         propositions that keeps predicates, and the five rules and the
         depth cut read a proposition only through equality and the
         ``is_ak`` of its predicate, so the renaming commutes with the
         closure and keeps the sizes that the counts count;
+      * a later grounding of a pattern is, RML for RML, its first one
+        under such a renaming, ``Grounding.rename``, which also keeps
+        fluent-table membership (``model.ground`` proves both), so
+        renaming the first's propositions gives its own, and its closure
+        is the first's closure renamed;
       * every RML of an operator's closure is in the fluent table, so
         ``_instantiate`` finds each there: ``_shape`` checks the base
-        RMLs of every pair; closure, negation, the contrapositive and
+        RMLs of every pattern's first grounding, and the others have the
+        same membership; closure, negation, the contrapositive and
         uncertain firing keep an RML's depth and atom and change only
         modes and polarity; awareness copies wrap in a known agent's
         belief and are cut past the depth bound;
       * pruning tests only whether a condition's positive and negative
         fluents overlap, which an injective renaming keeps, so pruning
         the template prunes every operator of the shape.
-    The 133 operators of a four-agent grapevine problem have 61 pairs
-    and 5 shapes: ``move`` with distinct and with equal locations,
-    ``share``, ``fib`` and ``initialize``;
+    The 133 operators of a four-agent grapevine problem have 61
+    groundings in 5 patterns, one per shape: ``move`` with distinct and
+    with equal locations, ``share``, ``fib`` and ``initialize``. So
+    ``_shape`` walks 5 times, not 61, and the closure runs 5 times;
   - emission sorts by fluent rank, the position in ``sorted(fluents)``;
     the first emit of a compiled problem makes the ranks and the fluent
     symbols and keeps them on it for every emitter. Each outcome's
@@ -429,36 +439,44 @@ def compile_problem(problem, ground_actions, flavor=None,
     table = RmlTable(fluents)
     index = {(f.modalities, f.negated, f.atom): f for f in fluents}
     counters = {'spawned': 0, 'truncated': 0, 'pruned': 0}
-    # shape -> (its first pair's pruned closures as a ``_template``, their
-    # counts); (outcomes, awareness) -> (outcomes, counts)
-    shapes, instances = {}, {}
+    # shape -> (its first pattern's pruned closures as a ``_template``,
+    # their counts, and propositions -> outcomes); a pattern's first
+    # grounding -> (its shape's entry, its propositions); a grounding ->
+    # (outcomes, counts)
+    shapes, walks, instances = {}, {}, {}
     operators = []
     for action in ground_actions:
         pre = CompiledCondition(*_split_condition(
             action.precondition_pos, action.precondition_neg, canonical))
-        key = action.outcomes, tuple(action.awareness.items())
-        if key not in instances:
-            shape, props = _shape(action, canonical)
-            if shape not in shapes:
-                closures = []
-                counts = {'spawned': 0, 'pruned': 0}
-                # a copy that several outcomes cut counts once
-                cut = set()
-                for outcome in _instantiate(shape[0], props, index):
-                    expanded, outcome_cut = apply_ancillary(
-                        outcome, action.awareness, problem.depth,
-                        problem.is_ak, table)
-                    cut |= outcome_cut
-                    counts['spawned'] += (sum(map(len, expanded))
-                                          - sum(map(len, outcome)))
-                    kept, dropped = _prune(expanded)
-                    counts['pruned'] += dropped
-                    closures.append(kept)
-                counts['truncated'] = len(cut)
-                shapes[shape] = _template(closures, props), counts
-            template, counts = shapes[shape]
-            instances[key] = _instantiate(template, props, index), counts
-        outcomes, counts = instances[key]
+        grounding = action.grounding
+        if grounding not in instances:
+            first = grounding.first
+            if first not in walks:
+                shape, props = _shape(first, canonical)
+                if shape not in shapes:
+                    closures = []
+                    counts = {'spawned': 0, 'pruned': 0}
+                    # a copy that several outcomes cut counts once
+                    cut = set()
+                    for outcome in _instantiate(shape[0], props, index):
+                        expanded, outcome_cut = apply_ancillary(
+                            outcome, first.awareness, problem.depth,
+                            problem.is_ak, table)
+                        cut |= outcome_cut
+                        counts['spawned'] += (sum(map(len, expanded))
+                                              - sum(map(len, outcome)))
+                        kept, dropped = _prune(expanded)
+                        counts['pruned'] += dropped
+                        closures.append(kept)
+                    counts['truncated'] = len(cut)
+                    shapes[shape] = _template(closures, props), counts, {}
+                walks[first] = shapes[shape], props
+            (template, counts, outcomes_of), props = walks[first]
+            props = tuple(map(grounding.rename, props))
+            if props not in outcomes_of:
+                outcomes_of[props] = _instantiate(template, props, index)
+            instances[grounding] = outcomes_of[props], counts
+        outcomes, counts = instances[grounding]
         for name, n in counts.items():
             counters[name] += n
         operators.append(CompiledOperator(action.name, action.args, pre,

@@ -8,6 +8,16 @@ bindings and expands quantifiers deterministically.
 Always-known (AK) atoms appear as depth-0 RMLs over the AK propositions;
 a negated AK atom in a condition means the atom must be absent, and a
 negated AK effect is a delete.
+
+``ground`` substitutes each schema once per *binding pattern*, not once
+per binding: bindings that agree on the parameters the awareness and the
+effects read share one ``Grounding``, and of those groundings only the
+first of each pattern is built. Every other one is a renaming of it,
+built only when something reads it; the validator does, the compiler
+does not, as it walks each pattern once and renames propositions. The
+133 actions of a four-agent grapevine problem make 61 groundings in 5
+patterns, so 5 are built, where each of the 61 was. ``ground`` gives the
+soundness argument.
 """
 
 from itertools import chain, product
@@ -101,24 +111,116 @@ class EpistemicActionSchema:
         return 'EpistemicActionSchema(%r)' % (self.name,)
 
 
+class Grounding:
+    """The awareness and the outcomes of one binding of a schema, which
+    every binding with the same values of the ``_read_parameters`` shares.
+
+    ``first`` is the grounding of the first binding of the same binding
+    pattern (see ``ground``), the grounding itself for that binding. A
+    later one holds only a renaming of ``first``'s proposition arguments:
+    ``slots`` maps a predicate to the argument positions that only
+    parameters fill, and ``values`` maps the first binding's parameter
+    values to this one's. Its awareness and outcomes are ``first``'s with
+    every atom renamed, built when first read and kept, so the bindings
+    that share it share their outcome objects too.
+    """
+
+    __slots__ = ('first', '_slots', '_values', '_awareness', '_outcomes')
+
+    def __init__(self, awareness, outcomes):
+        self.first = self
+        self._slots = {}
+        self._values = {}
+        self._awareness = awareness
+        self._outcomes = outcomes
+
+    def renamed(self, slots, values):
+        """A grounding of this one's pattern under a renaming; nothing of
+        it is built."""
+        other = Grounding(None, None)
+        other.first = self
+        other._slots = slots
+        other._values = values
+        return other
+
+    def rename(self, atom):
+        """An atom of ``first``'s grounding as this grounding has it."""
+        positions = self._slots.get(atom.predicate)
+        if not positions:
+            return atom
+        args = list(atom.args)
+        for i in positions:
+            if i < len(args):
+                args[i] = self._values[args[i]]
+        return Proposition(atom.predicate, tuple(args))
+
+    def _rename_rml(self, rml):
+        return RML(rml.modalities, rml.negated, self.rename(rml.atom))
+
+    @property
+    def awareness(self):
+        if self._awareness is None:
+            self._awareness = {
+                agent: mu if mu == ALWAYS else self._rename_rml(mu)
+                for agent, mu in self.first.awareness.items()}
+        return self._awareness
+
+    @property
+    def outcomes(self):
+        if self._outcomes is None:
+            rename = self._rename_rml
+            self._outcomes = tuple(
+                tuple([ConditionalEffect(map(rename, ce.condition_pos),
+                                         rename(ce.effect), delete=ce.delete,
+                                         condition_neg=map(rename,
+                                                           ce.condition_neg))
+                       for ce in outcome])
+                for outcome in self.first.outcomes)
+        return self._outcomes
+
+
 class GroundAction:
     """A fully instantiated action.
 
     awareness maps each potentially aware agent to 'always' or a ground RML
-    condition; agents with a 'never' derive-condition are absent.
+    condition; agents with a 'never' derive-condition are absent. Both it
+    and the outcomes are read from ``grounding``, which ``ground`` shares
+    between bindings and builds only when read; a hand-built action is
+    the first of its own pattern, under the identity renaming.
     """
 
     __slots__ = ('name', 'args', 'precondition_pos', 'precondition_neg',
-                 'awareness', 'outcomes')
+                 'grounding')
 
     def __init__(self, name, args, precondition_pos, precondition_neg,
                  awareness, outcomes):
+        self._set(name, args, precondition_pos, precondition_neg,
+                  Grounding(dict(awareness),
+                            tuple(tuple(out) for out in outcomes)))
+
+    def _set(self, name, args, precondition_pos, precondition_neg,
+             grounding):
         self.name = name
         self.args = tuple(args)
         self.precondition_pos = frozenset(precondition_pos)
         self.precondition_neg = frozenset(precondition_neg)
-        self.awareness = dict(awareness)
-        self.outcomes = tuple(tuple(out) for out in outcomes)
+        self.grounding = grounding
+
+    @classmethod
+    def _of(cls, name, args, precondition_pos, precondition_neg, grounding):
+        """An action over a grounding that ``ground`` made."""
+        action = cls.__new__(cls)
+        action._set(name, args, precondition_pos, precondition_neg,
+                    grounding)
+        return action
+
+    @property
+    def awareness(self):
+        return self.grounding.awareness
+
+    @property
+    def outcomes(self):
+        return self.grounding.outcomes
 
     @property
     def label(self):
@@ -243,57 +345,154 @@ class GroundingReport:
 
 
 def _read_parameters(schema):
-    """The parameters in a modality or argument slot of the derive
-    condition, an effect or a when-condition. This is sound: bindings that
-    agree on them substitute these templates alike, and the depth cut
-    reads only the results, so they ground the same awareness, outcomes
-    and truncated count; a quantified variable that shadows one only
-    makes the key finer."""
+    """The parameters that the derive condition, an effect or a
+    when-condition read, in schema order, and where they read them: the
+    set of those in a modality slot, and for each atom slot, a (predicate,
+    argument position) pair, the set of its fillers. A filler is a
+    parameter's name, or None for a constant, ``$agent$`` or a quantified
+    variable, also one that shadows a parameter. Bindings that agree on
+    the read parameters substitute these templates alike, so they ground
+    the same awareness, outcomes and truncated count."""
+    params = {var for var, _ in schema.parameters}
     mu = schema.derive_condition
-    templates = [mu] if isinstance(mu, RML) else []
+    scoped = [(mu, set())] if isinstance(mu, RML) else []
     for tpl in chain(*schema.outcomes):
-        templates += (tpl.effect,) + tpl.condition_pos + tpl.condition_neg
-    read = {term for rml in templates for term in _terms(rml)}
-    return [var for var, _ in schema.parameters if var in read]
+        shadowed = {var for var, _ in tpl.quantified}
+        scoped += [(rml, shadowed) for rml in
+                   (tpl.effect,) + tpl.condition_pos + tpl.condition_neg]
+    modal, slots = set(), {}
+    for rml, shadowed in scoped:
+        own = params - shadowed
+        modal.update(agent for _, agent in rml.modalities if agent in own)
+        for i, term in enumerate(rml.atom.args):
+            slots.setdefault((rml.atom.predicate, i), set()).add(
+                term if term in own else None)
+    read = modal.union(*slots.values())
+    return [var for var, _ in schema.parameters if var in read], modal, slots
+
+
+def _binding_patterns(problem, schema):
+    """The read parameters of the schema, the pattern key of their values
+    and the slots that a renaming between bindings of one pattern changes,
+    as ``Grounding.renamed`` takes them: predicate -> the argument
+    positions that only parameters fill.
+
+    The key has four parts: the value of each read parameter in a
+    modality slot; the value of each read parameter that shares an atom
+    slot with a constant, ``$agent$`` or a quantified variable; the
+    equality partition of all read values; and, for each parameter in a
+    slot that only parameters fill, whether its value is an object of the
+    slot's type. See ``ground`` for why it suffices."""
+    read, modal, slots = _read_parameters(schema)
+    fixed = set(modal)
+    renamed = {}
+    typed = []
+    for (predicate, i), fillers in slots.items():
+        if None in fillers:
+            fixed |= fillers
+            continue
+        renamed.setdefault(predicate, []).append(i)
+        entry = problem.predicates.get(predicate)
+        if entry is not None and i < len(entry[0]):
+            members = frozenset(problem.objects_of_type(entry[0][i]))
+            typed += [(read.index(var), members) for var in sorted(fillers)]
+    fixed = [read.index(var) for var in read if var in fixed]
+
+    def key(values):
+        return (tuple([values[i] for i in fixed]),
+                tuple([values.index(v) for v in values]),
+                tuple([values[i] in members for i, members in typed]))
+
+    return read, key, {p: tuple(positions) for p, positions in
+                       renamed.items()}
 
 
 def ground(problem, report=None):
-    """All ground actions of the problem, in deterministic order. The
-    bindings of a schema that agree on its ``_read_parameters`` share one
-    grounding of the awareness and the outcomes, objects included, and
-    its truncated count, which ``report`` adds once per action."""
+    """All ground actions of the problem, in deterministic order.
+
+    The bindings of a schema that agree on its ``_read_parameters`` share
+    one ``Grounding`` of the awareness and the outcomes, and its truncated
+    count, which ``report`` adds once per action. Only the first binding
+    of each *binding pattern*, the key of ``_binding_patterns``, is
+    grounded; every later one gets a renaming of that grounding, which
+    builds nothing until read. On a four-agent grapevine problem the 133
+    actions make 61 groundings of 5 patterns: ``move`` with distinct and
+    with equal locations, ``share``, ``fib`` and ``initialize``.
+
+    This is sound. Take a first binding b1 and a later one b2 of one
+    pattern, and on each atom slot define a map s. On a slot that only
+    parameters fill, s maps b1's value of each of them to b2's: it is
+    well defined and injective because the equality partitions agree,
+    and every argument of b1's grounding in such a slot is one of those
+    values. On any other slot s is the identity, which is right because
+    its parameters' values are in the key and its other fillers,
+    constants, ``$agent$`` and quantified variables, take the same values
+    under both bindings, in the same order. A modality holds a keyed
+    parameter or such a filler, so the modalities agree. So b2's
+    grounding is, RML for RML and in the same order, b1's with s applied
+    to every atom's arguments; as the modalities agree, so do the depth
+    cut and with it the truncated count. s is injective and keeps
+    predicates, so the compiler's renaming argument carries over to the
+    closures. As the slot-type bits agree, an RML of b2 is in the fluent
+    table exactly when its preimage in b1 is, so ``NonRootRML`` and the
+    dropping of negative conditions outside the table fall alike across
+    a pattern.
+
+    Each distinct precondition RML is built once per schema, keyed on the
+    values of the parameters that its template reads, and its depth is
+    checked when it is first built."""
     if report is None:
         report = GroundingReport()
     actions = []
     for schema in problem.schemas:
-        read = _read_parameters(schema)
+        read, pattern, slots = _binding_patterns(problem, schema)
+        templates = schema.precondition_pos + schema.precondition_neg
+        pre_reads = [[var for var, _ in schema.parameters
+                      if var in _terms(tpl)] for tpl in templates]
+        n_pos = len(schema.precondition_pos)
+        built = {}
         shared = {}
+        firsts = {}
         for binding in _bindings(problem, schema.parameters):
-            pre_pos = tuple(subst_rml(c, binding)
-                            for c in schema.precondition_pos)
-            pre_neg = tuple(subst_rml(c, binding)
-                            for c in schema.precondition_neg)
-            for c in pre_pos + pre_neg:
+            pre = []
+            fresh = []
+            for i, tpl in enumerate(templates):
+                pre_key = (i,) + tuple([binding[var] for var in pre_reads[i]])
+                c = built.get(pre_key)
+                if c is None:
+                    c = built[pre_key] = subst_rml(tpl, binding)
+                    fresh.append(c)
+                pre.append(c)
+            for c in fresh:
                 if c.depth > problem.depth:
                     raise DepthExceeded(
                         'precondition %s of %s exceeds depth %d'
                         % (c, schema.name, problem.depth))
-            key = tuple([binding[var] for var in read])
-            if key not in shared:
-                mu = schema.derive_condition
-                awareness = {agent: mu if mu == ALWAYS else subst_rml(
-                    mu, dict(binding, **{AGENT_VAR: agent}))
-                    for agent in problem.agents if mu != NEVER}
-                truncated = []
-                outcomes = tuple(
-                    _instantiate_effects(problem, out, binding, truncated)
-                    for out in schema.outcomes)
-                shared[key] = awareness, outcomes, len(truncated)
-            awareness, outcomes, truncated = shared[key]
+            values = tuple([binding[var] for var in read])
+            if values not in shared:
+                key = pattern(values)
+                if key in firsts:
+                    first, truncated, first_values = firsts[key]
+                    grounding = first.renamed(
+                        slots, dict(zip(first_values, values)))
+                else:
+                    mu = schema.derive_condition
+                    awareness = {agent: mu if mu == ALWAYS else subst_rml(
+                        mu, dict(binding, **{AGENT_VAR: agent}))
+                        for agent in problem.agents if mu != NEVER}
+                    cut = []
+                    outcomes = tuple(
+                        _instantiate_effects(problem, out, binding, cut)
+                        for out in schema.outcomes)
+                    grounding = Grounding(awareness, outcomes)
+                    truncated = len(cut)
+                    firsts[key] = grounding, truncated, values
+                shared[values] = grounding, truncated
+            grounding, truncated = shared[values]
             report.truncated_effects += truncated
             args = tuple(binding[var] for var, _ in schema.parameters)
-            actions.append(GroundAction(schema.name, args, pre_pos, pre_neg,
-                                        awareness, outcomes))
+            actions.append(GroundAction._of(schema.name, args, pre[:n_pos],
+                                            pre[n_pos:], grounding))
     return actions
 
 

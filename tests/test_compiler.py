@@ -603,13 +603,30 @@ def test_one_closure_per_operator_shape(monkeypatch):
 
 
 def test_one_walk_per_distinct_ground_action(monkeypatch):
-    # ``_shape`` and ``_instantiate`` run once per distinct (outcomes,
-    # awareness) pair, not once per operator
+    # ``_shape`` runs once per binding pattern, on its first grounding,
+    # not once per operator or per distinct grounding
     prob = load('grapevine', 'prob-4ag-2g-1d.pdkbddl')
     actions = ground(prob)
     walks = count_calls(monkeypatch, '_shape')
     compile_problem(prob, actions)
-    assert (len(actions), walks[0]) == (133, 61)
+    assert (len(actions), walks[0]) == (133, 5)
+
+
+@pytest.mark.parametrize('name', ['prob-4ag-2g-1d.pdkbddl',
+                                  'prob-4ag-2g-2d.pdkbddl'])
+def test_one_walk_per_binding_pattern(monkeypatch, name):
+    # move with distinct and with equal locations, share, fib and
+    # initialize; the compile reads no renamed grounding, so none is built
+    prob = load('grapevine', name)
+    actions = ground(prob)
+    walks = count_calls(monkeypatch, '_shape')
+    compile_problem(prob, actions)
+    assert walks[0] == 5
+    renamed = {a.grounding for a in actions
+               if a.grounding is not a.grounding.first}
+    assert len(renamed) == 56
+    assert all(g._outcomes is None and g._awareness is None
+               for g in renamed)
 
 
 # ---------------------------------------------------------------------------
