@@ -16,6 +16,16 @@ five in one step, ``_derive``; always-known effects have no consequences:
                   positive condition
   awareness       per aware agent, nested-belief copies of adds/deletes
 
+The closed outcomes are then pruned (``_prune``): an effect is dropped
+when it changes no reachable state. Every reachable state is upward
+closed, since the closure rule adds every consequence of an add and the
+contrapositive rule deletes everything that entails a delete, so a delete
+of a literal that the condition requires absent through its closure never
+changes a state, nor does an add of a literal that the condition already
+requires held and that no effect of the outcome deletes, nor any effect
+whose condition requires a fluent held and one of its consequences
+absent.
+
 Each ``compile_problem`` call does each piece of work once:
   - one ``RmlTable`` serves all of the call's operators: it interns the
     RMLs that the rules derive, so set and dict hits compare by identity,
@@ -36,13 +46,13 @@ Each ``compile_problem`` call does each piece of work once:
     so none of its RMLs is built. On a shape's first pattern
     ``_instantiate`` of that template gives the base outcomes,
     ``apply_ancillary`` closes each, ``_prune`` drops the effects that
-    never fire, and ``_template`` keeps the result over proposition
-    positions with its spawned, truncated and pruned counts. Every
-    grounding, the first included, then takes its outcomes from
+    change no reachable state, and ``_template`` keeps the result over
+    proposition positions with its spawned, truncated and pruned counts.
+    Every grounding, the first included, then takes its outcomes from
     ``_instantiate`` with its own propositions put in, once per distinct
     (shape, propositions), so identical operators share outcome objects
-    and ``planner.Packing`` and ``emit_domain`` handle each once. This is
-    sound:
+    and ``planner.Packing`` and ``emit_domain`` handle each once. This
+    is sound:
       * two actions of one shape differ by an injective renaming of
         propositions that keeps predicates, and the five rules and the
         depth cut read a proposition only through equality and the
@@ -60,9 +70,9 @@ Each ``compile_problem`` call does each piece of work once:
         uncertain firing keep an RML's depth and atom and change only
         modes and polarity; awareness copies wrap in a known agent's
         belief and are cut past the depth bound;
-      * pruning tests only whether a condition's positive and negative
-        fluents overlap, which an injective renaming keeps, so pruning
-        the template prunes every operator of the shape.
+      * pruning reads fluents only through equality and upward closure,
+        which an injective renaming keeps, so pruning the template prunes
+        every operator of the shape alike.
     The 133 operators of a four-agent grapevine problem have 61
     groundings in 5 patterns, one per shape: ``move`` with distinct and
     with equal locations, ``share``, ``fib`` and ``initialize``. So
@@ -316,17 +326,56 @@ def apply_ancillary(outcome, awareness, depth, is_ak, table):
     return (frozenset(adds), frozenset(dels)), truncated
 
 
-def _prune(outcome):
-    """An (adds, dels) outcome without the effects whose condition never
-    holds, because it requires a fluent both held and absent, and the
-    number dropped; the outcome itself when nothing is dropped."""
-    dropped = sum(1 for effects in outcome for cond, _ in effects
-                  if cond.pos & cond.neg)
-    if not dropped:
-        return outcome, 0
-    return tuple(frozenset([(cond, l) for cond, l in effects
-                            if not cond.pos & cond.neg])
-                 for effects in outcome), dropped
+def _prune(outcome, table):
+    """A closed (adds, dels) outcome without the effects that change no
+    reachable state, and the number dropped. Under a condition C, let
+    ``held`` be the upward closure of C's positive fluents; an effect is
+    dropped when
+      (never)  ``held`` meets C's negative fluents, so C holds in no
+               reachable state;
+      (i)      it deletes l and C requires absent an RML of
+               ``upward_closure(l)``, l included;
+      (ii)     it adds l, ``held`` holds l and the outcome deletes l under
+               no condition at all.
+
+    Every reachable state s is upward closed. ``init`` is
+    ``closure(PEKB(initial))``. A step gives ``(s - D) | A``, where A and
+    D are the adds and deletes that fire at s: the closure rule adds,
+    under one condition, every consequence of an add, so A is upward
+    closed, and the contrapositive rule deletes everything that entails a
+    delete, so D is downward closed; a kept x in ``s - D`` keeps every
+    consequence y, which is in s and not in D, since x would be in D with
+    it. On such a state C never holds under (never), since s holds
+    ``held`` whenever C holds; (i) fires only when l is already absent,
+    since s would hold the absent RML with l; and (ii) fires only when l
+    is already held, and no delete can remove it. So the pruned and the
+    closed outcome give equal successors on every reachable state, and by
+    induction they reach the same states. The guard of (ii) matters
+    because an add wins over a simultaneous delete: ``(when (p) (p))``
+    beside ``(when (q) (not (p)))`` keeps p at ``{p, q}``. Reachable
+    states need not be consistent, since a step that adds a literal and
+    its negation keeps both, so no rule reads consistency. Each rule
+    reads fluents only through equality and upward closure, which an
+    injective renaming of propositions keeps, so pruning the template
+    prunes every operator of the shape alike.
+
+    Each distinct condition's ``held`` set is made once."""
+    up = table.upward_closure
+    deleted = {l for _, l in outcome[1]}
+    held_under = {}
+    kept = ([], [])
+    for delete, effects in enumerate(outcome):
+        for cond, l in effects:
+            if cond not in held_under:
+                held = {x for c in cond.pos for x in up(c)}
+                held_under[cond] = held if held.isdisjoint(cond.neg) else None
+            held = held_under[cond]
+            if held is None or (not cond.neg.isdisjoint(up(l)) if delete
+                                else l in held and l not in deleted):
+                continue
+            kept[delete].append((cond, l))
+    dropped = sum(map(len, outcome)) - sum(map(len, kept))
+    return tuple(map(frozenset, kept)), dropped
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +514,7 @@ def compile_problem(problem, ground_actions, flavor=None,
                         cut |= outcome_cut
                         counts['spawned'] += (sum(map(len, expanded))
                                               - sum(map(len, outcome)))
-                        kept, dropped = _prune(expanded)
+                        kept, dropped = _prune(expanded, table)
                         counts['pruned'] += dropped
                         closures.append(kept)
                     counts['truncated'] = len(cut)

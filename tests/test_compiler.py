@@ -1,7 +1,9 @@
 """Compiled encoding: ancillary effect cascades, counts, and emission."""
 
 import hashlib
+import importlib.util
 import os
+import random
 import re
 
 import pytest
@@ -14,7 +16,10 @@ from pdkb.compiler import (CompiledCondition, CompiledOperator,
                            emit_report, encode_base, fluent_symbol)
 from pdkb.model import ALWAYS, GroundAction, GroundingReport, ground
 from pdkb.parser import ParseError, desugar, parse_file, parse_text
-from pdkb.rml import Proposition, RmlTable, lit, parse_rml, wrap
+from pdkb.pekb import PEKB, closure
+from pdkb.planner import Packing, apply, successor
+from pdkb.rml import (Proposition, RmlTable, lit, parse_rml, upward_closure,
+                      wrap)
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -222,10 +227,11 @@ def test_every_compiled_rml_is_the_fluent_table_object(parts):
 
 
 @pytest.mark.parametrize('parts, effects, spawned, pruned, truncated', [
-    (('envelope', 'envelope.pdkbddl'), 192, 188, 0, 144),
-    (('grapevine', 'prob-4ag-2g-1d.pdkbddl'), 2393, 1932, 0, 6912),
-    (('grapevine', 'prob-4ag-2g-2d.pdkbddl'), 23129, 22668, 0, 62208),
-    (('misc', 'lossy-3ag-2l.pdkbddl'), 361, 279, 0, 648),
+    (('envelope', 'envelope.pdkbddl'), 160, 188, 32, 144),
+    (('grapevine', 'prob-4ag-2g-1d.pdkbddl'), 1625, 1932, 768, 6912),
+    (('grapevine', 'prob-4ag-2g-2d.pdkbddl'), 15449, 22668, 7680,
+     62208),
+    (('misc', 'lossy-3ag-2l.pdkbddl'), 253, 279, 108, 648),
 ])
 def test_compile_counters_are_pinned(parts, effects, spawned, pruned,
                                      truncated):
@@ -278,6 +284,111 @@ def test_never_firing_effects_are_pruned():
     cp = compile_one('(when (and (p) (not (p))) (q))')
     assert cp.report['pruned_effects'] == 2
     assert '(when (and (p) (not (p)))' not in emit_domain(cp, 'one')
+
+
+# ---------------------------------------------------------------------------
+# pruning changes no reachable state
+
+
+def lossy_gossip_texts():
+    """(name, text) of the generated lossy-gossip problems of seeds 1-3."""
+    spec = importlib.util.spec_from_file_location(
+        'lossy_gossip', os.path.join(HERE, '..', 'perfbench',
+                                     'lossy_gossip.py'))
+    lossy_gossip = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lossy_gossip)
+    return [('seed%d-%s' % (seed, name), text) for seed in (1, 2, 3)
+            for name, text in lossy_gossip.generate(seed)]
+
+
+def benchmark_problems():
+    """Name -> loader of every problem under benchmarks/ and of the
+    generated lossy-gossip problems."""
+    problems = {}
+    for sub in sorted(os.listdir(BENCH)):
+        for name in sorted(os.listdir(os.path.join(BENCH, sub))):
+            path = os.path.join(BENCH, sub, name)
+            with open(path, encoding='utf-8') as handle:
+                if '(define (problem' in handle.read():
+                    problems['%s/%s' % (sub, name)] = (
+                        lambda path=path: desugar(parse_file(path)))
+    for name, text in lossy_gossip_texts():
+        problems[name] = lambda text=text: desugar(parse_text(text))
+    return problems
+
+
+_PROBLEMS = benchmark_problems()
+
+
+def unpruned(monkeypatch, prob):
+    """``prob`` compiled with every closed outcome kept whole: the
+    reference encoding that ``_prune`` must not change on any reachable
+    state."""
+    with monkeypatch.context() as patched:
+        patched.setattr(compiler, '_prune',
+                        lambda outcome, table: (outcome, 0))
+        return compile_problem(prob, ground(prob))
+
+
+def assert_walks_agree(cp, reference, seed, walks=4, steps=12):
+    """Seeded random walks from ``cp.init``: every state is upward closed,
+    both encodings apply the same operators at it, and every outcome of
+    each gives the same packed successor in both. A state need not be
+    consistent: on the envelopes, three checks reach one that holds
+    ``B_bob B_alice secret`` and ``P_bob P_alice !secret``."""
+    assert cp.fluents == reference.fluents
+    packing = Packing(cp.fluents, cp.operators)
+    ops = list(zip(cp.operators, packing.operators,
+                   Packing(cp.fluents, reference.operators).operators))
+    rng = random.Random(seed)
+    for _ in range(walks):
+        state = packing.encode(cp.init)
+        for _ in range(steps):
+            held = packing.decode(state)
+            assert all(upward_closure(x) <= held for x in held)
+            successors = []
+            for op, packed, other in ops:
+                applies = (state & packed.pre_pos == packed.pre_pos
+                           and not state & packed.pre_neg)
+                assert applies == (state & other.pre_pos == other.pre_pos
+                                   and not state & other.pre_neg), op
+                if applies:
+                    after = [successor(state, o) for o in packed.outcomes]
+                    assert after == [successor(state, o)
+                                     for o in other.outcomes], op
+                    successors += after
+            if not successors:
+                break
+            state = rng.choice(successors)
+
+
+@pytest.mark.parametrize('depth', [1, 2])
+@pytest.mark.parametrize('name', sorted(_PROBLEMS))
+def test_pruning_changes_no_reachable_step(monkeypatch, name, depth):
+    prob = _PROBLEMS[name]()
+    prob.depth = depth
+    try:
+        cp = compile_problem(prob, ground(prob))
+    except NonRootRML:
+        # an initial RML past the bound: nothing is compiled either way
+        with pytest.raises(NonRootRML):
+            unpruned(monkeypatch, prob)
+        return
+    assert_walks_agree(cp, unpruned(monkeypatch, prob),
+                       '%s@%d' % (name, depth))
+
+
+def test_an_add_that_a_delete_races_is_kept(monkeypatch):
+    # at {p, q} the add of p under (p) wins over the delete of p under (q):
+    # the add is held in the condition, but dropping it would lose p
+    effect = '(and (when (p) (p)) (when (q) (!p)))'
+    prob = desugar(parse_text(ONE_ACTION % effect))
+    (op,), (reference,) = (compile_problem(prob, ground(prob)).operators,
+                           unpruned(monkeypatch, prob).operators)
+    state = frozenset([rml('p'), rml('q')])
+    after = apply(state, op)
+    assert rml('p') in after
+    assert after == apply(state, reference)
 
 
 # the boundary of the fluent table on input that ``validate_model`` would
@@ -450,20 +561,28 @@ def test_semi_naive_fixpoint_matches_round_robin(parts, aware):
 
 
 def reference_prune(outcome, fluent_set):
-    """An (adds, dels) outcome without the effects whose condition never
-    holds (positive and negative fluents overlap, or a positive one is no
-    fluent) and with the negative conditions that are no fluent trimmed,
-    and the number of effects dropped."""
+    """An (adds, dels) outcome with the negative conditions that are no
+    fluent trimmed and without the effects that change no upward-closed
+    state, and the number of effects dropped. Dropped are the effects
+    whose condition never holds (a positive one is no fluent, or the
+    closure of the positive ones meets the negative ones), the deletes of
+    a literal whose closure meets the negative conditions, and the adds
+    of a literal in the closure of the positive conditions that the
+    outcome deletes under no condition."""
+    deleted = {l for _, l in outcome[1]}
     kept = []
     dropped = 0
-    for effects in outcome:
+    for delete, effects in enumerate(outcome):
         out = set()
         for cond, l in effects:
-            if cond.pos & cond.neg or not cond.pos <= fluent_set:
+            neg = cond.neg & fluent_set
+            held = closure(PEKB(cond.pos)).rmls
+            if (not cond.pos <= fluent_set or held & neg
+                    or (upward_closure(l) & neg if delete
+                        else l in held and l not in deleted)):
                 dropped += 1
             else:
-                out.add((CompiledCondition(cond.pos, cond.neg & fluent_set),
-                         l))
+                out.add((CompiledCondition(cond.pos, neg), l))
         kept.append(frozenset(out))
     return tuple(kept), dropped
 
@@ -748,48 +867,48 @@ def test_awareness_is_part_of_the_expansion_key():
 # text on purpose updates these and says why in CHANGES.md.
 ARTIFACT_DIGESTS = {
     ('envelope', 'envelope.pdkbddl'): {
-        'domain.pddl': '46e97a9cbd05639a801d528e92c8ba07'
-                       '7eae34873fc7d821ea93bde6c5ff5965',
+        'domain.pddl': 'ec6916f180abf9ca3315643f4b160295'
+                       '63917db4a844cd8261c66fdd9958c7a2',
         'problem.pddl': '52049191f6cdd4737762872e9b589a93'
                         'bd5276a9e7617832e80b64c904a93b68',
         'fluents.map': 'beba22896f8783be4bb3e32e81ff4d87'
                        '1325b5af619ca994bbfabdc34512437d',
-        'compile-report.json': '62974bb9257418f6ed8b67f9da2df29b'
-                               '3f69e9ad3c6c7886f5b7cf918a6af3aa',
+        'compile-report.json': 'fd2ac570595edbac8dcb803b992f6ab5'
+                               '935ad1088022f80742b092ed4691e343',
     },
     # AK at(...) atoms beside the depth-0 fluents exercise the rank order
     ('grapevine', 'prob-4ag-2g-1d.pdkbddl'): {
-        'domain.pddl': 'ec97a103343be019ede2b09dcfea1016'
-                       'bace97b19b665b5c4880b7d944fce35c',
+        'domain.pddl': 'bd159a46f844dea0f04953c0dddf4bac'
+                       '931aa20733e7e0e9b2856977741dbd10',
         'problem.pddl': '17e8a251d61a7eb12682895026679d5b'
                         'd62f0d3a16b72695006e97bc3f972a40',
         'fluents.map': '8032d0ca8685f956e891fe78b48a0efc'
                        '1b1f44b8c62bb9f0e0084fc3258850bf',
-        'compile-report.json': '1472d6c920ea8dd873728d9857fd1083'
-                               '2dbefe62f7f0e7ff05638cd39367ce19',
+        'compile-report.json': '32b1163c77a039dc6984fc0501086d56'
+                               'e81dee314df94de19640ee8ef79b9b95',
     },
     # depth 2: operators that differ only in the acting agent share one
     # expansion and its outcome objects
     ('grapevine', 'prob-4ag-2g-2d.pdkbddl'): {
-        'domain.pddl': 'b52f4c2e906579de445496dfc79651d5'
-                       'a3295741d01bdd3812600f01666edc69',
+        'domain.pddl': 'cca198243bcbb337d2ee773a99883685'
+                       '4718e00b1c0035156107d660959c7261',
         'problem.pddl': 'b0148e7b12da37564e6e60b51848bd63'
                         'fb022781a2a8f8889db2a84938c01ff8',
         'fluents.map': '1c942ebb042c8f7d9f18a12518e653fd'
                        '9f73cd1389d9b2baf473d5cc9c2b8929',
-        'compile-report.json': '9a65c9c08cd078d2a74d6c43109614df'
-                               '081bacd36f00a6f8dc745624701e4d8e',
+        'compile-report.json': '8af2c170fc432f93af0ebaedafc0251b'
+                               '6a1bf8f9299bf4ce458ac69fa4ee655d',
     },
     # FOND: shared outcomes inside ``oneof`` branches
     ('misc', 'lossy-3ag-2l.pdkbddl'): {
-        'domain.pddl': 'dfeaa42f00796c0aea9dd99e79166f60'
-                       'f58ace4caf9df34bcb86d30498ea0644',
+        'domain.pddl': '7e6789adae946267a42ce61bff510b2e'
+                       '59ff23a0593c04f62213e303192e83ba',
         'problem.pddl': '6aec4b8db3d9040da6ee0849a8cc5dba'
                         '297ba12ddfc132e3f6e90eb3c71d2562',
         'fluents.map': 'bdbb799bbecbf17cfbf8ed37df406f10'
                        'bb4257a3aa6b80da5824d4c7d7ec7fc5',
-        'compile-report.json': 'a5a675655b22e0c645a4de64cf1670eb'
-                               'b77c3e9fe9084c936cdc0365643ddcc3',
+        'compile-report.json': 'e006a45821ea11751602f8f4b342e0d1'
+                               '73d11ea1b01c824ac338ee0a3f11df06',
     },
     ('misc', 'coin.pdkbddl'): {
         'domain.pddl': '5876efdb2a2206c6e06b60d40b1eabf0'

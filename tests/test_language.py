@@ -1,7 +1,6 @@
 """Parser and problem-model behavior on the benchmark corpus."""
 
 import hashlib
-import importlib.util
 import os
 
 import pytest
@@ -11,6 +10,8 @@ from pdkb.parser import (IncludeCycle, ParseError, SemanticError, desugar,
                          parse_file, parse_text)
 from pdkb.pekb import PEKB, closure
 from pdkb.rml import BELIEF, format_rml, lit, parse_rml
+
+from test_compiler import lossy_gossip_texts
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -250,18 +251,7 @@ def _ground_digest(prob):
     return digest.hexdigest()
 
 
-def _lossy_gossip_texts():
-    """name -> text of the generated lossy-gossip problems of seeds 1-3."""
-    spec = importlib.util.spec_from_file_location(
-        'lossy_gossip', os.path.join(HERE, '..', 'perfbench',
-                                     'lossy_gossip.py'))
-    lossy_gossip = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(lossy_gossip)
-    return {'seed%d-%s' % (seed, name): text for seed in (1, 2, 3)
-            for name, text in lossy_gossip.generate(seed)}
-
-
-_LOSSY_GOSSIP = _lossy_gossip_texts()
+_LOSSY_GOSSIP = dict(lossy_gossip_texts())
 
 # every problem under benchmarks/ and the generated lossy-gossip problems;
 # envelope-reversed differs from envelope in its plan alone

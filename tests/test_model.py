@@ -1,7 +1,5 @@
 """Grounding: shared and renamed groundings against an eager reference."""
 
-import importlib.util
-import os
 import re
 from itertools import product
 
@@ -10,13 +8,10 @@ import pytest
 from pdkb.compiler import NonRootRML, compile_problem
 from pdkb.model import (AGENT_VAR, ALWAYS, NEVER, DepthExceeded,
                         GroundingReport, ground, subst_rml)
-from pdkb.parser import desugar, parse_file, parse_text
+from pdkb.parser import desugar, parse_text
 from pdkb.pekb import ConditionalEffect
 
-from test_compiler import assert_matches_per_operator
-
-HERE = os.path.dirname(__file__)
-BENCH = os.path.join(HERE, '..', 'benchmarks')
+from test_compiler import assert_matches_per_operator, benchmark_problems
 
 
 def eager_ground(problem):
@@ -88,34 +83,7 @@ def assert_matches_eager(problem):
     assert report.truncated_effects == truncated
 
 
-def _lossy_gossip_texts():
-    """(name, text) of the generated lossy-gossip problems of seeds 1-3."""
-    spec = importlib.util.spec_from_file_location(
-        'lossy_gossip', os.path.join(HERE, '..', 'perfbench',
-                                     'lossy_gossip.py'))
-    lossy_gossip = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(lossy_gossip)
-    return [('seed%d-%s' % (seed, name), text) for seed in (1, 2, 3)
-            for name, text in lossy_gossip.generate(seed)]
-
-
-def _problems():
-    """Name -> loader of every problem under benchmarks/ and of the
-    generated lossy-gossip problems."""
-    problems = {}
-    for sub in sorted(os.listdir(BENCH)):
-        for name in sorted(os.listdir(os.path.join(BENCH, sub))):
-            path = os.path.join(BENCH, sub, name)
-            with open(path, encoding='utf-8') as handle:
-                if '(define (problem' in handle.read():
-                    problems['%s/%s' % (sub, name)] = (
-                        lambda path=path: desugar(parse_file(path)))
-    for name, text in _lossy_gossip_texts():
-        problems[name] = lambda text=text: desugar(parse_text(text))
-    return problems
-
-
-_PROBLEMS = _problems()
+_PROBLEMS = benchmark_problems()
 
 
 @pytest.mark.parametrize('depth', [0, 1, 2])

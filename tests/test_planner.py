@@ -1,6 +1,5 @@
 """Internal search, policy search, and the external planner adapter."""
 
-import importlib.util
 import json
 import os
 import random
@@ -24,6 +23,8 @@ from pdkb.planner import (DEFAULT_STATE_CAP, Packing, PlanInvalid,
                           validate_plan)
 from pdkb.rml import Proposition, format_rml, lit
 from pdkb.validator import STRONG_VALID, verify_policy
+
+from test_compiler import benchmark_problems, lossy_gossip_texts
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -403,34 +404,7 @@ def test_packed_step_matches_the_frozenset_rule_on_a_random_walk(name,
         state = apply(state, op, out)
 
 
-def _lossy_gossip_texts():
-    """(name, text) of the generated lossy-gossip problems of seeds 1-3."""
-    spec = importlib.util.spec_from_file_location(
-        'lossy_gossip', os.path.join(HERE, '..', 'perfbench',
-                                     'lossy_gossip.py'))
-    lossy_gossip = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(lossy_gossip)
-    return [('seed%d-%s' % (seed, name), text) for seed in (1, 2, 3)
-            for name, text in lossy_gossip.generate(seed)]
-
-
-def _benchmark_problems():
-    """Name -> loader of every problem under benchmarks/ and of the
-    generated lossy-gossip problems."""
-    problems = {}
-    for sub in sorted(os.listdir(BENCH)):
-        for name in sorted(os.listdir(os.path.join(BENCH, sub))):
-            path = os.path.join(BENCH, sub, name)
-            with open(path, encoding='utf-8') as handle:
-                if '(define (problem' in handle.read():
-                    problems['%s/%s' % (sub, name)] = (
-                        lambda path=path: desugar(parse_file(path)))
-    for name, text in _lossy_gossip_texts():
-        problems[name] = lambda text=text: desugar(parse_text(text))
-    return problems
-
-
-_BENCHMARK_PROBLEMS = _benchmark_problems()
+_BENCHMARK_PROBLEMS = benchmark_problems()
 
 
 @pytest.mark.parametrize('name', sorted(_BENCHMARK_PROBLEMS))
@@ -757,7 +731,7 @@ def _oracle_inputs():
         with open(os.path.join(BENCH, 'misc', name + '.pdkbddl'),
                   encoding='utf-8') as handle:
             texts.append((name, handle.read()))
-    return texts + _lossy_gossip_texts()
+    return texts + lossy_gossip_texts()
 
 
 _ORACLE_INPUTS = _oracle_inputs()
