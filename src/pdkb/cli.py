@@ -287,13 +287,16 @@ def _verdict_exit(verdict):
 
 
 def _search_counts(stats):
-    """Report fields of a search's ``stats``: breadth-first search also
-    reports the operators it pruned, the AND-OR search its state-action
-    pairs and strong-cyclic rounds."""
+    """Report fields of a search's ``stats``: the classical search (A*
+    with the goal-component bound; breadth-first when the goal is one
+    group) also reports the operators it pruned and the goal groups of
+    its bound, the AND-OR search its state-action pairs and strong-cyclic
+    rounds."""
     counts = {'states_expanded': stats.get('expanded', 0),
               'states_generated': stats.get('states', 0)}
     counts.update((field, stats[key]) for key, field
-                  in (('pruned', 'operators_pruned'), ('edges', 'edges'),
+                  in (('pruned', 'operators_pruned'),
+                      ('components', 'goal_components'), ('edges', 'edges'),
                       ('rounds', 'rounds'))
                   if key in stats)
     return counts

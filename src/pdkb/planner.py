@@ -1,8 +1,9 @@
 """Desk-scale solvers over compiled problems.
 
-Blind breadth-first search for the classical flavor, AND-OR search with
-strong / strong-cyclic acceptance for the nondeterministic flavor, and a
-subprocess adapter for external planners.
+A* with the goal-component bound for the classical flavor (breadth-first
+when the goal is one group), AND-OR search with strong / strong-cyclic
+acceptance for the nondeterministic flavor, and a subprocess adapter for
+external planners.
 
 The AND-OR search grows an envelope of explored states one breadth-first
 layer at a time from the initial state, leaving goal states unexpanded,
@@ -43,7 +44,7 @@ operators, each grown until its precondition bits would pass
 ``RUN_BITS``; a run memoises ``state & run_mask`` to its applicable
 operators.
 
-Breadth-first search steps the first outcome of each operator, the
+The classical search steps the first outcome of each operator, the
 determinization that ``emit_domain`` writes for the classical flavor,
 and searches only the operators that can help reach the goal, as
 classical planners drop irrelevant operators before they search (Nebel,
@@ -59,15 +60,25 @@ kept operator preserves "better", so removing the dropped operators from
 any plan leaves a plan no longer: optimality and solvability are
 unchanged (the proof is in ``relevant_operators``). On the depth-1
 gossip problems it drops the 48 ``fib`` operators of 133, which only
-make agents believe the secret false, and on the 8-goal problem the
-search expands 3,739 states and generates 13,297 where all 133 operators
-gave 14,434 and 73,622. Its table there fills 1,111 delta keys over 49
-outcomes (236 over 52 on ``prob-4ag-2g-2d``) and 520 applicability keys
-over 4 runs. One comprehension per expansion keeps the non-zero deltas
-whose successor is unseen, and only those reach the loop that records
-parents and tests the goal. It records each state's parent state only,
-and recovers the operator at plan reconstruction by expanding the parent
-again.
+make agents believe the secret false.
+
+Over the kept operators the search is A* (Hart, Nilsson and Raphael,
+1968) with the goal-component bound: goal literals are joined into one
+group when one first outcome can make both true, and the bound counts
+the groups that still have a false literal. One step completes at most
+one group, so the bound is consistent, and A* with the goal test at
+generation returns shortest plans (the proofs are in ``solve_bfs``).
+When the goal is one group the order is breadth-first search's exactly.
+On the 8-goal problem (4 groups) the search expands 71 states and
+generates 325, where breadth-first search over the kept operators
+expanded 3,739 and generated 13,297, and over all 133 operators 14,434
+and 73,622. Its table there fills 118 delta keys over 49 outcomes (186
+over 52 on ``prob-4ag-2g-2d``) and 63 applicability keys over 4 runs.
+One comprehension per expansion keeps the non-zero deltas whose
+successor is unseen or now reached in fewer steps, and only those reach
+the loop that records parents and tests the goal. It records each
+state's parent state only, and recovers the operator at plan
+reconstruction by expanding the parent again.
 
 RML frozensets remain at the edges: parsing, emission, the frozenset
 ``apply`` (which packs, steps and decodes) and the states of a returned
@@ -250,7 +261,7 @@ def successor_table(ops):
 
 
 def relevant_operators(ops, goal):
-    """Indices of the packed operators ``ops`` that breadth-first search
+    """Indices of the packed operators ``ops`` that the classical search
     keeps for the goal's ``(pos, neg)`` masks: a polarity-aware relevance
     fixpoint over the first outcomes, the determinization that search
     steps (after Nebel, Dimopoulos and Koehler, ECP 1997).
@@ -267,7 +278,7 @@ def relevant_operators(ops, goal):
     outcome, conditional or not, adds a ``pos`` bit or deletes a ``neg``
     bit.
 
-    Pruning keeps breadth-first search optimal. Say ``s >= s'`` when
+    Pruning keeps the classical search optimal. Say ``s >= s'`` when
     every ``pos`` fluent of ``s'`` is in ``s`` and every ``neg`` fluent
     absent from ``s'`` is absent from ``s``. Then:
 
@@ -361,12 +372,70 @@ def _pack_problem(cp):
     return packing, packing.encode(cp.init), packing.condition(cp.goal)
 
 
+def goal_components(ops, goal):
+    """The goal's literals joined into groups, as ``(pos, neg)`` masks:
+    two literals share a group when one first outcome of the packed
+    operators ``ops`` can make both true, by an add of a ``pos`` bit or a
+    delete of a ``neg`` bit, unconditional or under any condition."""
+    pos, neg = goal
+    groups = [(1 << i, 0) for i in range(pos.bit_length()) if pos >> i & 1]
+    groups += [(0, 1 << i) for i in range(neg.bit_length()) if neg >> i & 1]
+    firsts = {id(outcomes[0]): outcomes[0] for _, _, outcomes in ops}
+    for _, adds, dels, conditional in firsts.values():
+        for _, _, a, d in conditional:
+            adds |= a
+            dels |= d
+        joined = [group for group in groups
+                  if group[0] & adds or group[1] & dels]
+        if len(joined) > 1:
+            groups = [group for group in groups if group not in joined]
+            groups.append((sum(p for p, _ in joined),
+                           sum(n for _, n in joined)))
+    return groups
+
+
 def solve_bfs(cp, max_states=DEFAULT_STATE_CAP, stats=None):
     """Shortest plan (operator list) or None when the reachable space is
-    exhausted without reaching the goal, searched over the operators
-    ``relevant_operators`` keeps. ``stats`` receives the expanded and the
+    exhausted without reaching the goal: A* over the operators
+    ``relevant_operators`` keeps (Hart, Nilsson and Raphael, 1968),
+    ordered by the goal-component bound, and breadth-first search when
+    the goal is one group. ``stats`` receives the expanded and the
     generated (``states``) counts, and the number of operators dropped
-    (``pruned``) once the initial state is not a goal."""
+    (``pruned``) and of goal groups (``components``) once the initial
+    state is not a goal.
+
+    The bound ``h(s)`` counts the groups of ``goal_components`` over the
+    kept operators that still have a false literal at ``s``, in the
+    spirit of additive pattern heuristics (Felner, Korf and Hanan, JAIR
+    2004); it reads only goal bits, so it is memoised on ``s &
+    goal_mask``. States leave the queue in ``(g + h, h)`` order, first
+    in first out within a key, and the goal test runs on generation.
+
+    - *Consistent.* A step ``s -> s'`` makes a goal literal true only by
+      an add or a delete of its operator's first outcome, and all such
+      literals lie in one group, so at most one group completes:
+      ``h(s) <= 1 + h(s')``. ``h`` is 0 exactly at goal states, so it is
+      admissible too.
+    - *Re-queueing suffices.* With a consistent bound a state is expanded
+      at its shortest distance ``g*``: were ``g(s) > g*(s)``, the
+      first unexpanded state ``n`` of a shortest path to ``s`` would be
+      queued with ``g*(n)``, and ``f(n) <= g*(s) + h(s) < f(s)`` would
+      pop it first. So an expanded state is never reached more cheaply;
+      a queued one may be, and is queued again with the smaller ``g``,
+      and the entry left behind is skipped when popped.
+    - *Goal test at generation.* Let ``C*`` be the optimal length. Until
+      a goal is generated, the first unexpanded state ``n`` of an optimal
+      plan is queued with ``g*(n)`` and is no goal, so a popped state
+      ``s`` has ``f(s) <= f(n) <= C*``. Queued states are no goals, so
+      ``h(s) >= 1``, and a goal generated from ``s`` lies at ``g(s) + 1
+      <= f(s) <= C*``: it is optimal.
+
+    With one group ``h`` is 1 at every queued state, the key is ``(g +
+    1, 1)``, and the pop order is breadth-first search's: each state is
+    first reached at its shortest distance, nothing is queued twice, and
+    plan and counts are breadth-first search's exactly."""
+    # imported here, so that loading the package does not pay for it
+    from heapq import heappop, heappush
     if stats is None:
         stats = {}
     packing, init, goal = _pack_problem(cp)
@@ -377,39 +446,57 @@ def solve_bfs(cp, max_states=DEFAULT_STATE_CAP, stats=None):
         return []
     kept = relevant_operators(packing.operators, goal)
     stats['pruned'] = len(packing.operators) - len(kept)
-    table = successor_table([packing.operators[idx] for idx in kept])
+    ops = [packing.operators[idx] for idx in kept]
+    groups = goal_components(ops, goal)
+    stats['components'] = len(groups)
+    goal_mask = goal_pos | goal_neg
+    bound = _Memo(lambda key: sum(key & pos != pos or key & neg != 0
+                                  for pos, neg in groups))
+    table = successor_table(ops)
     operators = [cp.operators[idx] for idx in kept]
-    seen = {init: None}
-    frontier = deque([init])
+    parents = {init: None}
+    cost = {init: 0}
+    ties = itertools.count()
+    h = bound[init & goal_mask]
+    queue = [(h, h, next(ties), init)]
     expanded = 0
     try:
-        while frontier:
-            state = frontier.popleft()
+        while queue:
+            f, h, _, state = heappop(queue)
+            g = f - h
+            if g > cost[state]:
+                # left behind when the state was queued again, cheaper
+                continue
             expanded += 1
+            g += 1
             # first outcomes only, as emit_domain writes the classical
-            # flavor; a zero delta is a self-loop
+            # flavor; a zero delta is a self-loop, and a successor is kept
+            # when unseen (read as reached at g + 1) or reached at more
+            # than g
             fresh = [succ for run_mask, usable in table
                      for _, (mask, deltas), _ in usable[state & run_mask]
                      if (delta := deltas[state & mask])
-                     and (succ := state ^ delta) not in seen]
+                     and cost.get(succ := state ^ delta, g + 1) > g]
             for succ in dict.fromkeys(fresh):
-                seen[succ] = state
-                if succ & goal_pos == goal_pos and not succ & goal_neg:
-                    return _plan(operators, table, seen, succ)
-                if len(seen) > max_states:
+                parents[succ] = state
+                cost[succ] = g
+                h = bound[succ & goal_mask]
+                if not h:
+                    return _plan(operators, table, parents, succ)
+                if len(parents) > max_states:
                     raise ResourceLimit('state cap %d exceeded' % max_states,
                                         stats)
-                frontier.append(succ)
+                heappush(queue, (g + h, h, next(ties), succ))
         return None
     finally:
         stats['expanded'] = expanded
-        stats['states'] = len(seen)
+        stats['states'] = len(parents)
 
 
 def _plan(operators, table, parents, state):
-    """The operators that led breadth-first search to ``state``: at each
-    parent, the first operator whose first outcome yields the child, which
-    is the one that discovered it."""
+    """The operators that led the search to ``state``: at each parent, the
+    first operator whose first outcome yields the child, which is the one
+    that last gave the child its parent."""
     plan = []
     while parents[state] is not None:
         parent = parents[state]

@@ -81,7 +81,16 @@ def test_solve_reports_the_operators_breadth_first_search_pruned(tmp_path):
     assert result.exit_code == EXIT_OK, result.output
     assert report['operators_pruned'] == 48
     assert (report['states_expanded'], report['states_generated']) \
-        == (24, 115)
+        == (8, 45)
+
+
+@pytest.mark.parametrize('name,components', [('prob-4ag-2g-1d.pdkbddl', 2),
+                                             ('prob-4ag-8g-1d.pdkbddl', 4)])
+def test_solve_reports_the_goal_components_of_the_bound(tmp_path, name,
+                                                        components):
+    result, report = _solve_report(tmp_path, 'grapevine', name)
+    assert result.exit_code == EXIT_OK, result.output
+    assert report['goal_components'] == components
 
 
 def test_validate_a_plan_longer_than_the_recursion_limit(long_coin_plan):

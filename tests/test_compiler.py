@@ -290,14 +290,14 @@ def test_never_firing_effects_are_pruned():
 # pruning changes no reachable state
 
 
-def lossy_gossip_texts():
-    """(name, text) of the generated lossy-gossip problems of seeds 1-3."""
+def lossy_gossip_texts(seeds=(1, 2, 3)):
+    """(name, text) of the generated lossy-gossip problems of ``seeds``."""
     spec = importlib.util.spec_from_file_location(
         'lossy_gossip', os.path.join(HERE, '..', 'perfbench',
                                      'lossy_gossip.py'))
     lossy_gossip = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(lossy_gossip)
-    return [('seed%d-%s' % (seed, name), text) for seed in (1, 2, 3)
+    return [('seed%d-%s' % (seed, name), text) for seed in seeds
             for name, text in lossy_gossip.generate(seed)]
 
 

@@ -1,8 +1,11 @@
 """Internal search, policy search, and the external planner adapter."""
 
+import heapq
+import itertools
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -17,12 +20,12 @@ from pdkb.parser import desugar, parse_file, parse_text
 from pdkb.planner import (DEFAULT_STATE_CAP, Packing, PlanInvalid,
                           PlanParseError, PlannerFailure,
                           PreconditionViolated, ResourceLimit, apply,
-                          applicable, expand, parse_plan_file,
-                          relevant_operators, solve_andor, solve_bfs,
-                          solve_external, successor, successor_table,
-                          validate_plan)
+                          applicable, expand, goal_components,
+                          parse_plan_file, relevant_operators, solve_andor,
+                          solve_bfs, solve_external, successor,
+                          successor_table, validate_plan)
 from pdkb.rml import Proposition, format_rml, lit
-from pdkb.validator import STRONG_VALID, verify_policy
+from pdkb.validator import STRONG_VALID, assess_plan, verify_policy
 
 from test_compiler import benchmark_problems, lossy_gossip_texts
 
@@ -81,7 +84,7 @@ def test_add_wins_over_delete():
 
 
 # ---------------------------------------------------------------------------
-# breadth-first search
+# classical search
 
 
 def test_bfs_finds_the_shortest_envelope_plan(envelope):
@@ -241,21 +244,23 @@ def test_plan_validation_names_the_failing_step():
 
 
 @pytest.mark.parametrize('goals,counts,plan', [
-    ('2g', (24, 115), ['(initialize)', '(move c l2 l1)', '(share a a l1)',
-                       '(share b b l1)']),
-    ('4g', (236, 966), ['(initialize)', '(move a l1 l2)', '(move b l1 l2)',
-                         '(move d l3 l2)', '(share a a l2)',
-                         '(share b b l2)']),
-    ('8g', (3739, 13297), ['(initialize)', '(move a l1 l2)',
-                             '(move b l1 l2)', '(move d l3 l2)',
-                             '(share a a l2)', '(share b b l2)',
-                             '(share c c l2)', '(share d d l2)']),
+    ('2g', (8, 45, 2), ['(initialize)', '(move c l2 l1)', '(share a a l1)',
+                        '(share b b l1)']),
+    ('4g', (48, 233, 2), ['(initialize)', '(move a l1 l2)', '(move d l3 l2)',
+                          '(share a a l2)', '(move b l1 l2)',
+                          '(share b b l2)']),
+    ('8g', (71, 325, 4), ['(initialize)', '(move c l2 l1)',
+                          '(share c c l1)', '(move d l3 l2)',
+                          '(move d l2 l1)', '(share a a l1)',
+                          '(share b b l1)', '(share d d l1)']),
 ])
 def test_bfs_plans_and_counts_on_grapevine(goals, counts, plan):
+    # expanded and generated states, and goal groups
     _, cp = compiled('grapevine', 'prob-4ag-%s-1d.pdkbddl' % goals)
     stats = {}
     found = solve_bfs(cp, stats=stats)
-    assert (stats['expanded'], stats['states']) == counts
+    assert (stats['expanded'], stats['states'], stats['components']) \
+        == counts
     assert [op.label for op in found] == plan
 
 
@@ -268,8 +273,9 @@ def test_bfs_counts_the_initial_state_when_it_is_a_goal(envelope):
     assert stats == {'expanded': 0, 'states': 1}
 
 
-def _toy_problem(init, goal, operators):
-    """A compiled problem over fluents ``g``, ``h``, ``x`` and ``y``;
+def _toy_problem(init, goal, operators, avoid=''):
+    """A compiled problem over fluents ``g``, ``h``, ``x`` and ``y``
+    whose goal holds the fluents ``goal`` and none of ``avoid``;
     ``operators`` maps a name to its precondition and its adds and
     deletes, each a list of ``(condition, fluent)`` pairs whose condition
     is ``(pos, neg)`` fluent names."""
@@ -286,7 +292,7 @@ def _toy_problem(init, goal, operators):
                             ((effects(adds), effects(dels)),))
            for name, (pre, adds, dels) in operators.items()]
     return CompiledProblem(fluent.values(), [fluent[n] for n in init],
-                           cond(goal), ops, 'classical', {})
+                           cond(goal, avoid), ops, 'classical', {})
 
 
 def test_bfs_keeps_an_operator_that_blocks_a_harmful_delete():
@@ -315,7 +321,30 @@ def test_bfs_drops_an_operator_whose_adds_nothing_needs():
                               packing.condition(cp.goal)) == [1]
     stats = {}
     assert [op.name for op in solve_bfs(cp, stats=stats)] == ['finish']
-    assert stats == {'pruned': 1, 'expanded': 1, 'states': 2}
+    assert stats == {'pruned': 1, 'components': 1, 'expanded': 1,
+                     'states': 2}
+
+
+def test_one_operator_that_can_make_two_goal_literals_true_joins_them():
+    # both adds g and, when x holds, deletes y, so g and !y are one group
+    # and h is another; finish completes a group at once, so A* takes it
+    # first
+    cp = _toy_problem('y', 'gh', {
+        'set-x': ((), [((), 'x')], []),
+        'both': ((), [((), 'g')], [(('x',), 'y')]),
+        'finish': ((), [((), 'h')], []),
+    }, avoid='y')
+    packing = Packing(cp.fluents, cp.operators)
+    goal = packing.condition(cp.goal)
+    g, h, y = (packing.encode([f])
+               for f in sorted(cp.goal.pos | cp.goal.neg, key=format_rml))
+    assert sorted(goal_components(packing.operators, goal)) \
+        == sorted([(g, y), (h, 0)])
+    stats = {}
+    plan = solve_bfs(cp, stats=stats)
+    assert [op.name for op in plan] == ['finish', 'set-x', 'both']
+    assert stats['components'] == 2
+    assert len(reference_bfs(cp, DEFAULT_STATE_CAP, {})) == len(plan)
 
 
 def reference_step(state, op, outcome_index=0):
@@ -479,9 +508,80 @@ def reference_bfs(cp, max_states, stats):
     return None
 
 
+def reference_astar(cp, max_states, stats, edges=None):
+    """A* without the successor table: every operator's precondition
+    tested at every expansion, and the first outcome of each applicable
+    one stepped by ``successor``. States leave the queue in ``(g + h,
+    h)`` order, first in first out within a key, where ``h`` counts the
+    goal groups with a false literal; the groups are joined on literal
+    sets whenever one first outcome adds or deletes literals of two.
+    ``edges``, when given, receives every generated ``(state,
+    successor)`` pair that is no self-loop."""
+    packing = Packing(cp.fluents, cp.operators)
+    init = packing.encode(cp.init)
+    groups = [{(True, f)} for f in cp.goal.pos] \
+        + [{(False, f)} for f in cp.goal.neg]
+    for op in cp.operators:
+        adds, dels = op.outcomes[0]
+        made = {(True, f) for _, f in adds} | {(False, f) for _, f in dels}
+        joined = [group for group in groups if group & made]
+        if joined:
+            groups = [group for group in groups if not group & made]
+            groups.append(set().union(*joined))
+    masks = [(packing.encode(f for holds, f in group if holds),
+              packing.encode(f for holds, f in group if not holds))
+             for group in groups]
+
+    def bound(state):
+        return sum(state & pos != pos or state & neg != 0
+                   for pos, neg in masks)
+
+    if not bound(init):
+        stats.update(expanded=0, states=1)
+        return []
+    stats['components'] = len(groups)
+    parents = {init: None}
+    cost = {init: 0}
+    ties = itertools.count()
+    queue = [(bound(init), bound(init), next(ties), init)]
+    expanded = 0
+    while queue:
+        f, h, _, state = heapq.heappop(queue)
+        if f - h > cost[state]:
+            continue
+        expanded += 1
+        g = f - h + 1
+        for idx, (pre_pos, pre_neg, outcomes) in enumerate(
+                packing.operators):
+            if state & pre_pos != pre_pos or state & pre_neg:
+                continue
+            succ = successor(state, outcomes[0])
+            if succ == state:
+                continue
+            if edges is not None:
+                edges.append((state, succ))
+            if succ in cost and cost[succ] <= g:
+                continue
+            parents[succ] = state, idx
+            cost[succ] = g
+            stats.update(expanded=expanded, states=len(parents))
+            h = bound(succ)
+            if not h:
+                plan = []
+                while parents[succ] is not None:
+                    succ, idx = parents[succ]
+                    plan.append(cp.operators[idx])
+                return plan[::-1]
+            if len(parents) > max_states:
+                raise ResourceLimit('state cap', stats)
+            heapq.heappush(queue, (g + h, h, next(ties), succ))
+    stats.update(expanded=expanded, states=len(parents))
+    return None
+
+
 def _classical_inputs():
     """(path under benchmarks/, flavor) of every classical problem there,
-    and of coin and lossy-3ag-2l compiled classical, so that breadth-first
+    and of coin and lossy-3ag-2l compiled classical, so that the classical
     search takes their first outcomes."""
     inputs = []
     for name in sorted(_BENCHMARK_PROBLEMS):
@@ -515,8 +615,8 @@ def _kept(cp):
                            cp.flavor, cp.report)
 
 
-def _without_pruned(stats):
-    return {key: value for key, value in stats.items() if key != 'pruned'}
+def _without(stats, *keys):
+    return {key: value for key, value in stats.items() if key not in keys}
 
 
 @pytest.mark.parametrize('name,flavor', _classical_inputs())
@@ -525,19 +625,101 @@ def test_bfs_matches_the_search_without_the_table(name, flavor):
     cp = compile_problem(prob, ground(prob), flavor=flavor)
     kept = _kept(cp)
     plan, stats = _bfs_outcome(solve_bfs, cp, DEFAULT_STATE_CAP)
-    assert (plan, _without_pruned(stats)) \
-        == _bfs_outcome(reference_bfs, kept, DEFAULT_STATE_CAP)
+    assert (plan, _without(stats, 'pruned')) \
+        == _bfs_outcome(reference_astar, kept, DEFAULT_STATE_CAP)
     # the state cap raises at the same count with the same stats
     for cap in (0, stats['states'] // 2):
         plan_at_cap, stats_at_cap = _bfs_outcome(solve_bfs, cp, cap)
-        assert (plan_at_cap, _without_pruned(stats_at_cap)) \
-            == _bfs_outcome(reference_bfs, kept, cap)
-    # pruning keeps the search optimal: all operators give a plan of the
-    # same length, or none
+        assert (plan_at_cap, _without(stats_at_cap, 'pruned')) \
+            == _bfs_outcome(reference_astar, kept, cap)
+    # pruning and the bound keep the search optimal: breadth-first search
+    # over all operators gives a plan of the same length, or none
     unpruned, _ = _bfs_outcome(reference_bfs, cp, DEFAULT_STATE_CAP)
     assert (unpruned is None) == (plan is None)
     if plan is not None:
         assert len(unpruned) == len(plan)
+
+
+@pytest.mark.parametrize('name,flavor', _classical_inputs())
+def test_the_goal_component_bound_is_consistent(name, flavor):
+    # on every edge the search generates, and 0 exactly at goal states
+    prob = _BENCHMARK_PROBLEMS[name]()
+    kept = _kept(compile_problem(prob, ground(prob), flavor=flavor))
+    packing = Packing(kept.fluents, kept.operators)
+    goal_pos, goal_neg = goal = packing.condition(kept.goal)
+    groups = goal_components(packing.operators, goal)
+
+    def bound(state):
+        return sum(state & pos != pos or state & neg != 0
+                   for pos, neg in groups)
+
+    edges = []
+    reference_astar(kept, DEFAULT_STATE_CAP, {}, edges)
+    for state, succ in edges:
+        assert bound(state) <= 1 + bound(succ)
+    for state in {state for edge in edges for state in edge}:
+        assert (bound(state) == 0) \
+            == (state & goal_pos == goal_pos and not state & goal_neg)
+
+
+@pytest.mark.parametrize('name', ['envelope', 'coin', 'ask',
+                                  'negation_removal'])
+def test_one_goal_group_searches_breadth_first(name, request):
+    _, cp = request.getfixturevalue(name)
+    plan, stats = _bfs_outcome(solve_bfs, cp, DEFAULT_STATE_CAP)
+    assert stats['components'] == 1
+    assert (plan, _without(stats, 'pruned', 'components')) \
+        == _bfs_outcome(reference_bfs, _kept(cp), DEFAULT_STATE_CAP)
+
+
+def _goal_subsets(directory):
+    """Paths of depth-1 gossip problems in ``directory`` whose goals are
+    seeded subsets of two or three of the 8-goal problem's beliefs, each
+    asked as it is, believed false, or as a negated possibility."""
+    with open(os.path.join(BENCH, 'grapevine', 'prob-4ag-8g-1d.pdkbddl'),
+              encoding='utf-8') as handle:
+        beliefs = re.findall(r'\[(\w+)\]\(secret (\w+)\)', handle.read())
+    forms = ('[%s](secret %s)', '[%s](!secret %s)',
+             '(not <%s>(!secret %s))')
+    grapevine = os.path.abspath(os.path.join(BENCH, 'grapevine'))
+    rng = random.Random(5)
+    paths = []
+    for case in range(12):
+        goal = ' '.join(rng.choice(forms) % belief for belief
+                        in rng.sample(beliefs, rng.randint(2, 3)))
+        path = os.path.join(directory, 'subset-%d.pdkbddl' % case)
+        with open(path, 'w', encoding='utf-8') as handle:
+            handle.write(
+                '{include:%s/domain-4ag.pdkbddl}\n(define (problem subset)'
+                ' {include:%s/problem-setup-1d.pdkbddl} (:depth 1)'
+                ' (:goal %s))\n' % (grapevine, grapevine, goal))
+        paths.append(path)
+    return paths
+
+
+def test_astar_plans_are_optimal_and_strong_valid(tmp_path):
+    # the goal subsets re-queue states reached again more cheaply; lossy
+    # gossip is searched on its first outcomes, where every message
+    # arrives, so its plans are assessed on the problem without the lost
+    # outcome
+    cases = []
+    for name, text in lossy_gossip_texts(range(1, 21)):
+        prob = desugar(parse_text(text))
+        certain = desugar(parse_text(text.replace('(oneof', '(and', 1)))
+        cases.append((prob, certain))
+    for path in _goal_subsets(tmp_path):
+        prob = desugar(parse_file(path))
+        cases.append((prob, prob))
+    for prob, certain in cases:
+        cp = compile_problem(prob, ground(prob), flavor='classical')
+        kept = _kept(cp)
+        stats = {}
+        plan = solve_bfs(cp, stats=stats)
+        assert ([op.label for op in plan], _without(stats, 'pruned')) \
+            == _bfs_outcome(reference_astar, kept, DEFAULT_STATE_CAP)
+        assert len(plan) == len(reference_bfs(kept, DEFAULT_STATE_CAP, {}))
+        steps = [(op.name,) + op.args for op in plan]
+        assert assess_plan(certain, plan=steps).verdict == STRONG_VALID
 
 
 def _mapping(policy):
