@@ -47,11 +47,16 @@ Each ``compile_problem`` call does each piece of work once:
     ``_instantiate`` of that template gives the base outcomes,
     ``apply_ancillary`` closes each, ``_prune`` drops the effects that
     change no reachable state, and ``_template`` keeps the result over
-    proposition positions with its spawned, truncated and pruned counts.
-    Every grounding, the first included, then takes its outcomes from
-    ``_instantiate`` with its own propositions put in, once per distinct
-    (shape, propositions), so identical operators share outcome objects
-    and ``planner.Packing`` and ``emit_domain`` handle each once. This
+    proposition positions with its spawned, truncated and pruned counts,
+    each outcome's effects grouped by condition index. Every grounding,
+    the first included, then shares one ``Instance`` per distinct
+    (shape, propositions): the template and the fluent-table RMLs of its
+    own propositions, found by ``_rmls``. The instance builds its
+    outcome sets with ``_instantiate`` only when they are first read, as
+    ``emit_domain`` reads them, and keeps them; ``planner.Packing``
+    packs the template filled with the instance's bits, so a solve
+    builds none. Identical operators share one instance and one outcome
+    object, and ``Packing`` and ``emit_domain`` handle each once. This
     is sound:
       * two actions of one shape differ by an injective renaming of
         propositions that keeps predicates, and the five rules and the
@@ -64,7 +69,7 @@ Each ``compile_problem`` call does each piece of work once:
         renaming the first's propositions gives its own, and its closure
         is the first's closure renamed;
       * every RML of an operator's closure is in the fluent table, so
-        ``_instantiate`` finds each there: ``_shape`` checks the base
+        ``_rmls`` finds each there: ``_shape`` checks the base
         RMLs of every pattern's first grounding, and the others have the
         same membership; closure, negation, the contrapositive and
         uncertain firing keep an RML's depth and atom and change only
@@ -77,6 +82,9 @@ Each ``compile_problem`` call does each piece of work once:
     groundings in 5 patterns, one per shape: ``move`` with distinct and
     with equal locations, ``share``, ``fib`` and ``initialize``. So
     ``_shape`` walks 5 times, not 61, and the closure runs 5 times;
+  - each distinct precondition is mapped to the fluent table once and is
+    one ``CompiledCondition``, which its operators share (85 for the 133
+    operators of a four-agent grapevine problem);
   - emission sorts by fluent rank, the position in ``sorted(fluents)``;
     the first emit of a compiled problem makes the ranks and the fluent
     symbols and keeps them on it for every emitter. Each outcome's
@@ -131,20 +139,56 @@ class CompiledCondition:
         return self.pos <= state and not self.neg & state
 
 
+class Instance:
+    """The outcomes that the operators of one (shape, propositions) pair
+    share: a ``_template`` and ``rmls``, the fluent-table RML in each of
+    its RML positions. ``outcomes`` builds the (adds, dels) frozensets
+    from them on first read and keeps them; ``planner.Packing`` packs the
+    template itself, so a solve builds none."""
+
+    __slots__ = ('template', 'rmls', '_outcomes')
+
+    def __init__(self, template, rmls, outcomes=None):
+        self.template = template
+        self.rmls = rmls
+        self._outcomes = outcomes
+
+    @classmethod
+    def of(cls, outcomes):
+        """The instance of built outcomes: their ``_indexed`` form, whose
+        RML positions hold the RMLs themselves."""
+        outcomes = tuple(outcomes)
+        indexed = _indexed(outcomes)
+        return cls(indexed, indexed[0], outcomes)
+
+    @property
+    def outcomes(self):
+        if self._outcomes is None:
+            self._outcomes = _instantiate(self.template, self.rmls)
+        return self._outcomes
+
+
 class CompiledOperator:
     """A ground operator over fluents.
 
     outcomes: tuple of (adds, dels), each a frozenset of
-    (CompiledCondition, fluent RML) pairs.
+    (CompiledCondition, fluent RML) pairs, read from ``instance``, which
+    the operators of one (shape, propositions) pair share. Built outcomes
+    given to the constructor get an ``Instance`` of their own.
     """
 
-    __slots__ = ('name', 'args', 'precondition', 'outcomes')
+    __slots__ = ('name', 'args', 'precondition', 'instance')
 
     def __init__(self, name, args, precondition, outcomes):
         self.name = name
         self.args = tuple(args)
         self.precondition = precondition
-        self.outcomes = tuple(outcomes)
+        self.instance = (outcomes if isinstance(outcomes, Instance)
+                         else Instance.of(outcomes))
+
+    @property
+    def outcomes(self):
+        return self.instance.outcomes
 
     label = GroundAction.label
 
@@ -424,16 +468,17 @@ def _shape(action, canonical):
                        for agent, mu in action.awareness.items()])
     outcomes = []
     for outcome in action.outcomes:
-        effects = ([], [])
+        groups = {}
         for ce in outcome:
             pos, neg = _split_condition(
                 sorted(ce.condition_pos, key=_condition_order),
                 sorted(ce.condition_neg, key=_condition_order), canonical)
             c = (tuple(sorted([_number(rmls, f) for f in pos])),
                  tuple(sorted([_number(rmls, f) for f in neg])))
-            effects[ce.delete].append((_number(conditions, c),
-                                       number(ce.effect, 'effect')))
-        outcomes.append(tuple(map(tuple, effects)))
+            groups.setdefault(_number(conditions, c), ([], []))[
+                ce.delete].append(number(ce.effect, 'effect'))
+        outcomes.append(tuple([(c, tuple(adds), tuple(dels))
+                               for c, (adds, dels) in groups.items()]))
     atoms = {}
     rml_keys = tuple([(f.modalities, f.negated, _number(atoms, f.atom))
                       for f in rmls])
@@ -448,37 +493,61 @@ def _condition_order(rml):
     return (rml.atom.predicate, rml.modalities, rml.negated, rml.atom.args)
 
 
-def _template(closures, props):
-    """Outcome closures with every proposition replaced by its position in
-    ``props``: the distinct RMLs as (modalities, negated, position), the
-    distinct conditions as (pos, neg) tuples of RML indices, and each
-    closure's (adds, dels) as (condition index, RML index) pairs."""
+def _indexed(outcomes):
+    """(adds, dels) outcomes in the indexed form that ``_instantiate``
+    builds from and ``planner.Packing`` packs: the distinct RMLs, the
+    distinct conditions as (pos, neg) tuples of RML indices, and per
+    outcome its effects grouped by condition, one (condition index,
+    distinct add RML indices, distinct delete RML indices) entry per
+    distinct condition."""
     rmls = {}
     conditions = {}
-    effects = [tuple(tuple([(_number(conditions, c), _number(rmls, l))
-                            for c, l in effs]) for effs in closure)
-               for closure in closures]
-    condition_keys = [(tuple([_number(rmls, r) for r in c.pos]),
-                       tuple([_number(rmls, r) for r in c.neg]))
-                      for c in conditions]
+    grouped = []
+    for outcome in outcomes:
+        groups = {}
+        for delete, effects in enumerate(outcome):
+            for cond, l in effects:
+                groups.setdefault(_number(conditions, cond), (set(), set()))[
+                    delete].add(_number(rmls, l))
+        grouped.append(tuple([(c, tuple(adds), tuple(dels))
+                              for c, (adds, dels) in groups.items()]))
+    condition_keys = tuple([(tuple([_number(rmls, r) for r in c.pos]),
+                             tuple([_number(rmls, r) for r in c.neg]))
+                            for c in conditions])
+    return list(rmls), condition_keys, tuple(grouped)
+
+
+def _template(closures, props):
+    """Outcome closures in ``_indexed`` form with every proposition
+    replaced by its position in ``props``: each RML is (modalities,
+    negated, position)."""
+    rmls, condition_keys, outcomes = _indexed(closures)
     position = {p: i for i, p in enumerate(props)}
-    rml_keys = [(r.modalities, r.negated, position[r.atom]) for r in rmls]
-    return rml_keys, condition_keys, effects
+    return ([(r.modalities, r.negated, position[r.atom]) for r in rmls],
+            condition_keys, outcomes)
 
 
-def _instantiate(template, props, index):
-    """A ``_template`` with ``props`` in the proposition positions; each
-    RML is the fluent-table object found through ``index``."""
-    rml_keys, condition_keys, effects = template
-    rmls = [index[modalities, negated, props[i]]
-            for modalities, negated, i in rml_keys]
+def _rmls(template, props, index):
+    """The fluent-table RML in each of a template's RML positions, with
+    ``props`` in the proposition positions, found through ``index``."""
+    return [index[modalities, negated, props[i]]
+            for modalities, negated, i in template[0]]
+
+
+def _instantiate(template, rmls):
+    """The (adds, dels) frozenset outcomes of a ``_template`` with
+    ``rmls`` in its RML positions."""
+    _, condition_keys, outcomes = template
     conditions = [CompiledCondition([rmls[i] for i in pos],
                                     [rmls[i] for i in neg])
                   for pos, neg in condition_keys]
     # built from a set, a frozenset's table fits its size; built from a
     # list, it keeps the slack of its growth, a third more on depth 2
-    return tuple(tuple(frozenset({(conditions[c], rmls[l]) for c, l in effs})
-                       for effs in closure) for closure in effects)
+    return tuple((frozenset({(conditions[c], rmls[l])
+                             for c, adds, _ in groups for l in adds}),
+                  frozenset({(conditions[c], rmls[l])
+                             for c, _, dels in groups for l in dels}))
+                 for groups in outcomes)
 
 
 def compile_problem(problem, ground_actions, flavor=None,
@@ -488,15 +557,18 @@ def compile_problem(problem, ground_actions, flavor=None,
     table = RmlTable(fluents)
     index = {(f.modalities, f.negated, f.atom): f for f in fluents}
     counters = {'spawned': 0, 'truncated': 0, 'pruned': 0}
-    # shape -> (its first pattern's pruned closures as a ``_template``,
-    # their counts, and propositions -> outcomes); a pattern's first
-    # grounding -> (its shape's entry, its propositions); a grounding ->
-    # (outcomes, counts)
-    shapes, walks, instances = {}, {}, {}
+    # (precondition_pos, precondition_neg) -> its condition; shape -> (its
+    # first pattern's pruned closures as a ``_template``, their counts, and
+    # propositions -> instance); a pattern's first grounding -> (its
+    # shape's entry, its propositions); a grounding -> (instance, counts)
+    preconditions, shapes, walks, instances = {}, {}, {}, {}
     operators = []
     for action in ground_actions:
-        pre = CompiledCondition(*_split_condition(
-            action.precondition_pos, action.precondition_neg, canonical))
+        key = action.precondition_pos, action.precondition_neg
+        pre = preconditions.get(key)
+        if pre is None:
+            pre = preconditions[key] = CompiledCondition(
+                *_split_condition(*key, canonical))
         grounding = action.grounding
         if grounding not in instances:
             first = grounding.first
@@ -507,7 +579,8 @@ def compile_problem(problem, ground_actions, flavor=None,
                     counts = {'spawned': 0, 'pruned': 0}
                     # a copy that several outcomes cut counts once
                     cut = set()
-                    for outcome in _instantiate(shape[0], props, index):
+                    for outcome in _instantiate(
+                            shape[0], _rmls(shape[0], props, index)):
                         expanded, outcome_cut = apply_ancillary(
                             outcome, first.awareness, problem.depth,
                             problem.is_ak, table)
@@ -520,19 +593,21 @@ def compile_problem(problem, ground_actions, flavor=None,
                     counts['truncated'] = len(cut)
                     shapes[shape] = _template(closures, props), counts, {}
                 walks[first] = shapes[shape], props
-            (template, counts, outcomes_of), props = walks[first]
+            (template, counts, instance_of), props = walks[first]
             props = tuple(map(grounding.rename, props))
-            if props not in outcomes_of:
-                outcomes_of[props] = _instantiate(template, props, index)
-            instances[grounding] = outcomes_of[props], counts
-        outcomes, counts = instances[grounding]
+            if props not in instance_of:
+                instance_of[props] = Instance(
+                    template, _rmls(template, props, index))
+            instances[grounding] = instance_of[props], counts
+        instance, counts = instances[grounding]
         for name, n in counts.items():
             counters[name] += n
         operators.append(CompiledOperator(action.name, action.args, pre,
-                                          outcomes))
+                                          instance))
 
     if flavor is None:
-        flavor = CLASSICAL if all(len(op.outcomes) == 1
+        # the outcome count, read from the template
+        flavor = CLASSICAL if all(len(op.instance.template[2]) == 1
                                   for op in operators) else FOND
     n_ak = len(problem.ak_propositions)
     report = {

@@ -27,10 +27,14 @@ state, as in PRP's partial policies (Muise, McIlraith and Beck, ICAPS
 
 Both searches run on packed states: a state is a Python int whose bit i
 is ``cp.fluents[i]``. Each search packs the operators once (``Packing``):
-precondition masks, and per distinct outcome the mask of every bit it
-reads or writes, the unconditional add/delete masks and one entry per
-distinct effect condition, so a condition is tested once per state
-however many effects it guards. ``fired`` is the one rule for the masks
+each distinct precondition's masks, and per instance of an operator
+shape (``compiler.Instance``) and outcome the mask of every bit it reads
+or writes, the unconditional add/delete masks and one entry per distinct
+effect condition, so a condition is tested once per state however many
+effects it guards. ``Packing`` fills the shape's template, whose effects
+are grouped by condition index, with the bits of the instance's RMLs, so
+a search builds no outcome set; the compiler builds those only when they
+are first read. ``fired`` is the one rule for the masks
 an outcome applies, and ``successor`` the one step.
 
 Each search builds one successor table (``successor_table``), the packed
@@ -133,52 +137,65 @@ class Packing:
     Bit i is ``fluents[i]``, which must hold every literal of the
     operators, as ``cp.fluents`` holds every literal of a compiled problem.
 
-    ``operators`` holds one ``PackedOperator`` per operator. Operators
-    that share an outcome share its packed form, a ``(mask, adds, dels,
-    groups)`` tuple: every bit the outcome reads or writes (its condition
-    literals and its adds and deletes), the unconditional add and delete
-    masks, then one ``(cond_pos, cond_neg, adds, dels)`` entry per
-    distinct condition.
+    ``operators`` holds one ``PackedOperator`` per operator. Each distinct
+    precondition is encoded once, and operators that share an instance
+    (``compiler.Instance``) share its packed outcomes. An outcome packs to
+    a ``(mask, adds, dels, groups)`` tuple: every bit the outcome reads or
+    writes (its condition literals and its adds and deletes), the
+    unconditional add and delete masks, then one ``(cond_pos, cond_neg,
+    adds, dels)`` entry per distinct condition. One rule packs them, from
+    the instance's template, whose effects are grouped by condition index,
+    filled with the bits of the instance's RMLs; no outcome set is built.
     """
 
-    __slots__ = ('fluents', 'index', 'operators')
+    __slots__ = ('fluents', 'bits', 'operators')
 
     def __init__(self, fluents, operators):
         self.fluents = tuple(fluents)
-        self.index = {f: i for i, f in enumerate(self.fluents)}
+        self.bits = {f: 1 << i for i, f in enumerate(self.fluents)}
+        preconditions = {}
         packed = {}
         self.operators = []
         for op in operators:
-            for outcome in op.outcomes:
-                if outcome not in packed:
-                    packed[outcome] = self._outcome(outcome)
-            self.operators.append(PackedOperator(
-                *self.condition(op.precondition),
-                tuple(packed[outcome] for outcome in op.outcomes)))
+            pre = op.precondition
+            if pre not in preconditions:
+                preconditions[pre] = self.condition(pre)
+            if op.instance not in packed:
+                packed[op.instance] = self._outcomes(op.instance)
+            self.operators.append(PackedOperator(*preconditions[pre],
+                                                 packed[op.instance]))
 
     def condition(self, cond):
         """(pos, neg) masks of a CompiledCondition."""
         return self.encode(cond.pos), self.encode(cond.neg)
 
-    def _outcome(self, outcome):
-        index = self.index
-        groups = {}
-        for kind, effects in enumerate(outcome):
-            for cond, f in effects:
-                groups.setdefault(cond, [0, 0])[kind] |= 1 << index[f]
-        mask = adds = dels = 0
-        entries = []
-        for cond, (a, d) in groups.items():
-            pos, neg = self.condition(cond)
-            mask |= pos | neg | a | d
-            if pos | neg:
-                entries.append((pos, neg, a, d))
-            else:
-                adds, dels = a, d
-        return mask, adds, dels, tuple(entries)
+    def _outcomes(self, instance):
+        """The packed outcomes of an instance."""
+        _, condition_keys, outcomes = instance.template
+        # each RML position's bit; the positions are distinct RMLs and a
+        # condition or group lists each position once, so summing bits is
+        # or-ing them
+        bit = list(map(self.bits.__getitem__, instance.rmls)).__getitem__
+        conditions = [(sum(map(bit, pos)), sum(map(bit, neg)))
+                      for pos, neg in condition_keys]
+        packed = []
+        for groups in outcomes:
+            mask = adds = dels = 0
+            entries = []
+            for c, add_rmls, del_rmls in groups:
+                pos, neg = conditions[c]
+                a = sum(map(bit, add_rmls))
+                d = sum(map(bit, del_rmls))
+                mask |= pos | neg | a | d
+                if pos | neg:
+                    entries.append((pos, neg, a, d))
+                else:
+                    adds, dels = a, d
+            packed.append((mask, adds, dels, tuple(entries)))
+        return tuple(packed)
 
     def encode(self, state):
-        return sum(1 << self.index[f] for f in state)
+        return sum(map(self.bits.__getitem__, state))
 
     def decode(self, packed):
         fluents = self.fluents
@@ -319,9 +336,13 @@ def relevant_operators(ops, goal):
                 pos |= cond_neg
                 neg |= cond_pos
         if (pos, neg) == before:
-            return [idx for idx, (_, _, outcomes) in enumerate(ops)
-                    if any(adds & pos or dels & neg
-                           for _, _, adds, dels in groups(outcomes[0]))]
+            break
+    # decided once per distinct first outcome
+    kept = {key for key, outcome in firsts.items()
+            if any(adds & pos or dels & neg
+                   for _, _, adds, dels in groups(outcome))}
+    return [idx for idx, (_, _, outcomes) in enumerate(ops)
+            if id(outcomes[0]) in kept]
 
 
 def expand(table, state):
@@ -347,10 +368,8 @@ def apply(state, op, outcome_index=0):
     literals. It goes with ``applicable`` (ROADMAP item 8)."""
     if not applicable(state, op):
         raise PreconditionViolated('%s not applicable' % op.label)
-    literals = set(state) | op.precondition.pos | op.precondition.neg
-    for outcome in op.outcomes:
-        for cond, f in itertools.chain(*outcome):
-            literals |= cond.pos | cond.neg | {f}
+    literals = (set(state) | op.precondition.pos | op.precondition.neg
+                | set(op.instance.rmls))
     packing = Packing(literals, (op,))
     outcome = packing.operators[0].outcomes[outcome_index]
     return packing.decode(successor(packing.encode(state), outcome))

@@ -17,7 +17,7 @@ from pdkb.compiler import (CompiledCondition, CompiledOperator,
 from pdkb.model import ALWAYS, GroundAction, GroundingReport, ground
 from pdkb.parser import ParseError, desugar, parse_file, parse_text
 from pdkb.pekb import PEKB, closure
-from pdkb.planner import Packing, apply, successor
+from pdkb.planner import Packing, apply, solve_bfs, successor
 from pdkb.rml import (Proposition, RmlTable, lit, parse_rml, upward_closure,
                       wrap)
 
@@ -936,6 +936,25 @@ def test_artifact_digests_are_pinned(tmp_path, parts):
         with open(path, 'rb') as handle:
             digests[name] = hashlib.sha256(handle.read()).hexdigest()
     assert digests == ARTIFACT_DIGESTS[parts]
+
+
+def test_a_solve_builds_no_outcome_set(monkeypatch):
+    # the closures read the base outcomes of the five shapes; a solve packs
+    # the 61 instances from their templates, and only emission builds
+    # their outcome sets
+    parts = ('grapevine', 'prob-4ag-2g-1d.pdkbddl')
+    prob = load(*parts)
+    actions = ground(prob)
+    builds = count_calls(monkeypatch, '_instantiate')
+    cp = compile_problem(prob, actions)
+    assert len(solve_bfs(cp)) == 4
+    assert builds[0] == 5
+    domain = emit_domain(cp, prob.domain_name).encode()
+    assert builds[0] == 5 + 61
+    assert hashlib.sha256(domain).hexdigest() == \
+        ARTIFACT_DIGESTS[parts]['domain.pddl']
+    ops = {op.label: op for op in cp.operators}
+    assert ops['(share a b l1)'].outcomes is ops['(share c b l1)'].outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,53 @@ def test_each_distinct_outcome_is_packed_once(grapevine_2g_2d):
                 for outcome in packed_op.outcomes}) == 61
 
 
+def reference_packing(fluents, op):
+    """``op`` packed outcome by outcome from its frozensets: its
+    precondition masks, then per outcome the mask of every bit it reads or
+    writes, the unconditional add and delete masks and the set of
+    ``(cond_pos, cond_neg, adds, dels)`` entries, one per distinct
+    condition."""
+    index = {f: i for i, f in enumerate(fluents)}
+
+    def encode(literals):
+        return sum(1 << index[f] for f in literals)
+
+    outcomes = []
+    for outcome in op.outcomes:
+        groups = {}
+        for kind, effects in enumerate(outcome):
+            for cond, f in effects:
+                groups.setdefault(cond, [0, 0])[kind] |= 1 << index[f]
+        mask = adds = dels = 0
+        entries = set()
+        for cond, (a, d) in groups.items():
+            pos, neg = encode(cond.pos), encode(cond.neg)
+            mask |= pos | neg | a | d
+            if pos | neg:
+                entries.add((pos, neg, a, d))
+            else:
+                adds, dels = a, d
+        outcomes.append((mask, adds, dels, entries))
+    return (encode(op.precondition.pos), encode(op.precondition.neg),
+            outcomes)
+
+
+@pytest.mark.parametrize('depth', [None, 2])
+@pytest.mark.parametrize('name', sorted(_BENCHMARK_PROBLEMS))
+def test_packing_from_the_template_matches_packing_the_sets(name, depth):
+    prob = _BENCHMARK_PROBLEMS[name]()
+    if depth is not None:
+        prob.depth = depth
+    cp = compile_problem(prob, ground(prob))
+    packing = Packing(cp.fluents, cp.operators)
+    for op, packed in zip(cp.operators, packing.operators):
+        pre_pos, pre_neg, outcomes = reference_packing(cp.fluents, op)
+        assert (packed.pre_pos, packed.pre_neg) == (pre_pos, pre_neg), op
+        assert [(mask, adds, dels, set(entries))
+                for mask, adds, dels, entries in packed.outcomes] \
+            == outcomes, op
+
+
 def reference_bfs(cp, max_states, stats):
     """Breadth-first search without the successor table: every
     operator's precondition tested at every expansion, and the first
