@@ -21,6 +21,7 @@ soundness argument.
 """
 
 from itertools import chain, product
+from sys import intern
 
 from .pekb import ConditionalEffect
 from .rml import Proposition, RML
@@ -152,10 +153,10 @@ class Grounding:
         for i in positions:
             if i < len(args):
                 args[i] = self._values[args[i]]
-        return Proposition(atom.predicate, tuple(args))
+        return Proposition._of(atom.predicate, tuple(args))
 
     def _rename_rml(self, rml):
-        return RML(rml.modalities, rml.negated, self.rename(rml.atom))
+        return RML._of(rml.modalities, rml.negated, self.rename(rml.atom))
 
     @property
     def awareness(self):
@@ -253,11 +254,14 @@ class RPMEPProblem:
                  task, plan=None, warnings=()):
         self.domain_name = domain_name
         self.problem_name = problem_name
-        self.agents = tuple(agents)
+        # names are interned once here, so that substitution and renaming
+        # build canonical RMLs from them as they are
+        self.agents = tuple([intern(str(a)) for a in agents])
         self.types = tuple(types)
         # objects: tuple of (name, type); agents are implicitly objects of
         # type 'agent'
-        self.objects = tuple(objects)
+        self.objects = tuple([(intern(str(name)), typ)
+                              for name, typ in objects])
         # predicates: name -> (arg type tuple, ak flag)
         self.predicates = dict(predicates)
         self.schemas = tuple(schemas)
@@ -271,8 +275,9 @@ class RPMEPProblem:
         sides = ([], [])
         for name in sorted(self.predicates):
             arg_types, ak = self.predicates[name]
+            predicate = intern(str(name))
             sides[bool(ak)].extend(
-                Proposition(name, args)
+                Proposition._of(predicate, args)
                 for args in product(*map(self.objects_of_type, arg_types)))
         self.regular_propositions, self.ak_propositions = map(tuple, sides)
 
@@ -300,20 +305,31 @@ def _terms(rml):
 
 
 def subst_rml(template, binding):
-    """Instantiate a template RML under a variable binding."""
-    mods = tuple((mode, _subst_term(agent, binding))
-                 for mode, agent in template.modalities)
-    atom = Proposition(template.atom.predicate,
-                       tuple(_subst_term(a, binding)
-                             for a in template.atom.args))
-    return RML(mods, template.negated, atom)
+    """Instantiate a template RML under a variable binding to names of the
+    problem. The result is canonical as built unless the binding makes two
+    adjacent agents equal, and only then is it reduced."""
+    mods = tuple([(mode, _subst_term(agent, binding))
+                  for mode, agent in template.modalities])
+    atom = Proposition._of(template.atom.predicate,
+                           tuple([_subst_term(a, binding)
+                                  for a in template.atom.args]))
+    for i in range(1, len(mods)):
+        if mods[i - 1][1] == mods[i][1]:
+            return RML(mods, template.negated, atom)
+    return RML._of(mods, template.negated, atom)
+
+
+def _values(problem, parameters):
+    """Every tuple of values of the typed variables, the first varying
+    slowest."""
+    return product(*[problem.objects_of_type(typ) for _, typ in parameters])
 
 
 def _bindings(problem, parameters):
-    """Every binding of the typed variables, the first varying slowest."""
+    """Every binding of the typed variables, in ``_values`` order."""
     names = [var for var, _ in parameters]
-    return [dict(zip(names, values)) for values in
-            product(*[problem.objects_of_type(typ) for _, typ in parameters])]
+    return [dict(zip(names, values))
+            for values in _values(problem, parameters)]
 
 
 def _instantiate_effects(problem, templates, binding, truncated):
@@ -453,7 +469,9 @@ def ground(problem, report=None):
         built = {}
         shared = {}
         firsts = {}
-        for binding in _bindings(problem, schema.parameters):
+        names = [var for var, _ in schema.parameters]
+        for args in _values(problem, schema.parameters):
+            binding = dict(zip(names, args))
             pre = []
             fresh = []
             for i, tpl in enumerate(templates):
@@ -490,7 +508,6 @@ def ground(problem, report=None):
                 shared[values] = grounding, truncated
             grounding, truncated = shared[values]
             report.truncated_effects += truncated
-            args = tuple(binding[var] for var, _ in schema.parameters)
             actions.append(GroundAction._of(schema.name, args, pre[:n_pos],
                                             pre[n_pos:], grounding))
     return actions

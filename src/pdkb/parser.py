@@ -6,9 +6,10 @@ The language is a PDDL-like s-expression format with belief prefixes
 ``:derive-condition`` awareness annotations.
 
 Includes are spliced into the token stream before tree building, with each
-token keeping its own file/line/column so diagnostics point at the real
-source. Tree building folds markers into the element they prefix. Symbols
-are case-insensitive and normalized to lower case.
+token keeping its own source and offset so diagnostics point at the real
+file, line and column; the line and column are worked out only when a
+diagnostic reads them. Tree building folds markers into the element they
+prefix. Symbols are case-insensitive and normalized to lower case.
 """
 
 import bisect
@@ -19,7 +20,7 @@ from .model import (ALWAYS, ASSESSMENT, GENERATION, NEVER, Diagnostic,
                     EffectTemplate, EpistemicActionSchema, RPMEPProblem,
                     UnknownSymbol, _bindings, subst_rml)
 from .pekb import is_consistent
-from .rml import BELIEF, POSSIBLE, Proposition, RML
+from .rml import BELIEF, POSSIBLE, Proposition, RML, lit
 
 
 class ParseError(Exception):
@@ -45,25 +46,60 @@ class SemanticError(Exception):
                                    if d.is_error))
 
 
+class Source:
+    """A scanned text and its file name. The start of each line is found
+    when a position is first asked for, so a text that parses without a
+    diagnostic never counts its lines."""
+
+    __slots__ = ('filename', 'text', '_line_starts')
+
+    def __init__(self, filename, text):
+        self.filename = filename
+        self.text = text
+        self._line_starts = None
+
+    def position(self, offset):
+        """``(filename, line, column)`` of an offset; lines count from 1
+        and columns from 0."""
+        starts = self._line_starts
+        if starts is None:
+            starts = self._line_starts = [0] + [
+                m.end() for m in re.finditer('\n', self.text)]
+        line = bisect.bisect(starts, offset)
+        return (self.filename, line, offset - starts[line - 1])
+
+
 class Token:
-    __slots__ = ('kind', 'value', 'pos')
+    __slots__ = ('kind', 'value', 'source', 'offset')
 
     # kinds: 'lp', 'rp', 'sym', 'modal' (value (mode, agent)), 'ak',
     # 'include' (value the included path)
 
-    def __init__(self, kind, value, pos):
+    def __init__(self, kind, value, source, offset):
         self.kind = kind
         self.value = value
-        self.pos = pos
+        self.source = source
+        self.offset = offset
+
+    @property
+    def pos(self):
+        """``(filename, line, column)``, worked out from the offset."""
+        return self.source.position(self.offset)
 
     def __repr__(self):
         return 'Token(%s, %r)' % (self.kind, self.value)
 
 
-# One alternative per token kind; the search skips the blanks between
-# tokens, and the last two alternatives only ever raise.
+# One alternative per token kind, each after the blanks that precede it,
+# so the scan never retries the alternatives at a blank. ``skip`` is a
+# comment or the end of the text: after the blanks some alternative always
+# matches, so ``\s*`` never gives a blank back and trailing blanks are
+# scanned once, not once per blank. The last two alternatives only ever
+# raise.
 _TOKEN_RE = re.compile(r"""
-      (?P<comment> ;[^\n]* )
+    \s*
+    (?:
+      (?P<skip> ;[^\n]* | \Z )
     | (?P<lp> \( )
     | (?P<rp> \) )
     | (?P<modal> \[[^\]]*\] | <[^>]*> )
@@ -71,43 +107,48 @@ _TOKEN_RE = re.compile(r"""
     | (?P<sym> [^\s()\[\]<>{};]+ )
     | (?P<unterminated> [\[<{] )
     | (?P<unexpected> \S )
+    )
 """, re.VERBOSE)
 
 
 def tokenize(text, filename='<string>'):
-    """Tokens of ``text``; lines count from 1 and columns from 0."""
-    line_starts = [0] + [m.end() for m in re.finditer('\n', text)]
+    """Tokens of ``text``, each at its offset in one ``Source``."""
+    source = Source(filename, text)
     tokens = []
     for match in _TOKEN_RE.finditer(text):
-        kind, word = match.lastgroup, match.group()
-        if kind == 'comment':
+        kind = match.lastgroup
+        if kind == 'skip':
             continue
-        offset = match.start()
-        line = bisect.bisect(line_starts, offset)
-        pos = (filename, line, offset - line_starts[line - 1])
+        word = match.group(kind)
+        offset = match.start(kind)
         if kind in ('sym', 'lp', 'rp'):
-            tokens.append(Token(kind, word.lower(), pos))
+            tokens.append(Token(kind, word.lower(), source, offset))
         elif kind == 'modal':
             name = word[1:-1].strip().lower()
             if not name:
-                raise ParseError('empty belief marker', pos)
+                raise ParseError('empty belief marker',
+                                 source.position(offset))
             mode = BELIEF if word[0] == '[' else POSSIBLE
-            tokens.append(Token(kind, (mode, name), pos))
+            tokens.append(Token(kind, (mode, name), source, offset))
         elif kind == 'marker':
             if word.lower() == '{ak}':
-                tokens.append(Token('ak', word, pos))
+                tokens.append(Token('ak', word, source, offset))
             elif word.lower().startswith('{include:'):
                 # include splice happens in tokenize_file; a bare include
                 # here means tokenize was called on raw text
-                tokens.append(Token('include', word[9:-1].strip(), pos))
+                tokens.append(Token('include', word[9:-1].strip(), source,
+                                    offset))
             else:
-                raise ParseError('unknown marker %s' % word, pos)
+                raise ParseError('unknown marker %s' % word,
+                                 source.position(offset))
         elif word == '{':
-            raise ParseError('unterminated { marker', pos)
+            raise ParseError('unterminated { marker', source.position(offset))
         elif kind == 'unterminated':
-            raise ParseError('unterminated %r belief marker' % word, pos)
+            raise ParseError('unterminated %r belief marker' % word,
+                             source.position(offset))
         else:
-            raise ParseError('unexpected character %r' % word, pos)
+            raise ParseError('unexpected character %r' % word,
+                             source.position(offset))
     return tokens
 
 
@@ -321,19 +362,20 @@ def _walk(node, effect=False, mods=(), quant=(), cond_pos=(), cond_neg=()):
         args = items[1:]
         if len(args) != 2:
             raise ParseError('(when cond effect)', head.pos)
-        pos, neg = _condition(args[0], 'when conditions', head.pos)
+        pos, neg = _condition(args[0], 'when conditions', head)
         return _walk(args[1], True, mods, quant, cond_pos + tuple(pos),
                      cond_neg + tuple(neg))
     negated, atom = _atom_template(items)
     return [(quant, cond_pos, cond_neg, False, RML(mods, negated, atom))]
 
 
-def _condition(node, where, pos):
-    """(positive, negative) RML templates of a formula without forall."""
+def _condition(node, where, at):
+    """(positive, negative) RML templates of a formula without forall; a
+    forall is an error at the node ``at``."""
     pos_rmls, neg_rmls = [], []
     for quant, _, _, negated, rml in _walk(node):
         if quant:
-            raise ParseError('forall not allowed in %s' % where, pos)
+            raise ParseError('forall not allowed in %s' % where, _pos(at))
         (neg_rmls if negated else pos_rmls).append(rml)
     return pos_rmls, neg_rmls
 
@@ -396,12 +438,12 @@ def _parse_action(tree, predicates):
         if negated:
             raise ParseError('derive-condition atom cannot be negated',
                              _pos(derive))
-        derive_condition = RML((), False, atom)
+        derive_condition = lit(atom)
     parameters = _typed_list(fields.get(':parameters') or [], 'object')
     pre_pos, pre_neg = (), ()
     if fields.get(':precondition') is not None:
         pre_pos, pre_neg = _lower_condition(predicates, *_condition(
-            fields[':precondition'], 'preconditions', _pos(tree)))
+            fields[':precondition'], 'preconditions', tree))
     walked = [[]]
     effect = fields.get(':effect')
     if effect is not None:
@@ -410,7 +452,7 @@ def _parse_action(tree, predicates):
                 and isinstance(effect[0], Token) and effect[0].value == 'oneof':
             branches = effect[1:]
         walked = [_walk(b, effect=True) for b in branches]
-    outcomes = [[_lower_effect(predicates, *literal, _pos(tree))
+    outcomes = [[_lower_effect(predicates, *literal, tree)
                  for literal in branch] for branch in walked]
     return EpistemicActionSchema(name, parameters, pre_pos, pre_neg,
                                  derive_condition, outcomes)
@@ -548,13 +590,15 @@ def _lower_condition(predicates, pos_literals, neg_literals):
         for rml in literals:
             entry = predicates.get(rml.atom.predicate)
             if entry and entry[1] and rml.negated and not rml.modalities:
-                sides[1 - side].append(RML((), False, rml.atom))
+                sides[1 - side].append(lit(rml.atom))
             else:
                 sides[side].append(rml)
     return tuple(sides[0]), tuple(sides[1])
 
 
-def _lower_effect(predicates, quant, cond_pos, cond_neg, delete, rml, pos):
+def _lower_effect(predicates, quant, cond_pos, cond_neg, delete, rml, at):
+    """The ``EffectTemplate`` of a walked effect literal; an invalid one is
+    an error at the node ``at``."""
     cond_pos, cond_neg = _lower_condition(predicates, cond_pos, cond_neg)
     entry = predicates.get(rml.atom.predicate)
     if entry and entry[1] and not rml.modalities:
@@ -562,9 +606,9 @@ def _lower_effect(predicates, quant, cond_pos, cond_neg, delete, rml, pos):
         if rml.negated:
             if delete:
                 raise ParseError('(not (!%s)) is not a valid effect'
-                                 % rml.atom.predicate, pos)
+                                 % rml.atom.predicate, _pos(at))
             delete = True
-            rml = RML((), False, rml.atom)
+            rml = lit(rml.atom)
     return EffectTemplate(rml, cond_pos, cond_neg, quantified=quant,
                           delete=delete)
 

@@ -4,9 +4,15 @@ An RML is a chain of per-agent belief (B) or possibility (P) modalities over a
 possibly negated ground proposition. RMLs are kept in negation normal form and
 canonical (no two adjacent modalities share an agent), so the standard
 same-agent reduction equivalences apply implicitly.
+
+``RML(...)`` and ``Proposition(...)`` are the reducing constructors, for
+parsed and user input: they intern every name and collapse same-agent runs.
+A value derived from canonical values is canonical already, so the algebra
+and the grounding build it with ``RML._of`` and ``Proposition._of``, which
+only set the fields and the hash; their docstrings say why each caller's
+parts are canonical.
 """
 
-import itertools
 import re
 from sys import intern
 
@@ -23,6 +29,19 @@ class Proposition:
         self.predicate = intern(str(predicate))
         self.args = tuple(intern(str(a)) for a in args)
         self._hash = hash((self.predicate, self.args))
+
+    @classmethod
+    def _of(cls, predicate, args):
+        """The proposition of an interned predicate name and a tuple of
+        interned argument names, taken as they are. In ``pdkb.model``,
+        ``RPMEPProblem`` builds its propositions from names it has
+        interned, and substitution and renaming put such names into the
+        argument slots of an atom that ``Proposition(...)`` built."""
+        atom = cls.__new__(cls)
+        atom.predicate = predicate
+        atom.args = args
+        atom._hash = hash((predicate, args))
+        return atom
 
     def __eq__(self, other):
         if not isinstance(other, Proposition):
@@ -76,6 +95,31 @@ class RML:
         self.atom = atom
         self._hash = hash((mods, self.negated, atom))
 
+    @classmethod
+    def _of(cls, modalities, negated, atom):
+        """The RML of canonical parts, taken as they are: a tuple of (mode,
+        interned agent) pairs of which no two adjacent share an agent, a
+        bool and a Proposition. Its callers have such parts:
+
+        - ``negate`` and the closures change modes only, never an agent;
+        - ``wrap`` prefixes an agent that differs from the outermost one,
+          and returns the RML itself when they are the same;
+        - ``enumerate_rmls`` takes its chains from ``_chains``, which never
+          puts an agent next to itself, over the interned agents of an
+          ``RmlSpace``;
+        - ``lit`` has no modality;
+        - in ``pdkb.model``, renaming changes atom arguments only, and
+          substitution puts names that ``RPMEPProblem`` interned into the
+          agent slots of a canonical template, and reduces instead when
+          that makes two adjacent agents equal.
+        """
+        rml = cls.__new__(cls)
+        rml.modalities = modalities
+        rml.negated = negated
+        rml.atom = atom
+        rml._hash = hash((modalities, negated, atom))
+        return rml
+
     @property
     def depth(self):
         return len(self.modalities)
@@ -108,19 +152,23 @@ class RML:
 
 def lit(atom, negated=False):
     """Depth-0 RML for a proposition."""
-    return RML((), negated, atom)
+    return RML._of((), bool(negated), atom)
 
 
 def wrap(mode, agent, rml):
-    """Prefix one modality, reducing against the existing chain."""
-    return RML(((mode, agent),) + rml.modalities, rml.negated, rml.atom)
+    """Prefix one modality, reducing against the existing chain: under the
+    outermost agent's own modality, rml is unchanged."""
+    mods = rml.modalities
+    if mods and mods[0][1] == agent:
+        return rml
+    return RML._of(((mode, agent),) + mods, rml.negated, rml.atom)
 
 
 def negate(rml):
     """NNF negation: flip every modality's mode and the polarity."""
-    flipped = tuple((POSSIBLE if m == BELIEF else BELIEF, a)
-                    for m, a in rml.modalities)
-    return RML(flipped, not rml.negated, rml.atom)
+    flipped = tuple([(POSSIBLE if m == BELIEF else BELIEF, a)
+                     for m, a in rml.modalities])
+    return RML._of(flipped, not rml.negated, rml.atom)
 
 
 def is_regular(is_ak, rml):
@@ -131,15 +179,15 @@ def is_regular(is_ak, rml):
 
 
 def _switch_closure(rml, mode, to):
-    """rml with any subset of its ``mode`` modalities switched to ``to``."""
-    positions = [i for i, (m, _) in enumerate(rml.modalities) if m == mode]
-    out = set()
-    for r in range(len(positions) + 1):
-        for subset in itertools.combinations(positions, r):
-            mods = list(rml.modalities)
-            for i in subset:
-                mods[i] = (to, mods[i][1])
-            out.add(RML(tuple(mods), rml.negated, rml.atom))
+    """rml with any subset of its ``mode`` modalities switched to ``to``;
+    the empty subset gives rml itself."""
+    out = {rml}
+    for i, (m, agent) in enumerate(rml.modalities):
+        if m == mode:
+            switched = (to, agent)
+            out |= {RML._of(r.modalities[:i] + (switched,)
+                            + r.modalities[i + 1:], rml.negated, rml.atom)
+                    for r in out}
     return out
 
 
@@ -236,7 +284,7 @@ def enumerate_rmls(space):
         for chain in _chains(space.agents, depth):
             for atom in space.propositions:
                 for negated in (False, True):
-                    out.append(RML(chain, negated, atom))
+                    out.append(RML._of(chain, negated, atom))
     return sorted(out, key=RML.sort_key)
 
 

@@ -1,17 +1,22 @@
 """Parser and problem-model behavior on the benchmark corpus."""
 
+import bisect
+import glob
 import hashlib
 import os
+import re
 
 import pytest
 
+from pdkb import parser
 from pdkb.model import ALWAYS, GroundingReport, ground, validate_model
 from pdkb.parser import (IncludeCycle, ParseError, SemanticError, desugar,
-                         parse_file, parse_text)
+                         parse_file, parse_text, tokenize)
 from pdkb.pekb import PEKB, closure
-from pdkb.rml import BELIEF, format_rml, lit, parse_rml
+from pdkb.rml import BELIEF, POSSIBLE, format_rml, lit, parse_rml
 
-from test_compiler import lossy_gossip_texts
+import test_cli
+from test_compiler import benchmark_problems, lossy_gossip_texts
 
 HERE = os.path.dirname(__file__)
 BENCH = os.path.join(HERE, '..', 'benchmarks')
@@ -102,6 +107,167 @@ def test_include_splices_relative_to_file(tmp_path):
 def test_parse_error_carries_position():
     with pytest.raises(ParseError):
         parse_text('(define (domain d) (:agents a) (:predicates (p))')
+
+
+# ---------------------------------------------------------------------------
+# the scanner, against one that works out every token's position as it
+# scans: the scanner this one replaced
+
+
+_REFERENCE_RE = re.compile(r"""
+      (?P<comment> ;[^\n]* )
+    | (?P<lp> \( )
+    | (?P<rp> \) )
+    | (?P<modal> \[[^\]]*\] | <[^>]*> )
+    | (?P<marker> \{[^}]*\} )
+    | (?P<sym> [^\s()\[\]<>{};]+ )
+    | (?P<unterminated> [\[<{] )
+    | (?P<unexpected> \S )
+""", re.VERBOSE)
+
+
+def reference_scan(text, filename):
+    """Every token's ``(kind, value, pos)``, or the message of the
+    ``ParseError`` that the scan raises."""
+    line_starts = [0] + [m.end() for m in re.finditer('\n', text)]
+    tokens = []
+    for match in _REFERENCE_RE.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        if kind == 'comment':
+            continue
+        offset = match.start()
+        line = bisect.bisect(line_starts, offset)
+        pos = (filename, line, offset - line_starts[line - 1])
+        if kind in ('sym', 'lp', 'rp'):
+            tokens.append((kind, word.lower(), pos))
+        elif kind == 'modal':
+            name = word[1:-1].strip().lower()
+            if not name:
+                return str(ParseError('empty belief marker', pos))
+            mode = BELIEF if word[0] == '[' else POSSIBLE
+            tokens.append((kind, (mode, name), pos))
+        elif kind == 'marker':
+            if word.lower() == '{ak}':
+                tokens.append(('ak', word, pos))
+            elif word.lower().startswith('{include:'):
+                tokens.append(('include', word[9:-1].strip(), pos))
+            else:
+                return str(ParseError('unknown marker %s' % word, pos))
+        elif word == '{':
+            return str(ParseError('unterminated { marker', pos))
+        elif kind == 'unterminated':
+            return str(ParseError('unterminated %r belief marker' % word,
+                                  pos))
+        else:
+            return str(ParseError('unexpected character %r' % word, pos))
+    return tokens
+
+
+def scan(text, filename):
+    try:
+        return [(t.kind, t.value, t.pos) for t in tokenize(text, filename)]
+    except ParseError as exc:
+        return str(exc)
+
+
+def source_texts(module):
+    """The module's constant source texts, templates included, and the
+    ``text`` argument of every parametrized case in it."""
+    texts = [value for name, value in sorted(vars(module).items())
+             if name.isupper() and isinstance(value, str)
+             and '(define' in value]
+    for test in vars(module).values():
+        for mark in getattr(test, 'pytestmark', ()):
+            names = [n.strip() for n in mark.args[0].split(',')] \
+                if mark.name == 'parametrize' else []
+            if 'text' in names:
+                i = names.index('text')
+                texts += [case[i] if len(names) > 1 else case
+                          for case in mark.args[1]]
+    return texts
+
+
+BENCHMARK_FILES = sorted(glob.glob(os.path.join(BENCH, '*', '*.pdkbddl')))
+
+# the malformed inputs of this module, written out, edge cases of the
+# scanner, and every source text of the command-line tests
+SCANNED = [
+    '(define (domain d) (:agents a) (:predicates (p))',
+    '{include:b.pdkbddl}\n', '(define (domain x))\n)',
+    '(define (domain d) (:agents a) (:predicates (p))\n'
+    '  (:action a :effect (p))))\n',
+    # blanks and comments at the edges, other line ends, other blanks
+    '', '  \n\t ', '; only a comment', '(p) ; no line end',
+    '(define\r\n  (domain d))\r\n', '(p)\f\v\u00a0\u2003(q)\n\n  ',
+    '\n\n   ] (p)', '(p)\n  {AK', '(p)\n\n    <a (q)',
+] + [text + '\n' for text in source_texts(test_cli)]
+
+
+@pytest.mark.parametrize('path', BENCHMARK_FILES,
+                         ids=lambda p: os.path.basename(p))
+def test_benchmark_tokens_are_positioned_as_scanned_eagerly(path):
+    with open(path, encoding='utf-8') as handle:
+        text = handle.read()
+    expected = reference_scan(text, path)
+    assert isinstance(expected, list) and expected
+    assert scan(text, path) == expected
+
+
+@pytest.mark.parametrize('text', SCANNED)
+def test_test_inputs_are_positioned_as_scanned_eagerly(text):
+    assert scan(text, 'bad.pdkbddl') == reference_scan(text, 'bad.pdkbddl')
+
+
+@pytest.mark.parametrize('text', SCANNED + [
+    pytest.param('(p)' + ' ' * 100000, id='trailing-blanks')])
+def test_the_scan_never_retries_at_a_blank(text):
+    # the pattern matches where its last match ended, so the scan never
+    # retries from the next offset; one that failed after trailing blanks
+    # would retry from each of them, in time quadratic in their number
+    end = 0
+    while end < len(text):
+        match = parser._TOKEN_RE.match(text, end)
+        assert match is not None and match.end() > end
+        end = match.end()
+
+
+def test_the_positioned_diagnostic_cases_are_among_the_scanned_inputs():
+    [mark] = test_cli.test_malformed_input_is_a_positioned_diagnostic \
+        .pytestmark
+    assert {text + '\n' for text, _, _ in mark.args[1]} <= set(SCANNED)
+
+
+def test_parsing_the_benchmarks_works_out_no_position(monkeypatch):
+    # a position is worked out only for a diagnostic
+    calls = []
+    position = parser.Source.position
+
+    def counted(self, offset):
+        calls.append(offset)
+        return position(self, offset)
+
+    monkeypatch.setattr(parser.Source, 'position', counted)
+    problems = benchmark_problems()
+    for name in sorted(problems):
+        problems[name]()
+    assert len(problems) > 10
+    assert calls == []
+    with pytest.raises(ParseError, match=r'^stray\.pdkbddl:2:0: '
+                                         r'unbalanced \)$'):
+        parse_text('(define (domain x))\n)', 'stray.pdkbddl')
+    assert len(calls) == 1
+
+
+def test_a_stray_paren_in_an_included_file_is_named_in_that_file(tmp_path):
+    domain = tmp_path / 'domain.pdkbddl'
+    domain.write_text('(define (domain d) (:agents a) (:predicates (p))\n'
+                      '  (:action act :effect (p))))\n')
+    (tmp_path / 'problem.pdkbddl').write_text(
+        '{include:domain.pdkbddl}\n'
+        '(define (problem x) (:domain d) (:init ) (:goal (p)))\n')
+    with pytest.raises(ParseError) as info:
+        parse_file(str(tmp_path / 'problem.pdkbddl'))
+    assert str(info.value) == '%s:2:28: unbalanced )' % domain
 
 
 def test_comments_and_case_are_normalized():

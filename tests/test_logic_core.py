@@ -4,11 +4,15 @@ Counting facts are checked against an independent closed-form oracle
 (computed here from first principles, not by calling the enumerator).
 """
 
+import itertools
+from sys import intern
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdkb.rml import (BELIEF, POSSIBLE, Proposition, RML, RmlSpace,
+from pdkb.model import Grounding, subst_rml
+from pdkb.rml import (BELIEF, POSSIBLE, Proposition, RML, RmlSpace, RmlTable,
                       RmlSyntaxError, downward_closure, enumerate_rmls,
                       format_rml, lit, negate, parse_rml, reduce_modalities,
                       upward_closure, wrap)
@@ -179,6 +183,121 @@ def test_space_membership():
     assert wrap(BELIEF, '1', lit(P)) in space
     assert wrap(BELIEF, '1', wrap(BELIEF, '2', lit(P))) not in space
     assert lit(Q) not in space
+
+
+# ---------------------------------------------------------------------------
+# canonical constructors: what the algebra builds from canonical parts
+# without reducing is what the reducing constructor builds from them
+
+
+def assert_built_as(r, modalities, negated, atom):
+    """r equals ``RML(modalities, negated, atom)`` with an equal hash and
+    equal fields, its atom equals the reducing ``Proposition`` of the same
+    parts, and every name in it is interned."""
+    reduced = RML(modalities, negated, atom)
+    assert r == reduced
+    assert hash(r) == hash(reduced)
+    assert (r.modalities, r.negated, r.atom) == \
+        (reduced.modalities, reduced.negated, reduced.atom)
+    assert type(r.negated) is bool
+    atom = Proposition(atom.predicate, atom.args)
+    assert r.atom == atom
+    assert hash(r.atom) == hash(atom)
+    assert (r.atom.predicate, r.atom.args) == (atom.predicate, atom.args)
+    names = [a for _, a in r.modalities] + [r.atom.predicate, *r.atom.args]
+    assert all(intern(name) is name for name in names)
+
+
+@st.composite
+def agents_and_rml(draw):
+    """Two or three agents and an RML over them of depth at most 3."""
+    agents = AGENTS[:draw(st.integers(min_value=2, max_value=3))]
+    depth = draw(st.integers(min_value=0, max_value=3))
+    mods = tuple((draw(_modes), draw(st.sampled_from(agents)))
+                 for _ in range(depth))
+    atom = draw(st.sampled_from((P, Q, Proposition('r', ('1', '2')))))
+    return agents, RML(mods, draw(st.booleans()), atom)
+
+
+def switched(rml, mode, to):
+    """Every modality tuple of rml with any subset of its ``mode``
+    modalities switched to ``to``."""
+    return [tuple(choice) for choice in itertools.product(
+        *[((m, a), (to, a)) if m == mode else ((m, a),)
+          for m, a in rml.modalities])]
+
+
+def assert_closure_built_as(closure, rml, mode, to):
+    expected = {RML(mods, rml.negated, rml.atom): mods
+                for mods in switched(rml, mode, to)}
+    assert set(closure) == set(expected)
+    for r in closure:
+        assert_built_as(r, expected[r], rml.negated, rml.atom)
+
+
+@given(agents_and_rml(), _modes, st.booleans())
+def test_negate_wrap_and_lit_build_what_rml_builds(case, mode, negated):
+    agents, r = case
+    flipped = tuple((POSSIBLE if m == BELIEF else BELIEF, a)
+                    for m, a in r.modalities)
+    assert_built_as(negate(r), flipped, not r.negated, r.atom)
+    # every agent, the outermost one included
+    for agent in agents:
+        assert_built_as(wrap(mode, agent, r), ((mode, agent),) + r.modalities,
+                        r.negated, r.atom)
+    assert_built_as(lit(r.atom, negated), (), negated, r.atom)
+
+
+@given(agents_and_rml())
+def test_closures_build_what_rml_builds(case):
+    _, r = case
+    assert_closure_built_as(upward_closure(r), r, BELIEF, POSSIBLE)
+    assert_closure_built_as(downward_closure(r), r, POSSIBLE, BELIEF)
+
+
+@given(agents_and_rml(), _modes)
+def test_rml_table_builds_what_rml_builds(case, mode):
+    agents, r = case
+    table = RmlTable()
+    assert table.intern(r) is r
+    flipped = tuple((POSSIBLE if m == BELIEF else BELIEF, a)
+                    for m, a in r.modalities)
+    assert_built_as(table.negate(r), flipped, not r.negated, r.atom)
+    for agent in agents:
+        wrapped = table.wrap(mode, agent, r)
+        assert_built_as(wrapped, ((mode, agent),) + r.modalities, r.negated,
+                        r.atom)
+        assert table.wrap(mode, agent, r) is wrapped
+    assert_closure_built_as(table.upward_closure(r), r, BELIEF, POSSIBLE)
+
+
+@pytest.mark.parametrize('n_agents', [2, 3])
+@pytest.mark.parametrize('bound', [0, 1, 2, 3])
+def test_enumeration_builds_what_rml_builds(n_agents, bound):
+    for r in enumerate_rmls(RmlSpace([P, Q], AGENTS[:n_agents], bound)):
+        assert_built_as(r, r.modalities, r.negated, r.atom)
+
+
+@given(st.integers(min_value=2, max_value=3), _modes, _modes, st.booleans())
+def test_substitution_builds_what_rml_builds(n_agents, m1, m2, negated):
+    # [?a]<?b>r(?a,?b) and its other modes: at ?a = ?b the two modalities
+    # reduce to one
+    template = RML(((m1, '?a'), (m2, '?b')), negated,
+                   Proposition('r', ('?a', '?b')))
+    for a, b in itertools.product(AGENTS[:n_agents], repeat=2):
+        assert_built_as(subst_rml(template, {'?a': a, '?b': b}),
+                        ((m1, a), (m2, b)), negated, Proposition('r', (a, b)))
+
+
+@given(agents_and_rml())
+def test_renaming_builds_what_rml_builds(case):
+    # renaming '1' to '3' and '2' to '1' in the argument slots of r
+    _, rml = case
+    renamed = Grounding({}, ()).renamed({'r': (0, 1)}, {'1': '3', '2': '1'})
+    args = tuple({'1': '3', '2': '1'}[a] for a in rml.atom.args) \
+        if rml.atom.predicate == 'r' else rml.atom.args
+    assert_built_as(renamed._rename_rml(rml), rml.modalities, rml.negated,
+                    Proposition(rml.atom.predicate, args))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import re
 from itertools import product
+from sys import intern
 
 import pytest
 
@@ -92,6 +93,26 @@ def test_materialized_groundings_match_the_eager_reference(name, depth):
     problem = _PROBLEMS[name]()
     problem.depth = depth
     assert_matches_eager(problem)
+
+
+@pytest.mark.parametrize('name', sorted(_PROBLEMS))
+def test_ground_rmls_hold_interned_names(name):
+    # substitution and renaming put the problem's names into RMLs as they
+    # are, so the problem must intern them for names to compare by identity
+    problem = _PROBLEMS[name]()
+    rmls = [*problem.initial, *problem.goal_pos, *problem.goal_neg]
+    for action in ground(problem):
+        rmls += [*action.precondition_pos, *action.precondition_neg]
+        rmls += [mu for mu in action.awareness.values() if mu != ALWAYS]
+        for outcome in action.outcomes:
+            for ce in outcome:
+                rmls += [ce.effect, *ce.condition_pos, *ce.condition_neg]
+    # a list, not a set: a set keeps one of two equal names, which could
+    # be the interned one
+    names = [name for r in rmls for name in
+             [a for _, a in r.modalities] + [r.atom.predicate, *r.atom.args]]
+    assert names
+    assert all(intern(name) is name for name in names)
 
 
 def patterns(actions):
